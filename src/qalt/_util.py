@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from math import isqrt
-
 
 class DisjointSet:
     """Union-find over arbitrary hashable keys, path halving + union by size."""
@@ -39,12 +37,6 @@ class DisjointSet:
         dup._size = dict(self._size)
         return dup
 
-    def groups(self) -> dict:
-        out = {}
-        for x in list(self._parent):
-            out.setdefault(self.find(x), []).append(x)
-        return out
-
     def count(self) -> int:
         return sum(1 for x in self._parent if self._parent[x] == x)
 
@@ -79,13 +71,3 @@ def bareiss_det(rows: list[list[int]]) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
-
-
-def exact_isqrt(n: int) -> int:
-    """Integer square root that insists n is a perfect square."""
-    if n < 0:
-        raise ValueError("negative operand")
-    r = isqrt(n)
-    if r * r != n:
-        raise ValueError("%d is not a perfect square" % n)
-    return r

@@ -1,8 +1,8 @@
 """Kauffman bracket, Jones polynomial, and determinant of a diagram.
 
-The bracket is computed twice, by independent routes that the tests
-compare: a memoized resolution recursion, and a full 2^n state sum that
-counts circles with a union-find. The Jones polynomial is the bracket
+The bracket has two independent routes that the tests compare: a
+memoized resolution recursion, and a full 2^n state sum that counts
+circles with a union-find. The Jones polynomial is the bracket
 times (-A)^(-3w) under the substitution t^(1/2) = A^(-2), and the
 determinant is |V(-1)| evaluated exactly at t^(1/2) = i.
 """
@@ -42,8 +42,9 @@ def kauffman_bracket(d: Diagram) -> HalfLaurent:
         key = (dd.crossings, dd.free_loops)
         got = memo.get(key)
         if got is None:
-            l0 = rec(dd.smooth(0, 0).canonical())
-            l1 = rec(dd.smooth(0, 1).canonical())
+            # smooth() renumbers its result; only the root needs canonical()
+            l0 = rec(dd.smooth(0, 0))
+            l1 = rec(dd.smooth(0, 1))
             got = l0.shift2(2) + l1.shift2(-2)
             memo[key] = got
         return got
@@ -77,14 +78,9 @@ def bracket_state_sum(d: Diagram) -> HalfLaurent:
     return total
 
 
-def jones(d: Diagram) -> HalfLaurent:
-    """Jones polynomial in t^(1/2): (-A)^(-3w) times the bracket, with
-    t^(1/2) = A^(-2). Defined for any nonempty diagram; orientation and
-    writhe come from the PD numbering."""
-    if d.component_count == 0:
-        raise EmptyDiagram("the empty diagram has no Jones polynomial")
-    w = d.writhe()
-    b = kauffman_bracket(d).shift2(-6 * w)
+def _normalize(bracket: HalfLaurent, w: int) -> HalfLaurent:
+    """(-A)^(-3w) times the bracket, rewritten in t^(1/2) = A^(-2)."""
+    b = bracket.shift2(-6 * w)
     if w % 2:
         b = -b
     terms = {}
@@ -94,6 +90,15 @@ def jones(d: Diagram) -> HalfLaurent:
                 "bracket exponent %s/2 not divisible by 2" % e2)
         terms[-e2 // 4] = c
     return HalfLaurent(terms)
+
+
+def jones(d: Diagram) -> HalfLaurent:
+    """Jones polynomial in t^(1/2): (-A)^(-3w) times the bracket, with
+    t^(1/2) = A^(-2). Defined for any nonempty diagram; orientation and
+    writhe come from the PD numbering."""
+    if d.component_count == 0:
+        raise EmptyDiagram("the empty diagram has no Jones polynomial")
+    return _normalize(kauffman_bracket(d), d.writhe())
 
 
 def determinant(d: Diagram) -> int:
@@ -110,9 +115,13 @@ class BracketResult:
 
 
 def bracket_result(d: Diagram) -> BracketResult:
-    v = jones(d)
-    return BracketResult(bracket=kauffman_bracket(d), jones=v,
-                         writhe=d.writhe(), determinant=v.abs_at_minus_one())
+    if d.component_count == 0:
+        raise EmptyDiagram("the empty diagram has no Jones polynomial")
+    b = kauffman_bracket(d)
+    w = d.writhe()
+    v = _normalize(b, w)
+    return BracketResult(bracket=b, jones=v, writhe=w,
+                         determinant=v.abs_at_minus_one())
 
 
 def _negative_count(d: Diagram) -> int:

@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields, replace
 from fractions import Fraction
 
 from . import laurent
@@ -182,13 +182,9 @@ def _cmd_obstruct(args) -> int:
 
 
 def _budget(args) -> Budget:
-    base = Budget.default()
-    return Budget(
-        max_depth=args.max_depth if args.max_depth else base.max_depth,
-        max_nodes=args.max_nodes if args.max_nodes else base.max_nodes,
-        simplify_passes=(args.simplify_passes if args.simplify_passes
-                         else base.simplify_passes),
-    )
+    given = {f.name: getattr(args, f.name) for f in fields(Budget)}
+    return replace(Budget.default(),
+                   **{f: v for f, v in given.items() if v is not None})
 
 
 def _cmd_certify(args) -> int:
@@ -272,9 +268,7 @@ def _cmd_batch(args) -> int:
         return 1
     jobs = [(i + 1, line) for i, line in enumerate(raw)
             if line.partition("#")[0].strip()]
-    with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        records = list(pool.map(
-            lambda job: _batch_line(job[0], job[1], args), jobs))
+    records = [_batch_line(idx, line, args) for idx, line in jobs]
     summary = {
         "entries": len(records),
         "errors": sum(1 for r in records if "error" in r),
@@ -317,10 +311,20 @@ def _add_diagram_input(sub, edgelist=False):
                          help="use the white checkerboard graph")
 
 
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
+_count.__name__ = "non-negative int"  # argparse names the type by this
+
+
 def _add_budget_flags(sub):
-    sub.add_argument("--max-depth", type=int, default=None)
-    sub.add_argument("--max-nodes", type=int, default=None)
-    sub.add_argument("--simplify-passes", type=int, default=None)
+    sub.add_argument("--max-depth", type=_count, default=None)
+    sub.add_argument("--max-nodes", type=_count, default=None)
+    sub.add_argument("--simplify-passes", type=_count, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -397,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--prime", action="store_true")
     s.add_argument("--torus2n", action="store_true")
     s.add_argument("--certify", action="store_true")
-    s.add_argument("--workers", type=int, default=4)
     _add_budget_flags(s)
     s.set_defaults(func=_cmd_batch)
 

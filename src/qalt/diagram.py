@@ -533,7 +533,8 @@ def parse_pd(text: str) -> Diagram:
             data = json.loads(s)
         except json.JSONDecodeError as exc:
             raise PDSyntaxError("bad PD JSON: %s" % exc) from None
-        if not isinstance(data, list):
+        if not isinstance(data, list) or not all(
+                isinstance(row, list) for row in data):
             raise PDSyntaxError("PD JSON must be an array of 4-arrays")
         return Diagram(tuple(tuple(row) for row in data))
     tuples = []

@@ -97,9 +97,12 @@ class Budget:
     @classmethod
     def default(cls) -> "Budget":
         nodes = os.environ.get("QALT_BUDGET_NODES")
-        if nodes is not None:
-            return cls(max_nodes=int(nodes))
-        return cls()
+        if nodes is None:
+            return cls()
+        if not nodes.strip().isdecimal():
+            raise ValueError("QALT_BUDGET_NODES must be a non-negative "
+                             "integer, got %r" % nodes)
+        return cls(max_nodes=int(nodes))
 
 
 @dataclass(frozen=True)

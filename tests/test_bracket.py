@@ -1,5 +1,6 @@
 import pytest
 
+import qalt.bracket
 from qalt import corpus
 from qalt.bracket import (BracketResult, bracket_gap_check, bracket_result,
                           bracket_state_sum, determinant, jones,
@@ -45,6 +46,35 @@ def test_bracket_routes_agree_on_corpus():
     for entry in corpus.entries():
         d = entry.diagram
         assert kauffman_bracket(d) == bracket_state_sum(d), entry.name
+
+
+# Braid closures beyond the corpus. In all but the last, which is
+# alternating, the recursion meets smoothings that are not canonically
+# labelled (in the first, crossings 2 and 6 with r=0).
+BRAID_CLOSURES = [
+    "X[1,3,2,4] X[2,5,1,4] X[6,18,3,17] X[13,12,14,7] X[14,10,15,9] "
+    "X[15,8,16,9] X[16,6,17,5] X[18,8,13,7] X[19,11,20,12] X[20,11,19,10]",
+    "X[2,6,5,1] X[4,8,7,3] X[7,8,10,9] X[6,9,12,11] X[12,14,13,11] "
+    "X[5,13,16,15] X[10,18,17,14] X[17,18,4,3] X[15,16,2,1]",
+    "X[3,5,4,2] X[5,7,6,4] X[7,9,8,6] X[8,9,11,10] X[1,10,13,12] "
+    "X[11,15,14,13] X[15,17,16,14] X[17,19,18,16] X[19,21,20,18] "
+    "X[12,20,23,1] X[23,21,3,2]",
+    "X[2,3,5,4] X[1,4,7,6] X[7,9,8,6] X[9,5,11,10] X[11,13,12,10] "
+    "X[12,13,15,14] X[15,17,16,14] X[16,17,19,18] X[19,3,20,18] "
+    "X[20,23,22,8] X[23,25,24,22] X[25,2,1,24]",
+    "X[2,6,5,1] X[4,8,7,3] X[7,10,9,6] X[8,12,11,10] X[11,12,4,13] "
+    "X[9,13,16,15] X[15,18,17,5] X[18,16,20,19] X[17,19,22,21] "
+    "X[21,22,24,23] X[24,20,3,25] X[23,25,2,1]",
+    "X[3,5,4,2] X[1,4,7,6] X[6,7,9,8] X[5,11,10,9] X[11,13,12,10] "
+    "X[13,15,14,12] X[15,17,16,14] X[8,16,19,18] X[18,19,21,20] "
+    "X[17,3,22,21] X[20,22,2,1]",
+]
+
+
+@pytest.mark.parametrize("pd", BRAID_CLOSURES)
+def test_bracket_routes_agree_on_braid_closures(pd):
+    d = parse_pd(pd)
+    assert kauffman_bracket(d) == bracket_state_sum(d)
 
 
 def test_state_sum_cap():
@@ -168,13 +198,29 @@ def test_skein_bookkeeping_negative_crossing():
     assert x0 - x + 1 == -2  # e for this diagram
 
 
-def test_bracket_result_fields():
-    r = bracket_result(corpus.figure_eight())
-    assert isinstance(r, BracketResult)
-    assert r.writhe == 0
-    assert r.determinant == 5
-    assert r.jones == FIG8_JONES
-    assert r.bracket == kauffman_bracket(corpus.figure_eight())
+def test_bracket_result_fields(monkeypatch):
+    calls = []
+    inner = qalt.bracket.kauffman_bracket
+
+    def counted(d):
+        calls.append(d)
+        return inner(d)
+
+    for entry in corpus.entries():
+        d = entry.diagram
+        want = (inner(d), jones(d), determinant(d), d.writhe())
+        calls.clear()
+        monkeypatch.setattr(qalt.bracket, "kauffman_bracket", counted)
+        r = bracket_result(d)
+        monkeypatch.undo()
+        assert isinstance(r, BracketResult)
+        assert (r.bracket, r.jones, r.determinant, r.writhe) == want, \
+            entry.name
+        assert r.determinant == entry.det, entry.name
+        assert len(calls) == 1, entry.name
+    assert bracket_result(corpus.figure_eight()).jones == FIG8_JONES
+    with pytest.raises(EmptyDiagram, match="no Jones polynomial"):
+        bracket_result(Diagram((), 0))
 
 
 def test_bracket_gap_check_hopf_is_seven():

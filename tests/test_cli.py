@@ -122,6 +122,20 @@ def test_certify_budget_exit_2(capsys):
     assert "Unknown" in out
 
 
+def test_certify_zero_depth_is_honoured(capsys):
+    code, out, _ = run(capsys, "certify", "--pd", TREFOIL, "--max-depth", "0")
+    assert code == 2
+    assert "Unknown (budget)" in out
+
+
+@pytest.mark.parametrize("flag", ["--max-depth", "--max-nodes",
+                                  "--simplify-passes"])
+def test_certify_negative_budget_is_exit_1(capsys, flag):
+    code, out, err = run(capsys, "certify", "--pd", TREFOIL, flag, "-1")
+    assert code == 1 and out == ""
+    assert "non-negative" in err
+
+
 def test_kanenobu(capsys):
     code, out, _ = run(capsys, "kanenobu", "0", "0", "--analyze", "--json")
     data = json.loads(out)
@@ -177,6 +191,24 @@ def test_batch_certify_flag(tmp_path, capsys):
 def test_batch_missing_file(capsys):
     code, _, err = run(capsys, "batch", "/nonexistent/path.txt")
     assert code == 1 and "cannot read" in err
+
+
+def test_batch_has_no_workers_flag(tmp_path, capsys):
+    path = tmp_path / "links.txt"
+    path.write_text(HOPF + "\n")
+    code, out, err = run(capsys, "batch", "--workers", "2", str(path))
+    assert code == 1 and out == ""
+    assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("pd", ["[5]", "[null]", "[[1,4,2,3], 7]"])
+def test_pd_json_row_not_array_is_exit_1(pd):
+    proc = subprocess.run(
+        [sys.executable, "-m", "qalt.cli", "jones", "--pd", pd],
+        capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
 
 
 def test_bad_pd_is_exit_1(capsys):

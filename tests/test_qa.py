@@ -146,6 +146,10 @@ def test_certify_budget_exhaustion_is_unknown():
 def test_budget_env_override(monkeypatch):
     monkeypatch.setenv("QALT_BUDGET_NODES", "17")
     assert Budget.default().max_nodes == 17
+    for bad in ("abc", "-1"):
+        monkeypatch.setenv("QALT_BUDGET_NODES", bad)
+        with pytest.raises(ValueError, match="QALT_BUDGET_NODES"):
+            Budget.default()
     monkeypatch.delenv("QALT_BUDGET_NODES")
     assert Budget.default().max_nodes == 100000
 
