@@ -1,8 +1,8 @@
 """Kauffman bracket, Jones polynomial, and determinant of a diagram.
 
-The bracket has two independent routes that the tests compare: a
-memoized resolution recursion, and a full 2^n state sum that counts
-circles with a union-find. The Jones polynomial is the bracket
+The bracket is a frontier sweep over the crossings, cross-checked in
+the tests against the 2^n state sum, which counts circles with a
+union-find. The Jones polynomial is the bracket
 times (-A)^(-3w) under the substitution t^(1/2) = A^(-2), and the
 determinant is |V(-1)| evaluated exactly at t^(1/2) = i.
 """
@@ -30,26 +30,91 @@ def _delta_power(k: int) -> HalfLaurent:
     return _DELTA_POWERS[k]
 
 
+def _sweep_order(crossings) -> list:
+    """Crossing indices in sweep order: each step takes the crossing with
+    the most labels already open (one end processed), lowest index first
+    among ties."""
+    left = list(range(len(crossings)))
+    seen = set()
+    order = []
+    while left:
+        ci = max(left, key=lambda i: sum(lab in seen for lab in crossings[i]))
+        left.remove(ci)
+        order.append(ci)
+        seen.update(crossings[ci])
+    return order
+
+
+def _join(edges):
+    """Chain label-to-label edges into paths and loops.
+
+    Each label meets one edge (an end of a path) or two (an inner
+    point). end maps each end of a path built so far to its other end.
+    Returns the paths as sorted pairs of end labels, and the number of
+    closed loops."""
+    end = {}
+    loops = 0
+    for a, b in edges:
+        pa = end.pop(a, a)
+        pb = end.pop(b, b)
+        if pa == b:
+            loops += 1
+        else:
+            end[pa] = pb
+            end[pb] = pa
+    return [(x, y) for x, y in end.items() if x < y], loops
+
+
+# r = 0 joins slots (0,1),(2,3) with weight A; r = 1 joins (0,3),(1,2)
+# with weight A^-1
+_SMOOTHINGS = ((((0, 1), (2, 3)), 1), (((0, 3), (1, 2)), -1))
+
+
 def kauffman_bracket(d: Diagram) -> HalfLaurent:
-    """Bracket polynomial in A, by memoized crossing resolution."""
+    """Bracket polynomial in A, by a frontier sweep over the crossings.
+
+    A label is open once one of its two ends has been processed. A state
+    is the pairing of the open labels that the smoothed part joins by
+    paths, as a sorted tuple of pairs; it maps to the partial state sum,
+    a dict {(A exponent, closed loops): coefficient}. Each crossing
+    splits every state in two by its smoothings: a smoothing's two arcs
+    join the crossing's labels, and chaining them with the state's paths
+    gives the new pairing and the loops closed. Equal pairings merge, so
+    the cost is set by the number of open labels."""
     if d.component_count == 0:
         raise EmptyDiagram("the empty diagram has no bracket")
-    memo = {}
-
-    def rec(dd: Diagram) -> HalfLaurent:
-        if not dd.crossings:
-            return _delta_power(dd.free_loops - 1)
-        key = (dd.crossings, dd.free_loops)
-        got = memo.get(key)
-        if got is None:
-            # smooth() renumbers its result; only the root needs canonical()
-            l0 = rec(dd.smooth(0, 0))
-            l1 = rec(dd.smooth(0, 1))
-            got = l0.shift2(2) + l1.shift2(-2)
-            memo[key] = got
-        return got
-
-    return rec(d.canonical())
+    crossings = d.crossings
+    if not crossings:
+        return _delta_power(d.free_loops - 1)
+    states = {(): {(0, 0): 1}}
+    width = peak = 0
+    for ci in _sweep_order(crossings):
+        labs = crossings[ci]
+        smoothings = [(tuple((labs[i], labs[j]) for i, j in pairs), de)
+                      for pairs, de in _SMOOTHINGS]
+        nxt = {}
+        for state, poly in states.items():
+            for arcs, de in smoothings:
+                paths, loops = _join(state + arcs)
+                key = tuple(sorted(paths))
+                acc = nxt.get(key)
+                if acc is None:
+                    acc = nxt[key] = {}
+                for (e, k), c in poly.items():
+                    ek = (e + de, k + loops)
+                    acc[ek] = acc.get(ek, 0) + c
+        states = nxt
+        # every state pairs up the same open labels
+        width = max(width, 2 * len(next(iter(states))))
+        peak = max(peak, len(states))
+    log.debug("kauffman_bracket: %d crossings, frontier width %d, "
+              "peak states %d", len(crossings), width, peak)
+    # sum of c A^e delta^(loops - 1 + free loops), doubled exponents
+    terms = {}
+    for (e, k), c in states[()].items():
+        for e2, dc in _delta_power(k - 1 + d.free_loops).items2():
+            terms[2 * e + e2] = terms.get(2 * e + e2, 0) + c * dc
+    return HalfLaurent(terms)
 
 
 def bracket_state_sum(d: Diagram) -> HalfLaurent:

@@ -199,6 +199,27 @@ def certify(d: Diagram, budget: Budget = None):
     return Certificate(root=d, tree=tree)
 
 
+def _reduced(d: Diagram, want: str) -> Diagram:
+    """The reduction of d that a search stored as want.
+
+    The fixpoint of simplify() comes first. A search with a pass budget
+    may stop earlier; simplify is greedy and deterministic, so its
+    partial reductions are the prefixes of one move sequence, and each
+    of them is isotopic to d."""
+    s = d.simplify().canonical()
+    if s.render() == want:
+        return s
+    step = d
+    while True:
+        s = step.canonical()
+        if s.render() == want:
+            return s
+        nxt = step.simplify(1)
+        if nxt is step:
+            raise ValueError("reduced diagram mismatch")
+        step = nxt
+
+
 def replay_certificate(cert) -> bool:
     """Re-verify a certificate from scratch; raises ValueError on any
     broken condition, including root determinant against the bracket
@@ -208,15 +229,14 @@ def replay_certificate(cert) -> bool:
 
     def walk(node):
         d = parse_pd(node["pd"])
-        s = d.simplify().canonical()
         if node.get("leaf"):
             if node["det"] != 1:
                 raise ValueError("leaf with det != 1")
+            s = d.simplify()
             if s.crossings or s.component_count != 1:
                 raise ValueError("leaf does not simplify to the unknot")
             return 1
-        if s.render() != node["reduced_pd"]:
-            raise ValueError("reduced diagram mismatch")
+        s = _reduced(d, node["reduced_pd"])
         det = goeritz_det(checkerboard(s)[0])
         if det != node["det"]:
             raise ValueError("stored det %r != %r" % (node["det"], det))

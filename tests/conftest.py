@@ -5,11 +5,36 @@ alternates mod 8: a series-parallel core whose edges all share one sign
 (duplicating an edge in parallel or subdividing it preserves the
 alternation pattern), then pendant edges and loops of either sign, each
 of which multiplies the polynomial by a single monomial.
+
+braid_closure turns a braid word into a PD diagram, for diagrams well
+past the corpus.
 """
 
 import random
 
+from qalt.diagram import Diagram
 from qalt.tait import SignedPlanarGraph
+
+
+def braid_closure(word, strands: int) -> Diagram:
+    """Closure of a braid word; letter +i is sigma_i, -i its inverse.
+
+    Each letter takes the bottom labels bl, br of strands i, i+1 and
+    gives them fresh top labels tl, tr: sigma_i is X[bl,br,tr,tl] and its
+    inverse X[br,tr,tl,bl]. The closure renames each final top label to
+    the bottom label of its strand."""
+    cur = list(range(1, strands + 1))
+    fresh = strands + 1
+    out = []
+    for g in word:
+        i = abs(g) - 1
+        bl, br = cur[i], cur[i + 1]
+        tl, tr = fresh, fresh + 1
+        fresh += 2
+        out.append((bl, br, tr, tl) if g > 0 else (br, tr, tl, bl))
+        cur[i], cur[i + 1] = tl, tr
+    top_to_bottom = {cur[p]: p + 1 for p in range(strands)}
+    return Diagram([tuple(top_to_bottom.get(x, x) for x in t) for t in out])
 
 
 def random_alternating_graph(rng: random.Random, max_edges: int = 10):

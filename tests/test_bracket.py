@@ -1,3 +1,5 @@
+import logging
+
 import pytest
 
 import qalt.bracket
@@ -48,9 +50,8 @@ def test_bracket_routes_agree_on_corpus():
         assert kauffman_bracket(d) == bracket_state_sum(d), entry.name
 
 
-# Braid closures beyond the corpus. In all but the last, which is
-# alternating, the recursion meets smoothings that are not canonically
-# labelled (in the first, crossings 2 and 6 with r=0).
+# Braid closures of 9-12 crossings beyond the corpus; the last is
+# alternating.
 BRAID_CLOSURES = [
     "X[1,3,2,4] X[2,5,1,4] X[6,18,3,17] X[13,12,14,7] X[14,10,15,9] "
     "X[15,8,16,9] X[16,6,17,5] X[18,8,13,7] X[19,11,20,12] X[20,11,19,10]",
@@ -71,10 +72,58 @@ BRAID_CLOSURES = [
 ]
 
 
-@pytest.mark.parametrize("pd", BRAID_CLOSURES)
-def test_bracket_routes_agree_on_braid_closures(pd):
-    d = parse_pd(pd)
+def _shuffled(d: Diagram) -> Diagram:
+    # a fixed non-monotone renaming of every label
+    labels = sorted({lab for t in d.crossings for lab in t})
+    new = labels[1::2][::-1] + labels[::2]
+    ren = dict(zip(labels, (3 * x + 1 for x in new)))
+    return Diagram([tuple(ren[lab] for lab in t) for t in d.crossings])
+
+
+# Corners of the frontier sweep: labels that meet twice at one
+# crossing, paths with both ends at the next crossing, components that
+# never touch, and label orders unrelated to the traversal.
+EDGE_SHAPES = {
+    "split-trefoil-hopf": parse_pd(
+        "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3] X[7,10,8,9] X[9,8,10,7]"),
+    "trefoil-free-loops-2": Diagram(corpus.trefoil().crossings, 2),
+    "curl-0-3": parse_pd("X[2,1,1,2]"),
+    "curl-0-1": parse_pd("X[1,1,2,2]"),
+    "figure-eight-curl-1-2": parse_pd(
+        "X[2,3,3,4] X[4,9,5,10] X[6,2,7,1] X[8,5,9,6] X[10,8,1,7]"),
+    "trefoil-curls-0-1-2-3": parse_pd(
+        "X[1,2,2,3] X[3,5,4,4] X[5,8,6,9] X[7,10,8,1] X[9,6,10,7]"),
+    "torus-2-7-shuffled": _shuffled(corpus.torus(7)),
+    "figure-eight-shuffled": _shuffled(corpus.figure_eight()),
+}
+
+
+@pytest.mark.parametrize(
+    "d", [parse_pd(pd) for pd in BRAID_CLOSURES] + list(EDGE_SHAPES.values()),
+    ids=BRAID_CLOSURES + list(EDGE_SHAPES))
+def test_bracket_routes_agree_on_braid_closures(d):
     assert kauffman_bracket(d) == bracket_state_sum(d)
+
+
+def test_bracket_of_relabelled_and_split_diagrams():
+    assert (kauffman_bracket(EDGE_SHAPES["torus-2-7-shuffled"])
+            == kauffman_bracket(corpus.torus(7)))
+    assert (kauffman_bracket(EDGE_SHAPES["figure-eight-shuffled"])
+            == kauffman_bracket(corpus.figure_eight()))
+    delta = hl((-2, -1), (2, -1))
+    assert (kauffman_bracket(EDGE_SHAPES["split-trefoil-hopf"])
+            == kauffman_bracket(corpus.trefoil())
+            * kauffman_bracket(corpus.hopf()) * delta)
+    assert (kauffman_bracket(EDGE_SHAPES["trefoil-free-loops-2"])
+            == kauffman_bracket(corpus.trefoil()) * delta * delta)
+
+
+def test_bracket_logs_frontier(caplog):
+    with caplog.at_level(logging.DEBUG, logger="qalt.bracket"):
+        kauffman_bracket(corpus.trefoil())
+    msgs = [r.getMessage() for r in caplog.records if r.name == "qalt.bracket"]
+    assert msgs == ["kauffman_bracket: 3 crossings, frontier width 4, "
+                    "peak states 2"]
 
 
 def test_state_sum_cap():

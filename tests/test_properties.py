@@ -1,0 +1,56 @@
+"""Property tests on braid closures beyond the corpus.
+
+The frontier-sweep bracket is checked against the 2^n state sum on
+random short words, and on long closures, where the state sum is out of
+reach, the determinant is checked against Goeritz and Jones against the
+mirror.
+"""
+
+import random
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from conftest import braid_closure  # noqa: E402
+from qalt.bracket import (bracket_state_sum, determinant,  # noqa: E402
+                          jones, kauffman_bracket)
+from qalt.laurent import HalfLaurent  # noqa: E402
+from qalt.tait import checkerboard, goeritz_det  # noqa: E402
+
+
+@st.composite
+def braid_words(draw):
+    strands = draw(st.integers(3, 4))
+    letter = st.integers(1, strands - 1).flatmap(
+        lambda i: st.sampled_from((i, -i)))
+    return strands, draw(st.lists(letter, min_size=1, max_size=12))
+
+
+@settings(max_examples=40, deadline=None)
+@given(braid_words())
+def test_bracket_matches_state_sum_on_braid_closures(sw):
+    strands, word = sw
+    d = braid_closure(word, strands)
+    assert kauffman_bracket(d) == bracket_state_sum(d)
+
+
+def _long_closure(seed: int):
+    rng = random.Random(seed)
+    n = rng.randint(30, 40)
+    while True:
+        word = [rng.choice((1, -1)) * rng.randint(1, 3) for _ in range(n)]
+        if all(word.count(i) + word.count(-i) for i in (1, 2, 3)):
+            return braid_closure(word, 4)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_long_closures_det_and_mirror(seed):
+    d = _long_closure(seed)
+    assert 30 <= len(d.crossings) <= 40
+    assert d.is_connected()
+    assert determinant(d) == goeritz_det(checkerboard(d)[0])
+    v = jones(d)
+    assert jones(d.mirror()) == HalfLaurent({-e2: c for e2, c in v.items2()})

@@ -166,6 +166,23 @@ def test_replay_rejects_tampering():
         replay_certificate(Certificate(root=cert.root, tree=bad2))
 
 
+@pytest.mark.parametrize("base", [corpus.figure_eight, corpus.hopf])
+def test_replay_accepts_partial_reduction(base):
+    # two simplify passes stop the search's reduction short of the
+    # fixpoint that replay reaches
+    d = base()
+    for _ in range(3):
+        d = d.connected_sum(corpus.curl())
+    cert = certify(d, Budget(simplify_passes=2))
+    assert isinstance(cert, Certificate)
+    assert cert.tree["reduced_pd"] != d.simplify().canonical().render()
+    assert replay_certificate(cert)
+    bad = json.loads(cert.to_json())
+    bad["reduced_pd"] = corpus.trefoil().render()
+    with pytest.raises(ValueError, match="reduced diagram mismatch"):
+        replay_certificate(Certificate(root=cert.root, tree=bad))
+
+
 def test_certified_links_never_obstructed():
     for e in corpus.entries():
         cert = certify(e.diagram)
