@@ -18,6 +18,7 @@ arc label.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from collections import deque
@@ -439,10 +440,13 @@ class Diagram:
                 return c1, c2
         return None
 
-    def simplify(self, max_passes: int = 50) -> "Diagram":
-        """Greedy Reidemeister-1/2 reduction to a fixpoint or pass budget."""
+    def simplify(self, max_passes: int | None = None) -> "Diagram":
+        """Greedy Reidemeister-1/2 reduction: to the fixpoint, or for at
+        most max_passes moves. Each move removes crossings, so the
+        fixpoint is reached."""
         d = self
-        for _ in range(max_passes):
+        passes = itertools.count() if max_passes is None else range(max_passes)
+        for _ in passes:
             if not d.crossings:
                 break
             r1 = d._r1_candidate()

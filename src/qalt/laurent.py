@@ -162,13 +162,11 @@ class HalfLaurent:
 
     # evaluation
 
-    def evaluate(self, z: complex, branch: str = "principal-sqrt") -> complex:
+    def evaluate(self, z: complex) -> complex:
         """Numeric value with x^(1/2) taken as the principal square root.
 
         z = -1 and z = 1 short-circuit to exact integer arithmetic.
         """
-        if branch != "principal-sqrt":
-            raise ValueError("unsupported branch %r" % branch)
         if z == 0:
             raise ValueError("evaluation point must be nonzero")
         if z == 1:

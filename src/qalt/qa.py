@@ -18,7 +18,7 @@ from .diagram import Diagram, SplitDiagram, parse_pd
 from .bracket import determinant as bracket_determinant
 from .bracket import jones
 from .laurent import HalfLaurent, ZeroPolynomial, analyze, monomial_quotient
-from .tait import checkerboard, goeritz_det
+from .tait import checkerboard, goeritz_det, smoothing_dets
 
 NOTQA = "NotQA"
 INCONCLUSIVE = "Inconclusive"
@@ -92,7 +92,7 @@ def obstruct(v: HalfLaurent, det: int, prime: bool = False,
 class Budget:
     max_depth: int = 24
     max_nodes: int = 100000
-    simplify_passes: int = 50
+    simplify_passes: int | None = None  # None: simplify to the fixpoint
 
     @classmethod
     def default(cls) -> "Budget":
@@ -128,13 +128,6 @@ class _BudgetExceeded(Exception):
     pass
 
 
-def _fast_det(d: Diagram) -> int:
-    """Goeritz determinant; 0 for split diagrams."""
-    if not d.is_connected():
-        return 0
-    return goeritz_det(checkerboard(d)[0])
-
-
 def certify(d: Diagram, budget: Budget = None):
     """Bounded search for a quasi-alternating certificate.
 
@@ -151,7 +144,9 @@ def certify(d: Diagram, budget: Budget = None):
     memo = {}
     counter = [0]
 
-    def rec(dd: Diagram, depth: int):
+    def rec(dd: Diagram, det: int | None, depth: int):
+        # det is the parent's value for this smoothing, None at the root;
+        # R1/R2 moves preserve it
         counter[0] += 1
         if counter[0] > budget.max_nodes or depth > budget.max_depth:
             raise _BudgetExceeded()
@@ -166,32 +161,31 @@ def certify(d: Diagram, budget: Budget = None):
         core = memo.get(key)
         if core is not None:
             return {"pd": dd.render(), **core}
-        det_s = goeritz_det(checkerboard(s)[0])
-        if det_s < 2:
+        g = checkerboard(s)[0]
+        if det is None:
+            det = goeritz_det(g)
+        if det < 2:
             # a 1-determinant diagram that does not simplify away is
             # not provably the unknot; additivity needs det >= 2 anyway
             return None
         for c in range(len(s.crossings)):
-            d0 = s.smooth(c, 0)
-            d1 = s.smooth(c, 1)
-            det0 = _fast_det(d0)
-            det1 = _fast_det(d1)
-            if det0 < 1 or det1 < 1 or det0 + det1 != det_s:
+            det0, det1 = smoothing_dets(g, c)
+            if det0 < 1 or det1 < 1 or det0 + det1 != det:
                 continue
-            n0 = rec(d0, depth + 1)
+            n0 = rec(s.smooth(c, 0), det0, depth + 1)
             if n0 is None:
                 continue
-            n1 = rec(d1, depth + 1)
+            n1 = rec(s.smooth(c, 1), det1, depth + 1)
             if n1 is None:
                 continue
-            core = {"det": det_s, "reduced_pd": key, "crossing": c,
+            core = {"det": det, "reduced_pd": key, "crossing": c,
                     "children": [n0, n1]}
             memo[key] = core
             return {"pd": dd.render(), **core}
         return None
 
     try:
-        tree = rec(d, 0)
+        tree = rec(d, None, 0)
     except _BudgetExceeded:
         return Unknown("budget")
     if tree is None:
@@ -227,8 +221,7 @@ def replay_certificate(cert) -> bool:
     tree = cert.tree if isinstance(cert, Certificate) else dict(cert)
     root = parse_pd(tree["pd"])
 
-    def walk(node):
-        d = parse_pd(node["pd"])
+    def walk(node, d):
         if node.get("leaf"):
             if node["det"] != 1:
                 raise ValueError("leaf with det != 1")
@@ -244,17 +237,17 @@ def replay_certificate(cert) -> bool:
         kids = node["children"]
         if len(kids) != 2:
             raise ValueError("internal node needs two children")
+        smoothings = [s.smooth(c, r) for r in (0, 1)]
         for r, kid in enumerate(kids):
-            want = s.smooth(c, r)
-            if parse_pd(kid["pd"]) != want:
+            if parse_pd(kid["pd"]) != smoothings[r]:
                 raise ValueError("child %d is not the %d-smoothing" % (r, r))
-        d0 = walk(kids[0])
-        d1 = walk(kids[1])
+        d0 = walk(kids[0], smoothings[0])
+        d1 = walk(kids[1], smoothings[1])
         if d0 < 1 or d1 < 1 or d0 + d1 != node["det"]:
             raise ValueError("determinant additivity fails at a node")
         return node["det"]
 
-    root_det = walk(tree)
+    root_det = walk(tree, root)
     if root_det != bracket_determinant(root):
         raise ValueError("root determinant disagrees with the bracket route")
     return True

@@ -42,13 +42,12 @@ _WEIGHTS_NEG = {"Lbar": (6, -1), "Dbar": (-2, 1), "lbar": (-6, -1), "dbar": (2, 
 class SignedPlanarGraph:
     """Connected multigraph with signed, totally ordered edges.
 
-    edges[i] = (u, v, sign); the list position is the edge order. origin
-    tracks the source crossing ids when built from a diagram. The planar
-    dual is attached by checkerboard() and is what dual() returns."""
+    edges[i] = (u, v, sign); the list position is the edge order.
+    checkerboard() puts crossing i's edge at edges[i] in both graphs and
+    attaches the planar dual, which is what dual() returns."""
 
     vertex_count: int
     edges: tuple
-    origin: tuple = None
     _dual: "SignedPlanarGraph" = field(
         default=None, repr=False, compare=False)
 
@@ -127,8 +126,8 @@ def checkerboard(d: Diagram):
     if not d.is_connected():
         raise DisconnectedDiagram("checkerboard needs a connected diagram")
     if not d.crossings:
-        k1 = SignedPlanarGraph(1, (), origin=())
-        k2 = SignedPlanarGraph(1, (), origin=())
+        k1 = SignedPlanarGraph(1, ())
+        k2 = SignedPlanarGraph(1, ())
         object.__setattr__(k1, "_dual", k2)
         object.__setattr__(k2, "_dual", k1)
         return k1, k2
@@ -191,8 +190,7 @@ def checkerboard(d: Diagram):
             u = index[corners[own[0]]]
             v = index[corners[own[1]]]
             edges.append((u, v, sign))
-        return SignedPlanarGraph(len(verts), tuple(edges),
-                                 origin=tuple(range(n)))
+        return SignedPlanarGraph(len(verts), tuple(edges))
 
     g_black = build(black)
     g_white = build(1 - black)
@@ -361,50 +359,33 @@ def goeritz_det(g: SignedPlanarGraph) -> int:
     return abs(bareiss_det(minor))
 
 
+def smoothing_dets(g: SignedPlanarGraph, e: int) -> tuple:
+    """(det0, det1): Goeritz determinants of the 0- and 1-smoothing at the
+    crossing of black-graph edge e, 0 for a split smoothing.
+
+    The 0-smoothing joins slots (0,1) and (2,3), merging the faces at
+    corners 1 and 3, which are black exactly when e is positive: it
+    contracts a positive edge and deletes a negative one. A loop or an
+    isthmus is a nugatory crossing, whose face-merging or
+    face-separating smoothing respectively is split."""
+    merged = 0 if g.is_loop(e) else goeritz_det(g.contract(e))
+    separated = 0 if g.is_isthmus(e) else goeritz_det(g.delete(e))
+    return (merged, separated) if g.edges[e][2] > 0 else (separated, merged)
+
+
 def tutte(g: SignedPlanarGraph) -> dict:
-    """Tutte polynomial of the underlying unsigned graph as {(i, j): c}."""
-
-    def rec(edges, nverts):
-        if not edges:
-            return {(0, 0): 1}
-        (u, v, _), rest = edges[0], edges[1:]
-        if u == v:
-            out = {}
-            for (i, j), c in rec(rest, nverts).items():
-                out[(i, j + 1)] = out.get((i, j + 1), 0) + c
-            return out
-        # bridge test within this minor
-        dsu = DisjointSet()
-        for w in range(nverts):
-            dsu.find(w)
-        for a, b, _ in rest:
-            dsu.union(a, b)
-        if dsu.find(u) != dsu.find(v):
-            contracted = _contract_first(edges, nverts)
-            out = {}
-            for (i, j), c in rec(*contracted).items():
-                out[(i + 1, j)] = out.get((i + 1, j), 0) + c
-            return out
-        deleted = rec(rest, nverts)
-        contracted = rec(*_contract_first(edges, nverts))
-        out = dict(deleted)
-        for key, c in contracted.items():
-            out[key] = out.get(key, 0) + c
-        return {k: c for k, c in out.items() if c}
-
-    return rec(list(g.edges), g.vertex_count)
-
-
-def _contract_first(edges, nverts):
-    u, v, _ = edges[0]
-    keep, gone = min(u, v), max(u, v)
-
-    def remap(w):
-        if w == gone:
-            w = keep
-        return w - 1 if w > gone else w
-
-    return [(remap(a), remap(b), s) for a, b, s in edges[1:]], nverts - 1
+    """Tutte polynomial of the underlying unsigned graph as {(i, j): c},
+    by deletion/contraction of the first edge."""
+    if not g.edges:
+        return {(0, 0): 1}
+    if g.is_loop(0):
+        return {(i, j + 1): c for (i, j), c in tutte(g.delete(0)).items()}
+    if g.is_isthmus(0):
+        return {(i + 1, j): c for (i, j), c in tutte(g.contract(0)).items()}
+    out = tutte(g.delete(0))
+    for key, c in tutte(g.contract(0)).items():
+        out[key] = out.get(key, 0) + c
+    return {k: c for k, c in out.items() if c}
 
 
 @dataclass(frozen=True)

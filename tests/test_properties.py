@@ -3,7 +3,7 @@
 The frontier-sweep bracket is checked against the 2^n state sum on
 random short words, and on long closures, where the state sum is out of
 reach, the determinant is checked against Goeritz and Jones against the
-mirror.
+mirror. Every certificate found on a short alternating closure replays.
 """
 
 import random
@@ -18,6 +18,7 @@ from conftest import braid_closure  # noqa: E402
 from qalt.bracket import (bracket_state_sum, determinant,  # noqa: E402
                           jones, kauffman_bracket)
 from qalt.laurent import HalfLaurent  # noqa: E402
+from qalt.qa import Certificate, certify, replay_certificate  # noqa: E402
 from qalt.tait import checkerboard, goeritz_det  # noqa: E402
 
 
@@ -54,3 +55,23 @@ def test_long_closures_det_and_mirror(seed):
     assert determinant(d) == goeritz_det(checkerboard(d)[0])
     v = jones(d)
     assert jones(d.mirror()) == HalfLaurent({-e2: c for e2, c in v.items2()})
+
+
+@st.composite
+def alternating_words(draw):
+    # every generator at least once, so the closure is connected;
+    # sigma_i is positive for odd i and negative for even i
+    strands = draw(st.integers(3, 4))
+    extra = draw(st.lists(st.integers(1, strands - 1),
+                          max_size=10 - (strands - 1)))
+    gens = draw(st.permutations(list(range(1, strands)) + extra))
+    return strands, [g if g % 2 else -g for g in gens]
+
+
+@settings(max_examples=30, deadline=None)
+@given(alternating_words())
+def test_certificates_replay_on_alternating_closures(sw):
+    strands, word = sw
+    out = certify(braid_closure(word, strands))
+    if isinstance(out, Certificate):
+        assert replay_certificate(Certificate.from_json(out.to_json()))

@@ -166,13 +166,17 @@ def test_replay_rejects_tampering():
         replay_certificate(Certificate(root=cert.root, tree=bad2))
 
 
+def _with_curls(d, n):
+    for _ in range(n):
+        d = d.connected_sum(corpus.curl())
+    return d
+
+
 @pytest.mark.parametrize("base", [corpus.figure_eight, corpus.hopf])
 def test_replay_accepts_partial_reduction(base):
     # two simplify passes stop the search's reduction short of the
     # fixpoint that replay reaches
-    d = base()
-    for _ in range(3):
-        d = d.connected_sum(corpus.curl())
+    d = _with_curls(base(), 3)
     cert = certify(d, Budget(simplify_passes=2))
     assert isinstance(cert, Certificate)
     assert cert.tree["reduced_pd"] != d.simplify().canonical().render()
@@ -181,6 +185,18 @@ def test_replay_accepts_partial_reduction(base):
     bad["reduced_pd"] = corpus.trefoil().render()
     with pytest.raises(ValueError, match="reduced diagram mismatch"):
         replay_certificate(Certificate(root=cert.root, tree=bad))
+
+
+def test_simplify_runs_to_the_fixpoint():
+    # sixty curls take more than fifty greedy moves to undo
+    unknot = _with_curls(corpus.curl(), 59)
+    assert unknot.simplify() == Diagram((), 1)
+    assert len(unknot.simplify(50).crossings) == 10
+    assert Budget().simplify_passes is None
+    cert = certify(unknot)
+    assert isinstance(cert, Certificate)
+    assert replay_certificate(cert)
+    assert len(_with_curls(corpus.trefoil(), 60).simplify().crossings) == 3
 
 
 def test_certified_links_never_obstructed():

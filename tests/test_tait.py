@@ -8,9 +8,11 @@ from qalt.laurent import HalfLaurent, analyze
 from qalt.tait import (LoopOrIsthmus, NoEmbedding, SignedPlanarGraph,
                        activity, checkerboard, dual, gamma,
                        gamma_skein_check, goeritz_det, kirchhoff_count,
-                       parse_edgelist, spanning_trees, tutte, tutte_check)
+                       parse_edgelist, smoothing_dets, spanning_trees, tutte,
+                       tutte_check)
 
-from conftest import random_alternating_graph, random_connected_graph
+from conftest import (braid_closure, random_alternating_graph,
+                      random_connected_graph)
 
 
 def hl(*pairs):
@@ -187,6 +189,57 @@ def test_goeritz_matches_dual():
 def test_tutte_triangle():
     g, _ = checkerboard(corpus.trefoil())
     assert tutte(g) == {(2, 0): 1, (1, 0): 1, (0, 1): 1}
+
+
+def test_tutte_evaluations_on_random_multigraphs():
+    # T(1,1) counts spanning trees and T(2,2) = 2^|E|, on multigraphs
+    # with loops and parallel edges
+    rng = random.Random(5)
+    loops = 0
+    for _ in range(60):
+        g = random_connected_graph(rng)
+        loops += any(g.is_loop(i) for i in range(g.edge_count()))
+        t = tutte(g)
+        assert sum(t.values()) == kirchhoff_count(g)
+        assert (sum(c * 2 ** (i + j) for (i, j), c in t.items())
+                == 2 ** g.edge_count())
+    assert loops
+
+
+def _split_or_det(d):
+    return goeritz_det(checkerboard(d)[0]) if d.is_connected() else 0
+
+
+def _smoothing_cases():
+    cases = [e.diagram for e in corpus.entries()
+             if e.diagram.crossings and e.diagram.is_connected()]
+    for curl in ("X[2,1,1,2]", "X[1,1,2,2]"):
+        cases.append(parse_pd(curl))
+        for base in (corpus.trefoil(), corpus.figure_eight()):
+            cases.append(base.connected_sum(parse_pd(curl)))
+            cases.append(parse_pd(curl).connected_sum(base))
+    rng = random.Random(3)
+    while len(cases) < 60:
+        strands = rng.choice((3, 4))
+        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                for _ in range(rng.randint(6, 12))]
+        d = braid_closure(word, strands)
+        if d.is_connected():
+            cases.append(d)
+    return cases
+
+
+def test_smoothing_dets_match_diagram_smoothings():
+    loops = isthmi = 0
+    for d in _smoothing_cases():
+        g = checkerboard(d)[0]
+        for c in range(len(d.crossings)):
+            loops += g.is_loop(c)
+            isthmi += g.is_isthmus(c)
+            want = (_split_or_det(d.smooth(c, 0)),
+                    _split_or_det(d.smooth(c, 1)))
+            assert smoothing_dets(g, c) == want, (d, c)
+    assert loops and isthmi
 
 
 def test_tutte_check_trefoil():
