@@ -22,7 +22,7 @@ from .diagram import parse_pd
 from .laurent import analyze
 from .qa import (INCONCLUSIVE, NOTQA, Budget, Certificate, Unknown, certify,
                  kanenobu_jones, kanenobu_obstruction, obstruct)
-from .tait import checkerboard, gamma, goeritz_det, parse_edgelist
+from .tait import checkerboard, dual, gamma, goeritz_det, parse_edgelist
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,13 +51,14 @@ def _read_diagram(args):
 
 
 def _read_graph(args):
-    """Black checkerboard graph from a PD, or a literal edge list."""
+    """Checkerboard graph from a PD, or a literal edge list; with --white,
+    its planar dual, which an edge list does not carry."""
     if getattr(args, "edgelist", None):
         with open(args.edgelist) as fh:
-            return parse_edgelist(fh.read())
-    d = _read_diagram(args)
-    black, white = checkerboard(d)
-    return white if getattr(args, "white", False) else black
+            g = parse_edgelist(fh.read())
+    else:
+        g = checkerboard(_read_diagram(args))[0]
+    return dual(g) if getattr(args, "white", False) else g
 
 
 def _emit(args, payload: dict, text_lines: list):

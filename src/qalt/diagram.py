@@ -3,11 +3,17 @@
 A crossing X[a,b,c,d] lists the four incident arcs counterclockwise
 starting at the incoming under-strand, so slot 0 is the under-strand
 entering, slot 2 is it leaving, and slots 1/3 carry the over-strand.
-Orientations are solved from that convention: slot 0 ports always flow
-in, slot 2 ports always flow out, an arc's two ports flow oppositely,
-and the two over-ports of a crossing flow oppositely. Components whose
-every port sits on an over-slot are unconstrained; they get a fixed
-deterministic direction.
+Orientations follow from that convention: slot 0 ports always flow in,
+slot 2 ports always flow out, an arc's two ports flow oppositely, and
+the two over-ports of a crossing flow oppositely. Each component is
+walked once, from its lowest arc entering at that arc's later
+occurrence and leaving every crossing by the opposite slot; the walk
+also numbers the components in order of their lowest labels. A walk
+that enters under-strands only at slot 0 runs with the component, one
+that enters only at slot 2 runs against it, and one that enters at both
+is a conflict. A component whose every port sits on an over-slot is
+unconstrained and keeps the walk's direction, so the head of its lowest
+arc is that arc's later occurrence.
 
 Smoothings, Reidemeister reductions, mirrors, and connected sums are all
 built on one splice-and-relabel engine so the renumbering rules stay
@@ -21,7 +27,6 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from collections import deque
 from dataclasses import dataclass
 
 from ._util import DisjointSet
@@ -97,24 +102,38 @@ class Diagram:
         self._ports = ports
         self.strand_count = len(ports)
 
-        self._flow_in = self._solve_orientation()
+        self._flow_in = flow = {}
+        self.component_map = comp = {}
+        cid = 0
+        for lab in sorted(ports):
+            if lab in comp:
+                continue
+            # lab is the lowest arc of a new component: walk it once
+            start = cur = ports[lab][1]
+            steps = []
+            while True:
+                ci, s = cur
+                out = (ci, _EXIT_SLOT[s])
+                steps.append((cur, out))
+                arc = self.crossings[ci][out[1]]
+                comp[arc] = cid
+                a, b = ports[arc]
+                cur = b if out == a else a
+                if cur == start:
+                    break
+            unders = {p[1] for p, _ in steps if p[1] % 2 == 0}
+            if len(unders) == 2:
+                raise InvalidStrandLabels(
+                    "labels force conflicting orientations on the "
+                    "component of arc %d" % lab)
+            forward = unders != {2}
+            for p, q in steps:
+                flow[p] = forward
+                flow[q] = not forward
+            cid += 1
         self._signs = tuple(
-            1 if self._flow_in[(ci, 3)] else -1
-            for ci in range(len(self.crossings)))
-
-        comp = DisjointSet()
-        for t in self.crossings:
-            comp.find(t[0])
-            comp.union(t[0], t[2])
-            comp.union(t[1], t[3])
-        comp_min = {}
-        for lab in ports:
-            root = comp.find(lab)
-            comp_min[root] = min(comp_min.get(root, lab), lab)
-        root_id = {root: i for i, root in
-                   enumerate(sorted(comp_min, key=comp_min.get))}
-        self.component_map = {lab: root_id[comp.find(lab)] for lab in ports}
-        self.component_count = len(root_id) + self.free_loops
+            1 if flow[(ci, 3)] else -1 for ci in range(len(self.crossings)))
+        self.component_count = cid + self.free_loops
 
         shadow = DisjointSet()
         for ci in range(len(self.crossings)):
@@ -123,47 +142,6 @@ class Diagram:
             shadow.union(occ[0][0], occ[1][0])
         self._shadow_parts = shadow.count()
         self._faces = None
-
-    # orientation
-
-    def _solve_orientation(self):
-        flow = {}
-        queue = deque()
-
-        def assign(p, v):
-            if p in flow:
-                if flow[p] != v:
-                    raise InvalidStrandLabels(
-                        "labels force conflicting orientations at %r" % (p,))
-                return
-            flow[p] = v
-            queue.append(p)
-
-        for ci in range(len(self.crossings)):
-            assign((ci, 0), True)
-            assign((ci, 2), False)
-
-        def propagate():
-            while queue:
-                ci, s = queue.popleft()
-                v = flow[(ci, s)]
-                a, b = self._ports[self.crossings[ci][s]]
-                other = b if (ci, s) == a else a
-                assign(other, not v)
-                if s in (1, 3):
-                    assign((ci, 4 - s), not v)
-
-        propagate()
-        total = 4 * len(self.crossings)
-        while len(flow) < total:
-            # a component living entirely on over-slots: pick its lowest
-            # arc and point its head at the lex-later occurrence
-            pending = [lab for lab, occ in self._ports.items()
-                       if occ[0] not in flow]
-            lab = min(pending)
-            assign(self._ports[lab][1], True)
-            propagate()
-        return flow
 
     # basic queries
 
@@ -300,7 +278,8 @@ class Diagram:
         visited = set()
 
         def walk(start):
-            # start is a live port; returns (fragments, end port)
+            # start is a live port; returns (fragments, end port) and
+            # marks the wired ports it passes
             frags = []
             cur = start
             while True:
@@ -311,6 +290,8 @@ class Diagram:
                 if out not in wire:
                     return frags, out
                 cur = wire[out]
+                visited.add(out)
+                visited.add(cur)
 
         live_ports = [(ci, s) for ci, _ in live for s in range(4)]
         for p in live_ports:
@@ -327,29 +308,19 @@ class Diagram:
             forward = self._flow_in[out]
             heads[arc_id] = end if forward else p
 
-        # chains living entirely on removed crossings close into circles
-        wire_seen = set()
+        # wired ports no open chain passed lie on circles of fused arcs
         for w in wire:
-            if w in wire_seen:
+            if w in visited:
                 continue
+            loops += 1
             cur = w
-            closed = True
-            cycle = [cur]
             while True:
                 _, out = other_end(cur)
-                if out in dropped or out not in wire:
-                    closed = False
-                    break
                 cur = wire[out]
+                visited.add(out)
+                visited.add(cur)
                 if cur == w:
                     break
-                cycle.append(cur)
-            if closed:
-                loops += 1
-                wire_seen.update(cycle)
-                wire_seen.update(wire[c] for c in cycle)
-            else:
-                wire_seen.add(w)
 
         return _assemble(live, port_arc, heads, loops)
 
@@ -468,37 +439,25 @@ def _assemble(live, port_arc, heads, free_loops: int) -> Diagram:
     """Renumber live crossings into a fresh diagram.
 
     live: (original crossing id, original 4-tuple) pairs. port_arc maps
-    each live port to its arc id; heads gives each arc's flow-in port
-    where known. Components are walked from their lowest arc id, in the
-    direction of that arc; labels count up along the walk; a crossing
-    entered through its old slot 2 is rotated so the under-entry returns
-    to slot 0.
+    each live port to its arc id; heads gives each arc's flow-in port.
+    Components are walked from their lowest arc id, in the direction of
+    that arc; labels count up along the walk; a crossing entered through
+    its old slot 2 is rotated so the under-entry returns to slot 0.
     """
     if not live:
         return Diagram((), free_loops)
     arc_ports = {}
     for p, a in port_arc.items():
         arc_ports.setdefault(a, []).append(p)
-    for ps in arc_ports.values():
-        ps.sort()
-
-    comp = DisjointSet()
-    for ci, _ in live:
-        comp.union(port_arc[(ci, 0)], port_arc[(ci, 2)])
-        comp.union(port_arc[(ci, 1)], port_arc[(ci, 3)])
-    groups = {}
-    for arc in arc_ports:
-        groups.setdefault(comp.find(arc), []).append(arc)
 
     new_label = {}
     rot = {}
     counter = 1
-    for arcs in sorted(groups.values(), key=min):
-        a0 = min(arcs)
-        head = heads.get(a0)
-        if head is None:
-            head = arc_ports[a0][1]
-        cur_arc, cur_head = a0, head
+    for a0 in sorted(arc_ports):
+        if a0 in new_label:
+            continue
+        # a0 is the lowest arc of a component not yet numbered
+        cur_arc, cur_head = a0, heads[a0]
         while cur_arc not in new_label:
             new_label[cur_arc] = counter
             counter += 1

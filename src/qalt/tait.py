@@ -422,8 +422,8 @@ def tutte_check(g: SignedPlanarGraph, jones: HalfLaurent):
 
 def parse_edgelist(text: str) -> SignedPlanarGraph:
     """Lines "u v +" / "u v -" with 0-based vertices; blank lines and
-    "#" comments allowed. An optional first line "vertices N" forces the
-    vertex count (needed for isolated vertices)."""
+    "#" comments allowed. An optional first line "vertices N", N >= 1,
+    forces the vertex count (needed for isolated vertices)."""
     edges = []
     forced = None
     top = -1
@@ -433,6 +433,9 @@ def parse_edgelist(text: str) -> SignedPlanarGraph:
             continue
         parts = line.split()
         if parts[0] == "vertices":
+            if (len(parts) != 2 or not parts[1].isdecimal()
+                    or int(parts[1]) < 1):
+                raise ValueError("want \"vertices N\" with N >= 1: %r" % raw)
             forced = int(parts[1])
             continue
         if len(parts) != 3 or parts[2] not in ("+", "-"):

@@ -64,6 +64,29 @@ def test_gamma_white_flag(capsys):
     assert "gamma: -A^(-4) - A^4" in out  # white Hopf graph mirrors black
 
 
+def test_white_flag_needs_an_embedding(tmp_path, capsys):
+    edges = tmp_path / "g.edges"
+    edges.write_text("0 1 -\n1 0 -\n")
+    for cmd in ("gamma", "goeritz"):
+        code, out, err = run(capsys, cmd, "--edgelist", str(edges), "--white")
+        assert code == 1 and out == ""
+        assert err == "error: graph carries no embedding\n"
+
+
+@pytest.mark.parametrize("line", ["vertices", "vertices 0", "vertices -2",
+                                  "vertices 2 9"])
+def test_bad_vertices_line_is_exit_1(tmp_path, line):
+    edges = tmp_path / "g.edges"
+    edges.write_text(line + "\n0 1 +\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "qalt.cli", "goeritz", "--edgelist",
+         str(edges)], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert repr(line) in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_goeritz(capsys):
     code, out, _ = run(capsys, "goeritz", "--pd", FIG8)
     assert code == 0 and "goeritz det: 5" in out

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from qalt import corpus
@@ -237,3 +240,42 @@ def test_free_loop_splits_connectivity():
     d = Diagram(corpus.hopf().crossings, free_loops=1)
     assert not d.is_connected()
     assert d.component_count == 3
+
+
+def _orientations(crossings):
+    """Every port flow (True = into the crossing) that gives each arc one
+    head and one tail, makes slot 0 flow in and slot 2 flow out, and
+    makes the two over-ports of a crossing flow oppositely."""
+    ports = {}
+    for ci, t in enumerate(crossings):
+        for s, lab in enumerate(t):
+            ports.setdefault(lab, []).append((ci, s))
+    arcs = sorted(ports)
+    for heads in itertools.product((0, 1), repeat=len(arcs)):
+        flow = {}
+        for lab, h in zip(arcs, heads):
+            a, b = ports[lab]
+            flow[a], flow[b] = h == 0, h == 1
+        if all(flow[(c, 0)] and not flow[(c, 2)]
+               and flow[(c, 1)] != flow[(c, 3)]
+               for c in range(len(crossings))):
+            yield flow
+
+
+def test_orientation_matches_brute_force():
+    rng = random.Random(5)
+    valid = conflicts = 0
+    for _ in range(3000):
+        n = rng.randint(1, 4)
+        labels = [lab for lab in range(1, 2 * n + 1) for _ in range(2)]
+        rng.shuffle(labels)
+        crossings = [tuple(labels[4 * k:4 * k + 4]) for k in range(n)]
+        solutions = list(_orientations(crossings))
+        if not solutions:
+            conflicts += 1
+            with pytest.raises(InvalidStrandLabels):
+                Diagram(crossings)
+            continue
+        valid += 1
+        assert Diagram(crossings)._flow_in in solutions
+    assert valid > 1000 and conflicts > 1000

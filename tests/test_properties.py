@@ -4,6 +4,8 @@ The frontier-sweep bracket is checked against the 2^n state sum on
 random short words, and on long closures, where the state sum is out of
 reach, the determinant is checked against Goeritz and Jones against the
 mirror. Every certificate found on a short alternating closure replays.
+Jones, writhe and the component count survive relabelling, canonical()
+and simplify() (the writhe only the first two: simplify() drops curls).
 """
 
 import random
@@ -17,6 +19,7 @@ from hypothesis import strategies as st  # noqa: E402
 from conftest import braid_closure  # noqa: E402
 from qalt.bracket import (bracket_state_sum, determinant,  # noqa: E402
                           jones, kauffman_bracket)
+from qalt.diagram import Diagram  # noqa: E402
 from qalt.laurent import HalfLaurent  # noqa: E402
 from qalt.qa import Certificate, certify, replay_certificate  # noqa: E402
 from qalt.tait import checkerboard, goeritz_det  # noqa: E402
@@ -75,3 +78,37 @@ def test_certificates_replay_on_alternating_closures(sw):
     out = certify(braid_closure(word, strands))
     if isinstance(out, Certificate):
         assert replay_certificate(Certificate.from_json(out.to_json()))
+
+
+CURLS = (Diagram([(2, 1, 1, 2)]), Diagram([(1, 1, 2, 2)]))
+
+
+@st.composite
+def curled_closures(draw):
+    # every generator at least once, so the closure is connected and
+    # takes connected sums; then 0-3 curls of either form
+    strands = draw(st.integers(3, 4))
+    extra = draw(st.lists(st.integers(1, strands - 1),
+                          max_size=12 - (strands - 1)))
+    gens = draw(st.permutations(list(range(1, strands)) + extra))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=len(gens),
+                          max_size=len(gens)))
+    d = braid_closure([g * s for g, s in zip(gens, signs)], strands)
+    for curl in draw(st.lists(st.sampled_from(CURLS), max_size=3)):
+        d = d.connected_sum(curl)
+    labels = sorted(d._ports)
+    image = draw(st.permutations(range(1, 2 * len(labels) + 1)))
+    perm = dict(zip(labels, image))
+    relabelled = Diagram([tuple(perm[x] for x in t) for t in d.crossings])
+    return d, relabelled
+
+
+@settings(max_examples=40, deadline=None)
+@given(curled_closures())
+def test_invariants_survive_relabelling_canonical_and_simplify(dd):
+    d, relabelled = dd
+    v, w, k = jones(d), d.writhe(), d.component_count
+    for e in (relabelled, d.canonical(), relabelled.canonical()):
+        assert (jones(e), e.writhe(), e.component_count) == (v, w, k)
+    for e in (d.simplify(), relabelled.simplify()):
+        assert (jones(e), e.component_count) == (v, k)

@@ -269,6 +269,10 @@ def test_parse_edgelist():
     assert forced.vertex_count == 4
     with pytest.raises(ValueError):
         parse_edgelist("0 1 *")
+    for bad in ("vertices", "vertices 0", "vertices -2", "vertices 2 9",
+                "vertices x"):
+        with pytest.raises(ValueError, match=repr(bad)):
+            parse_edgelist(bad + "\n0 1 +\n")
 
 
 def test_contract_and_delete():
