@@ -134,13 +134,7 @@ class Diagram:
         self._signs = tuple(
             1 if flow[(ci, 3)] else -1 for ci in range(len(self.crossings)))
         self.component_count = cid + self.free_loops
-
-        shadow = DisjointSet()
-        for ci in range(len(self.crossings)):
-            shadow.find(ci)
-        for occ in ports.values():
-            shadow.union(occ[0][0], occ[1][0])
-        self._shadow_parts = shadow.count()
+        self._shadow_parts = None
         self._faces = None
 
     # basic queries
@@ -160,9 +154,17 @@ class Diagram:
             [list(t) for t in self.crossings], self.free_loops)
 
     def is_connected(self) -> bool:
-        if self.crossings:
-            return self._shadow_parts == 1 and self.free_loops == 0
-        return self.free_loops == 1
+        if not self.crossings:
+            return self.free_loops == 1
+        if self._shadow_parts is None:
+            # the shadow's pieces, counted on first use only
+            shadow = DisjointSet()
+            for ci in range(len(self.crossings)):
+                shadow.find(ci)
+            for a, b in self._ports.values():
+                shadow.union(a[0], b[0])
+            self._shadow_parts = shadow.count()
+        return self._shadow_parts == 1 and self.free_loops == 0
 
     def arc_head(self, lab: int):
         """The port the arc flows into."""
@@ -510,7 +512,3 @@ def parse_pd(text: str) -> Diagram:
     if s[pos:].strip() or not tuples:
         raise PDSyntaxError("unexpected text %r" % s[pos:].strip())
     return Diagram(tuples)
-
-
-def render_pd(d: Diagram) -> str:
-    return d.render()

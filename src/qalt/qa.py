@@ -116,6 +116,7 @@ class Certificate:
     @classmethod
     def from_json(cls, text: str) -> "Certificate":
         tree = json.loads(text)
+        _check_node(tree)
         return cls(root=parse_pd(tree["pd"]), tree=tree)
 
 
@@ -214,12 +215,42 @@ def _reduced(d: Diagram, want: str) -> Diagram:
         step = nxt
 
 
+def _check_node(node):
+    """Raise ValueError unless node is shaped like a certificate node:
+    an object with a string "pd" and a "det"; unless it is a leaf, also
+    a string "reduced_pd", a "crossing" and a list of two children."""
+    if not isinstance(node, dict) or not isinstance(node.get("pd"), str):
+        raise ValueError("certificate node needs a string \"pd\"")
+    if "det" not in node:
+        raise ValueError("certificate node has no \"det\"")
+    if node.get("leaf"):
+        return
+    if not isinstance(node.get("reduced_pd"), str) or "crossing" not in node:
+        raise ValueError("internal node needs a string \"reduced_pd\" "
+                         "and a \"crossing\"")
+    kids = node.get("children")
+    if not isinstance(kids, list) or len(kids) != 2:
+        raise ValueError("internal node needs two children")
+
+
 def replay_certificate(cert) -> bool:
     """Re-verify a certificate from scratch; raises ValueError on any
     broken condition, including root determinant against the bracket
-    route."""
-    tree = cert.tree if isinstance(cert, Certificate) else dict(cert)
+    route.
+
+    Each distinct internal node is verified once. Every occurrence is
+    still reduced and compared with its "reduced_pd"; an occurrence
+    equal, apart from its own "pd", to one that already passed under the
+    same "reduced_pd" is accepted without repeating the rest. This is
+    exact: the reduced diagram is determined by that text, and it and
+    the node's content determine every later check, so the copy would
+    pass just as the first did. A copy that differs anywhere is checked
+    in full, so the same trees are accepted and rejected, with the same
+    first error, as when every occurrence is checked."""
+    tree = cert.tree if isinstance(cert, Certificate) else cert
+    _check_node(tree)
     root = parse_pd(tree["pd"])
+    verified = {}  # reduced_pd -> a node that passed, without its "pd"
 
     def walk(node, d):
         if node.get("leaf"):
@@ -229,22 +260,26 @@ def replay_certificate(cert) -> bool:
             if s.crossings or s.component_count != 1:
                 raise ValueError("leaf does not simplify to the unknot")
             return 1
-        s = _reduced(d, node["reduced_pd"])
+        key = node["reduced_pd"]
+        s = _reduced(d, key)
+        body = {k: v for k, v in node.items() if k != "pd"}
+        if verified.get(key) == body:
+            return node["det"]
         det = goeritz_det(checkerboard(s)[0])
         if det != node["det"]:
             raise ValueError("stored det %r != %r" % (node["det"], det))
         c = node["crossing"]
         kids = node["children"]
-        if len(kids) != 2:
-            raise ValueError("internal node needs two children")
         smoothings = [s.smooth(c, r) for r in (0, 1)]
         for r, kid in enumerate(kids):
+            _check_node(kid)
             if parse_pd(kid["pd"]) != smoothings[r]:
                 raise ValueError("child %d is not the %d-smoothing" % (r, r))
         d0 = walk(kids[0], smoothings[0])
         d1 = walk(kids[1], smoothings[1])
         if d0 < 1 or d1 < 1 or d0 + d1 != node["det"]:
             raise ValueError("determinant additivity fails at a node")
+        verified[key] = body
         return node["det"]
 
     root_det = walk(tree, root)

@@ -433,6 +433,9 @@ def parse_edgelist(text: str) -> SignedPlanarGraph:
             continue
         parts = line.split()
         if parts[0] == "vertices":
+            if edges or forced is not None:
+                raise ValueError("\"vertices N\" must be the first line: %r"
+                                 % raw)
             if (len(parts) != 2 or not parts[1].isdecimal()
                     or int(parts[1]) < 1):
                 raise ValueError("want \"vertices N\" with N >= 1: %r" % raw)

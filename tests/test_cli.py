@@ -73,11 +73,13 @@ def test_white_flag_needs_an_embedding(tmp_path, capsys):
         assert err == "error: graph carries no embedding\n"
 
 
-@pytest.mark.parametrize("line", ["vertices", "vertices 0", "vertices -2",
-                                  "vertices 2 9"])
-def test_bad_vertices_line_is_exit_1(tmp_path, line):
+@pytest.mark.parametrize("text, line", [
+    pytest.param(line + "\n0 1 +\n", line, id=line)
+    for line in ("vertices", "vertices 0", "vertices -2", "vertices 2 9")
+] + [pytest.param("0 1 +\nvertices 3\n", "vertices 3", id="late")])
+def test_bad_vertices_line_is_exit_1(tmp_path, text, line):
     edges = tmp_path / "g.edges"
-    edges.write_text(line + "\n0 1 +\n")
+    edges.write_text(text)
     proc = subprocess.run(
         [sys.executable, "-m", "qalt.cli", "goeritz", "--edgelist",
          str(edges)], capture_output=True, text=True)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from conftest import braid_closure
 from qalt import corpus
 from qalt.bracket import determinant, jones
 from qalt.diagram import Diagram, SplitDiagram, parse_pd
@@ -166,6 +167,120 @@ def test_replay_rejects_tampering():
         replay_certificate(Certificate(root=cert.root, tree=bad2))
 
 
+TREFOIL_CERTIFICATE = """{
+  "pd": "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]",
+  "det": 3,
+  "reduced_pd": "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]",
+  "crossing": 0,
+  "children": [
+    {
+      "pd": "X[1,1,2,4] X[3,3,4,2]",
+      "det": 1,
+      "leaf": true
+    },
+    {
+      "pd": "X[1,3,2,4] X[4,2,3,1]",
+      "det": 2,
+      "reduced_pd": "X[1,3,2,4] X[4,2,3,1]",
+      "crossing": 0,
+      "children": [
+        {
+          "pd": "X[1,1,2,2]",
+          "det": 1,
+          "leaf": true
+        },
+        {
+          "pd": "X[1,2,2,1]",
+          "det": 1,
+          "leaf": true
+        }
+      ]
+    }
+  ]
+}"""
+
+
+def test_trefoil_certificate_is_pinned():
+    # the children's PD text depends on how a smoothing orients its
+    # fused arcs (each takes the direction of its lowest fragment)
+    assert certify(corpus.trefoil()).to_json() == TREFOIL_CERTIFICATE
+
+
+@pytest.mark.parametrize("path, value", [
+    (("det",), None), (("children",), None), (("reduced_pd",), None),
+    (("crossing",), None), (("pd",), None), (("children", 1, "pd"), None),
+    (("children", 0, "det"), None), (("children",), 5),
+    (("children",), [1, 2]), (("children",), []),
+    (("reduced_pd",), ["X[1,4,2,5]"]), (("pd",), 7),
+    ((), [1, 2]), ((), "X[1,4,2,5]"),
+], ids=["no-det", "no-children", "no-reduced-pd", "no-crossing", "no-pd",
+        "no-child-pd", "no-leaf-det", "children-int", "children-ints",
+        "children-empty", "reduced-pd-list", "pd-int", "array", "string"])
+def test_malformed_certificate_is_value_error(path, value):
+    # value None deletes the key at path; an empty path replaces the tree
+    tree = json.loads(TREFOIL_CERTIFICATE)
+    if not path:
+        tree = value
+    else:
+        node = tree
+        for k in path[:-1]:
+            node = node[k]
+        if value is None:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+    with pytest.raises(ValueError):
+        replay_certificate(tree)
+    with pytest.raises(ValueError):
+        replay_certificate(Certificate.from_json(json.dumps(tree)))
+
+
+def _shared_closure():
+    # an alternating 3-braid closure whose certificate repeats subtrees
+    return braid_closure([1, -2] * 4, 3)
+
+
+def _internal_nodes(tree):
+    if tree.get("leaf"):
+        return
+    yield tree
+    for kid in tree["children"]:
+        yield from _internal_nodes(kid)
+
+
+def test_replay_checks_each_distinct_node_once(monkeypatch):
+    cert = certify(_shared_closure())
+    keys = [n["reduced_pd"] for n in _internal_nodes(cert.tree)]
+    assert len(keys) > len(set(keys))
+    calls = []
+
+    def counting(d):
+        calls.append(d.render())
+        return checkerboard(d)
+
+    monkeypatch.setattr("qalt.qa.checkerboard", counting)
+    assert replay_certificate(Certificate.from_json(cert.to_json()))
+    assert sorted(calls) == sorted(set(keys))
+
+
+def test_replay_rejects_tampering_inside_a_shared_copy():
+    tree = json.loads(certify(_shared_closure()).to_json())
+    seen = set()
+    for node in _internal_nodes(tree):
+        inner = list(_internal_nodes(node))[1:]
+        if node["reduced_pd"] in seen and inner:
+            target = inner[-1]
+            break
+        seen.add(node["reduced_pd"])
+    else:
+        pytest.fail("no repeated subtree with an internal node below it")
+    det = target["det"]
+    target["det"] = det + 1
+    with pytest.raises(ValueError) as err:
+        replay_certificate(tree)
+    assert str(err.value) == "stored det %d != %d" % (det + 1, det)
+
+
 def _with_curls(d, n):
     for _ in range(n):
         d = d.connected_sum(corpus.curl())
@@ -219,21 +334,13 @@ def test_connected_sum_factors_certify_within_same_budget():
             assert isinstance(certify(part, budget), Certificate)
 
 
-def _certified_crossings(tree):
-    if tree.get("leaf"):
-        return
-    yield tree["reduced_pd"], tree["crossing"]
-    for kid in tree["children"]:
-        yield from _certified_crossings(kid)
-
-
 def test_no_cancellation_at_certified_crossings():
     # the two skein parts of the tree polynomial never cancel a
     # coefficient at a crossing the certifier accepted
     for e in corpus.entries():
         cert = certify(e.diagram)
-        for pd, c in _certified_crossings(cert.tree):
-            d = parse_pd(pd)
+        for node in _internal_nodes(cert.tree):
+            d, c = parse_pd(node["reduced_pd"]), node["crossing"]
             g, _ = checkerboard(d)
             assert not g.is_loop(c) and not g.is_isthmus(c)
             s = g.edges[c][2]

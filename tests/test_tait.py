@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -273,6 +274,14 @@ def test_parse_edgelist():
                 "vertices x"):
         with pytest.raises(ValueError, match=repr(bad)):
             parse_edgelist(bad + "\n0 1 +\n")
+    # "vertices N" is accepted only before every edge and only once
+    for text, line in (("0 1 +\nvertices 3\nvertices 5\n", "vertices 3"),
+                       ("vertices 3\nvertices 5\n", "vertices 5"),
+                       ("# n\nvertices 3\n0 1 +\nvertices 4 # again\n",
+                        "vertices 4 # again")):
+        with pytest.raises(ValueError, match=re.escape(repr(line))):
+            parse_edgelist(text)
+    assert parse_edgelist("# n\n\nvertices 3\n0 1 +\n").vertex_count == 3
 
 
 def test_contract_and_delete():
