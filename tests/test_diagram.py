@@ -1,8 +1,10 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 
+from conftest import braid_closure
 from qalt import corpus
 from qalt.diagram import (
     Diagram,
@@ -279,3 +281,81 @@ def test_orientation_matches_brute_force():
         valid += 1
         assert Diagram(crossings)._flow_in in solutions
     assert valid > 1000 and conflicts > 1000
+
+
+# golden digest of the kernel: every rule of smoothing, reduction,
+# renumbering, orientation and face order feeds it
+
+CURLS = (Diagram([(2, 1, 1, 2)]), Diagram([(1, 1, 2, 2)]))
+
+
+def _kernel_corpus():
+    """Seeded braid closures of 2-5 strands, relabelled with sparse
+    labels; the connected ones are also summed with curls of either
+    form."""
+    rng = random.Random(20240801)
+    out = []
+    for _ in range(48):
+        strands = rng.randint(2, 5)
+        word = [rng.randint(1, strands - 1) * rng.choice((1, -1))
+                for _ in range(rng.randint(1, 11))]
+        d = braid_closure(word, strands)
+        if d.is_connected():
+            for _ in range(rng.randint(0, 2)):
+                d = d.connected_sum(rng.choice(CURLS))
+        labels = sorted({x for t in d.crossings for x in t})
+        image = rng.sample(range(1, 3 * len(labels) + 1), len(labels))
+        perm = dict(zip(labels, image))
+        out.append(Diagram([tuple(perm[x] for x in t) for t in d.crossings]))
+    return out
+
+
+def _kernel_family(d):
+    yield d
+    for c in range(len(d.crossings)):
+        for r in (0, 1):
+            yield d.smooth(c, r)
+    yield d.simplify()
+    yield d.simplify(1)
+    yield d.canonical()
+    yield d.mirror()
+
+
+def _kernel_facts(d) -> str:
+    labels = sorted(d.component_map)
+    return repr((d.crossings, d.free_loops,
+                 tuple(d.sign(c) for c in range(len(d.crossings))),
+                 sorted(d.component_map.items()),
+                 tuple(d.arc_head(lab) for lab in labels),
+                 d.faces(), d.is_connected()))
+
+
+KERNEL_DIGEST = (
+    "5b2318b808672bd19d3e220747e45a691b6a369e667fdd3fe42a14fce126f744")
+
+
+def test_kernel_golden_digest():
+    h = hashlib.sha256()
+    for d in _kernel_corpus():
+        for e in _kernel_family(d):
+            h.update(_kernel_facts(e).encode())
+    assert h.hexdigest() == KERNEL_DIGEST
+
+
+def test_fresh_diagram_canonicalises_like_its_source():
+    for d in _kernel_corpus():
+        for e in _kernel_family(d):
+            fresh = Diagram(e.crossings, e.free_loops)
+            assert fresh.canonical() == e.canonical()
+
+
+def test_spliced_over_only_component_is_renumbered_by_canonical():
+    # the smoothing orients the over-only circle 1-2-3-4 from its lowest
+    # fragment; canonical() reorients it from the later occurrence of
+    # label 1, so the two numberings differ
+    d = parse_pd("X[9,5,10,1] X[6,7,2,6] X[10,5,9,4] X[3,4,7,8] X[2,1,3,8]")
+    s = d.smooth(1, 0)
+    assert s.render() == "X[5,1,6,2] X[6,3,5,2] X[7,4,8,1] X[8,4,7,3]"
+    c = s.canonical()
+    assert c.render() == "X[5,1,6,4] X[6,3,5,4] X[7,2,8,1] X[8,2,7,3]"
+    assert c.canonical() == c

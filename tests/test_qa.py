@@ -206,6 +206,20 @@ def test_trefoil_certificate_is_pinned():
     assert certify(corpus.trefoil()).to_json() == TREFOIL_CERTIFICATE
 
 
+def test_replay_parses_a_child_that_differs_only_in_spacing():
+    tree = json.loads(TREFOIL_CERTIFICATE)
+    tree["children"][1]["pd"] = " X[1, 3,2,4]   X[4,2,3,1] "
+    assert replay_certificate(tree)
+
+
+def test_replay_names_a_wrong_child():
+    tree = json.loads(TREFOIL_CERTIFICATE)
+    tree["children"][0]["pd"] = tree["children"][1]["pd"]
+    with pytest.raises(ValueError) as err:
+        replay_certificate(tree)
+    assert str(err.value) == "child 0 is not the 0-smoothing"
+
+
 @pytest.mark.parametrize("path, value", [
     (("det",), None), (("children",), None), (("reduced_pd",), None),
     (("crossing",), None), (("pd",), None), (("children", 1, "pd"), None),
