@@ -13,7 +13,7 @@ import logging
 from dataclasses import dataclass
 
 from ._util import DisjointSet
-from .diagram import Diagram, EmptyDiagram, NotTypeI, SameComponent
+from .diagram import Diagram, EmptyDiagram, SameComponent
 from .laurent import (HalfLaurent, Overlap, SupportNotOnLattice, gap_between)
 
 log = logging.getLogger(__name__)
@@ -124,7 +124,7 @@ def bracket_state_sum(d: Diagram) -> HalfLaurent:
     n = len(d.crossings)
     if n > 16:
         raise ValueError("state sum capped at 16 crossings")
-    labels = list(d.component_map)
+    arcs = [(d.arc_head(lab), d.arc_tail(lab)) for lab in d.component_map]
     total = HalfLaurent.zero()
     for mask in range(1 << n):
         dsu = DisjointSet()
@@ -135,8 +135,8 @@ def bracket_state_sum(d: Diagram) -> HalfLaurent:
             else:
                 dsu.union((ci, 0), (ci, 1))
                 dsu.union((ci, 2), (ci, 3))
-        for lab in labels:
-            dsu.union(d.arc_head(lab), d.arc_tail(lab))
+        for head, tail in arcs:
+            dsu.union(head, tail)
         circles = dsu.count() + d.free_loops
         ones = bin(mask).count("1")
         total = total + _delta_power(circles - 1).shift2(2 * (n - 2 * ones))
@@ -202,16 +202,14 @@ def skein_check(d: Diagram, c: int) -> bool:
         positive c:  V = -t^(1/2) V_0 - t^((3e+2)/2) V_1
         negative c:  V = -t^((3e-2)/2) V_0 - t^(-1/2) V_1
     """
-    info = d.crossing_info(c)
-    if not info.type_I:
-        raise NotTypeI("crossing %d is not type I" % c)
+    sign = d.sign(c)
     v = jones(d)
     l0 = d.smooth(c, 0)
     l1 = d.smooth(c, 1)
     v0 = jones(l0)
     v1 = jones(l1)
     x = _negative_count(d)
-    if info.sign > 0:
+    if sign > 0:
         e = _negative_count(l1) - x
         rhs = -(v0.shift2(1)) - v1.shift2(3 * e + 2)
     else:

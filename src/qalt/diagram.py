@@ -15,11 +15,22 @@ is a conflict. A component whose every port sits on an over-slot is
 unconstrained and keeps the walk's direction, so the head of its lowest
 arc is that arc's later occurrence.
 
-Smoothings, Reidemeister reductions, mirrors, and connected sums are all
-built on one splice-and-relabel engine so the renumbering rules stay
-consistent: fused arcs inherit the direction of their lowest-labeled
-fragment and each component is renumbered by traversal from its lowest
-arc label.
+Ports are numbered flat: port p = 4*c + s is slot s of crossing c, so
+integer order is the lexicographic order of the (c, s) pairs and "least
+port" means the same in either form. The opposite slot is p ^ 2. A
+diagram keeps, per port, the other port of its arc (_mate) and whether
+the strand flows into the crossing there (_fin); faces(), _ports,
+_flow_in and component_map are derived from these.
+
+Smoothings and Reidemeister reductions splice ports and renumber on one
+engine, as canonical() does, so the rules stay consistent: a fused arc
+takes the label and direction of its lowest-labeled fragment, each
+component is renumbered by traversal from its lowest arc, crossings
+are rotated so the under-strand enters at slot 0, and sorted by that
+label. A spliced diagram is born canonical, its own canonical() form,
+unless one of its components is over-only: such a component keeps the
+direction of its lowest fragment, where canonical() would take the one
+from the walk above.
 """
 
 from __future__ import annotations
@@ -27,9 +38,8 @@ from __future__ import annotations
 import itertools
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass
-
-from ._util import DisjointSet
 
 
 class PDSyntaxError(ValueError):
@@ -60,82 +70,96 @@ class SameComponent(ValueError):
     """The crossing joins two arcs of one component."""
 
 
-class NotTypeI(ValueError):
-    """The crossing is not presented in the normalized smoothing frame."""
-
-
-_EXIT_SLOT = {0: 2, 2: 0, 1: 3, 3: 1}
-
-
 @dataclass(frozen=True)
 class CrossingInfo:
     index: int
     sign: int
-    type_I: bool
 
 
 class Diagram:
     """Immutable PD-code diagram plus explicit crossing-free circles."""
 
+    # set by _assemble on the diagrams it numbers canonically
+    _born_canonical = False
+    # worked out on first use
+    _connected = None
+    _face_list = None
+    _faces = None
+    _component_map = None
+    _first_port = None
+
     def __init__(self, crossings=(), free_loops: int = 0):
-        tuples = []
-        for t in crossings:
-            t = tuple(t)
-            if len(t) != 4:
-                raise PDSyntaxError("crossing %r does not have 4 strands" % (t,))
-            if not all(isinstance(x, int) and x > 0 for x in t):
-                raise PDSyntaxError("strand labels must be positive integers: %r" % (t,))
-            tuples.append(t)
+        crossings = tuple(crossings)
+        try:
+            tuples = tuple(map(tuple, crossings))
+            flat = list(itertools.chain.from_iterable(tuples))
+            ok = (set(map(len, tuples)) <= {4}
+                  and set(map(type, flat)) <= {int}
+                  and min(flat, default=1) > 0)
+        except TypeError:
+            ok = False
+        if not ok:
+            tuples = _checked_crossings(crossings)
+            flat = list(itertools.chain.from_iterable(tuples))
         if not isinstance(free_loops, int) or free_loops < 0:
             raise ValueError("free_loops must be a nonnegative integer")
-        self.crossings = tuple(tuples)
+        self.crossings = tuples
         self.free_loops = free_loops
 
-        ports = {}
-        for ci, t in enumerate(self.crossings):
-            for s, lab in enumerate(t):
-                ports.setdefault(lab, []).append((ci, s))
-        for lab, occ in ports.items():
-            if len(occ) != 2:
-                raise InvalidStrandLabels(
-                    "label %d appears %d times (want 2)" % (lab, len(occ)))
-        self._ports = ports
-        self.strand_count = len(ports)
+        # a stable sort of the ports by label pairs each label's first
+        # port with its later one; a label seen other than twice breaks
+        # the pairing
+        m = len(flat)
+        order = sorted(range(m), key=flat.__getitem__)
+        heads, later = order[0::2], order[1::2]
+        labels = sorted(flat)[0::2]
+        if (list(map(flat.__getitem__, later)) != labels
+                or len(set(labels)) != len(labels)):
+            for lab, k in Counter(flat).items():
+                if k != 2:
+                    raise InvalidStrandLabels(
+                        "label %d appears %d times (want 2)" % (lab, k))
+        mate = [0] * m
+        for p, q in zip(heads, later):
+            mate[p] = q
+            mate[q] = p
+        self._flat = flat
+        self._mate = mate
+        self.strand_count = len(labels)
 
-        self._flow_in = flow = {}
-        self.component_map = comp = {}
-        cid = 0
-        for lab in sorted(ports):
-            if lab in comp:
+        # walk each component once, from its lowest arc entering at that
+        # arc's later occurrence and leaving by the opposite slot
+        fin = [None] * m
+        starts = []
+        over_only = False
+        for lab, p, start in zip(labels, heads, later):
+            if fin[p] is not None:
                 continue
-            # lab is the lowest arc of a new component: walk it once
-            start = cur = ports[lab][1]
-            steps = []
+            cur = start
+            entries = []
             while True:
-                ci, s = cur
-                out = (ci, _EXIT_SLOT[s])
-                steps.append((cur, out))
-                arc = self.crossings[ci][out[1]]
-                comp[arc] = cid
-                a, b = ports[arc]
-                cur = b if out == a else a
+                entries.append(cur)
+                cur = mate[cur ^ 2]
                 if cur == start:
                     break
-            unders = {p[1] for p, _ in steps if p[1] % 2 == 0}
-            if len(unders) == 2:
+            slots = set(map((3).__and__, entries))
+            under0, under2 = 0 in slots, 2 in slots
+            if under0 and under2:
                 raise InvalidStrandLabels(
                     "labels force conflicting orientations on the "
                     "component of arc %d" % lab)
-            forward = unders != {2}
-            for p, q in steps:
-                flow[p] = forward
-                flow[q] = not forward
-            cid += 1
-        self._signs = tuple(
-            1 if flow[(ci, 3)] else -1 for ci in range(len(self.crossings)))
-        self.component_count = cid + self.free_loops
-        self._shadow_parts = None
-        self._faces = None
+            over_only = over_only or not (under0 or under2)
+            forward = not under2
+            back = not forward
+            for p in entries:
+                fin[p] = forward
+                fin[p ^ 2] = back
+            starts.append(start)
+        self._fin = fin
+        self._starts = starts
+        self._signs = tuple([1 if f else -1 for f in fin[3::4]])
+        self.component_count = len(starts) + free_loops
+        self._over_only = over_only
 
     # basic queries
 
@@ -153,27 +177,78 @@ class Diagram:
         return "Diagram(%r, free_loops=%d)" % (
             [list(t) for t in self.crossings], self.free_loops)
 
+    @property
+    def component_map(self) -> dict:
+        """Arc label -> component number, components numbered in order
+        of their lowest labels."""
+        if self._component_map is None:
+            flat, mate = self._flat, self._mate
+            cmap = {}
+            for cid, start in enumerate(self._starts):
+                cur = start
+                while True:
+                    cmap[flat[cur ^ 2]] = cid
+                    cur = mate[cur ^ 2]
+                    if cur == start:
+                        break
+            self._component_map = cmap
+        return self._component_map
+
+    @property
+    def _first(self) -> dict:
+        """Arc label -> its first port, labels in order of appearance."""
+        if self._first_port is None:
+            first = {}
+            for p, lab in enumerate(self._flat):
+                first.setdefault(lab, p)
+            self._first_port = first
+        return self._first_port
+
+    @property
+    def _ports(self) -> dict:
+        """Arc label -> its two (crossing, slot) ports, in port order."""
+        mate = self._mate
+        return {lab: [(p >> 2, p & 3), (mate[p] >> 2, mate[p] & 3)]
+                for lab, p in self._first.items()}
+
+    @property
+    def _flow_in(self) -> dict:
+        """(crossing, slot) -> whether the strand flows in there."""
+        return {(p >> 2, p & 3): f for p, f in enumerate(self._fin)}
+
     def is_connected(self) -> bool:
         if not self.crossings:
             return self.free_loops == 1
-        if self._shadow_parts is None:
-            # the shadow's pieces, counted on first use only
-            shadow = DisjointSet()
-            for ci in range(len(self.crossings)):
-                shadow.find(ci)
-            for a, b in self._ports.values():
-                shadow.union(a[0], b[0])
-            self._shadow_parts = shadow.count()
-        return self._shadow_parts == 1 and self.free_loops == 0
+        if self._connected is None:
+            # the shadow's pieces, searched on first use only
+            mate = self._mate
+            seen = [False] * len(self.crossings)
+            seen[0] = True
+            stack = [0]
+            reached = 1
+            while stack:
+                p = 4 * stack.pop()
+                for q in (mate[p], mate[p + 1], mate[p + 2], mate[p + 3]):
+                    cj = q >> 2
+                    if not seen[cj]:
+                        seen[cj] = True
+                        reached += 1
+                        stack.append(cj)
+            self._connected = reached == len(self.crossings)
+        return self._connected and self.free_loops == 0
+
+    def _head_port(self, lab: int) -> int:
+        p = self._first[lab]
+        return p if self._fin[p] else self._mate[p]
 
     def arc_head(self, lab: int):
         """The port the arc flows into."""
-        a, b = self._ports[lab]
-        return a if self._flow_in[a] else b
+        p = self._head_port(lab)
+        return (p >> 2, p & 3)
 
     def arc_tail(self, lab: int):
-        a, b = self._ports[lab]
-        return b if self._flow_in[a] else a
+        p = self._mate[self._head_port(lab)]
+        return (p >> 2, p & 3)
 
     def sign(self, c: int) -> int:
         self._check_crossing(c)
@@ -184,16 +259,36 @@ class Diagram:
 
     def crossing_info(self, c: int) -> CrossingInfo:
         self._check_crossing(c)
-        # with the under-strand pinned to slots 0 -> 2 every crossing sits
-        # in the normalized frame already
-        type_i = self._flow_in[(c, 0)] and not self._flow_in[(c, 2)]
-        return CrossingInfo(index=c, sign=self._signs[c], type_I=type_i)
+        return CrossingInfo(index=c, sign=self._signs[c])
 
     def _check_crossing(self, c: int):
         if not isinstance(c, int) or not 0 <= c < len(self.crossings):
             raise InvalidCrossing("no crossing %r" % (c,))
 
     # faces
+
+    def _port_faces(self) -> list:
+        """faces() on port numbers: lists of entry ports, each starting
+        at its least port, in increasing order of that port."""
+        if self._face_list is None:
+            mate = self._mate
+            seen = [False] * len(mate)
+            faces = []
+            for start in range(len(mate)):
+                if seen[start]:
+                    continue
+                orbit = []
+                cur = start
+                while True:
+                    orbit.append(cur)
+                    seen[cur] = True
+                    # exit by the previous slot, enter at the arc's far end
+                    cur = mate[cur - 1 if cur & 3 else cur + 3]
+                    if cur == start:
+                        break
+                faces.append(orbit)
+            self._face_list = faces
+        return self._face_list
 
     def faces(self):
         """Face orbits of the 4-valent shadow, as tuples of entry ports.
@@ -202,29 +297,9 @@ class Diagram:
         next entry is the other endpoint of the arc at the exit port.
         Faces are listed by their lexicographically least entry port.
         """
-        if self._faces is not None:
-            return self._faces
-        seen = set()
-        faces = []
-        for ci in range(len(self.crossings)):
-            for s in range(4):
-                start = (ci, s)
-                if start in seen:
-                    continue
-                orbit = []
-                cur = start
-                while True:
-                    orbit.append(cur)
-                    seen.add(cur)
-                    exit_port = (cur[0], (cur[1] - 1) % 4)
-                    lab = self.crossings[exit_port[0]][exit_port[1]]
-                    a, b = self._ports[lab]
-                    cur = b if exit_port == a else a
-                    if cur == start:
-                        break
-                faces.append(tuple(orbit))
-        faces.sort(key=lambda f: min(f))
-        self._faces = tuple(faces)
+        if self._faces is None:
+            self._faces = tuple(tuple((p >> 2, p & 3) for p in face)
+                                for face in self._port_faces())
         return self._faces
 
     # rendering / parsing
@@ -239,15 +314,14 @@ class Diagram:
     def canonical(self) -> "Diagram":
         """Deterministically renumbered copy: components ordered by lowest
         label, labels increasing along the traversal, tuples rotated so
-        slot 0 is the under-entry, crossings sorted by slot-0 label."""
-        if not self.crossings:
-            return Diagram((), self.free_loops)
-        port_arc = {}
-        for ci, t in enumerate(self.crossings):
-            for s in range(4):
-                port_arc[(ci, s)] = t[s]
-        heads = {lab: self.arc_head(lab) for lab in self._ports}
-        return _assemble(list(enumerate(self.crossings)), port_arc, heads,
+        slot 0 is the under-entry, crossings sorted by slot-0 label.
+        A diagram born canonical, and one without crossings, is its own
+        canonical form."""
+        if self._born_canonical or not self.crossings:
+            return self
+        flat = self._flat
+        arcs = [(flat[p], p) for p, f in enumerate(self._fin) if f]
+        return _assemble(range(len(self.crossings)), self._mate, arcs,
                          self.free_loops)
 
     def _splice(self, joins, drops=None) -> "Diagram":
@@ -259,72 +333,66 @@ class Diagram:
         arcs that close up with no live endpoint become free loops.
         """
         drops = drops or {}
-        removed = set(joins) | set(drops)
+        flat, mate, fin = self._flat, self._mate, self._fin
         wire = {}
         for ci, pairs in joins.items():
             for s1, s2 in pairs:
-                wire[(ci, s1)] = (ci, s2)
-                wire[(ci, s2)] = (ci, s1)
-        dropped = {(ci, s) for ci, slots in drops.items() for s in slots}
-        live = [(ci, t) for ci, t in enumerate(self.crossings)
-                if ci not in removed]
+                wire[4 * ci + s1] = 4 * ci + s2
+                wire[4 * ci + s2] = 4 * ci + s1
+        dropped = {4 * ci + s for ci, slots in drops.items() for s in slots}
+        removed = set(joins).union(drops)
+        live = [ci for ci in range(len(self.crossings)) if ci not in removed]
 
-        def other_end(port):
-            lab = self.crossings[port[0]][port[1]]
-            a, b = self._ports[lab]
-            return lab, (b if port == a else a)
-
-        port_arc = {}
-        heads = {}
-        loops = self.free_loops
-        visited = set()
-
-        def walk(start):
-            # start is a live port; returns (fragments, end port) and
-            # marks the wired ports it passes
-            frags = []
-            cur = start
-            while True:
-                lab, out = other_end(cur)
-                frags.append((lab, cur, out))
-                if out in dropped:
-                    raise AssertionError("arc half-attached to a dropped slot")
-                if out not in wire:
-                    return frags, out
-                cur = wire[out]
-                visited.add(out)
-                visited.add(cur)
-
-        live_ports = [(ci, s) for ci, _ in live for s in range(4)]
-        for p in live_ports:
-            if p in visited:
+        # other maps each live port to the far live end of its arc. Only
+        # arcs through a removed crossing change: each such chain of
+        # fragments is walked from one live end and takes its label and
+        # direction from its lowest fragment
+        other = mate[:]
+        fused = []
+        passed = set()
+        for r in [4 * ci + k for ci in removed for k in range(4)]:
+            p = mate[r]
+            other[r] = -1
+            if p >> 2 in removed or other[p] != r:
                 continue
-            frags, end = walk(p)
-            visited.add(p)
-            visited.add(end)
-            arc_id = min(lab for lab, _, _ in frags)
-            port_arc[p] = arc_id
-            port_arc[end] = arc_id
-            lab, entry, out = min(frags, key=lambda f: f[0])
-            # the lowest fragment's flow fixes the fused arc's direction
-            forward = self._flow_in[out]
-            heads[arc_id] = end if forward else p
+            q = r
+            best = flat[p]
+            forward = fin[q]
+            while True:
+                if q in dropped:
+                    raise AssertionError(
+                        "arc half-attached to a dropped slot")
+                w = wire.get(q)
+                if w is None:
+                    break
+                passed.add(q)
+                passed.add(w)
+                q = mate[w]
+                if flat[w] < best:
+                    best = flat[w]
+                    forward = fin[q]
+            other[p] = q
+            other[q] = p
+            fused.append((best, q if forward else p))
+        arcs = [(flat[p], p) for p, f in enumerate(fin)
+                if f and other[p] == mate[p]]
 
         # wired ports no open chain passed lie on circles of fused arcs
+        loops = self.free_loops
         for w in wire:
-            if w in visited:
+            if w in passed:
                 continue
             loops += 1
             cur = w
             while True:
-                _, out = other_end(cur)
+                out = mate[cur]
                 cur = wire[out]
-                visited.add(out)
-                visited.add(cur)
+                passed.add(out)
+                passed.add(cur)
                 if cur == w:
                     break
 
-        return _assemble(live, port_arc, heads, loops)
+        return _assemble(live, other, arcs + fused, loops)
 
     # operations
 
@@ -364,53 +432,51 @@ class Diagram:
 
         def splice_arc(d: "Diagram") -> int:
             # prefer an arc running from an over-exit to an under-entry so
-            # alternating factors stay alternating
-            for lab in sorted(d._ports):
-                if d.arc_tail(lab)[1] in (1, 3) and d.arc_head(lab)[1] == 0:
-                    return lab
-            return min(d._ports)
+            # alternating factors stay alternating; slot 0 always flows in
+            mate, flat = d._mate, d._flat
+            return min((flat[p] for p in range(0, len(flat), 4)
+                        if mate[p] & 1), default=min(flat))
 
         x = splice_arc(self)
         y = splice_arc(other)
-        shift = max(self._ports)
-        hx = self.arc_head(x)
-        hy = other.arc_head(y)
+        shift = max(self._flat)
+        hx = self._head_port(x)
+        hy = other._head_port(y)
 
-        first = [list(t) for t in self.crossings]
-        first[hx[0]][hx[1]] = y + shift
-        second = [[lab + shift for lab in t] for t in other.crossings]
-        second[hy[0]][hy[1]] = x
-        return Diagram([tuple(t) for t in first + second]).canonical()
+        first = list(self._flat)
+        first[hx] = y + shift
+        second = [lab + shift for lab in other._flat]
+        second[hy] = x
+        flat = first + second
+        return Diagram([tuple(flat[k:k + 4])
+                        for k in range(0, len(flat), 4)]).canonical()
 
     def _r1_candidate(self):
-        for face in self.faces():
-            if len(face) != 1:
-                continue
-            ci, s = face[0]
-            loop_slots = ((s - 1) % 4, s)
-            other = tuple(k for k in range(4) if k not in loop_slots)
-            return ci, (other,), loop_slots
+        # the first one-port face, a curl: the arc leaving slot s-1
+        # comes straight back in at slot s
+        mate = self._mate
+        for p in range(len(mate)):
+            if mate[p - 1 if p & 3 else p + 3] == p:
+                ci, s = p >> 2, p & 3
+                loop_slots = ((s - 1) % 4, s)
+                other = tuple(k for k in range(4) if k not in loop_slots)
+                return ci, (other,), loop_slots
         return None
 
     def _r2_candidate(self):
-        for face in self.faces():
-            if len(face) != 2:
+        # bigon faces (p, q) in face order, each met at its least port p
+        mate, flat = self._mate, self._flat
+        for p in range(len(mate)):
+            q = mate[p - 1 if p & 3 else p + 3]
+            if q <= p or mate[q - 1 if q & 3 else q + 3] != p:
                 continue
-            (c1, s1), (c2, s2) = face
-            if c1 == c2:
-                continue
-            arc1 = self.crossings[c1][s1]
-            arc2 = self.crossings[c2][s2]
-            if arc1 == arc2:
+            if p >> 2 == q >> 2 or flat[p] == flat[q]:
                 continue
             # removable when one bigon arc rides over at both crossings
-            # and the other stays under at both
-            a1_slots = {s1 % 2, (s2 - 1) % 4 % 2}
-            a2_slots = {(s1 - 1) % 4 % 2, s2 % 2}
-            if a1_slots == {1} and a2_slots == {0}:
-                return c1, c2
-            if a1_slots == {0} and a2_slots == {1}:
-                return c1, c2
+            # and the other stays under at both: the entry slots differ
+            # in parity
+            if (p ^ q) & 1:
+                return p >> 2, q >> 2
         return None
 
     def simplify(self, max_passes: int | None = None) -> "Diagram":
@@ -437,50 +503,64 @@ class Diagram:
         return d
 
 
-def _assemble(live, port_arc, heads, free_loops: int) -> Diagram:
+def _checked_crossings(crossings) -> tuple:
+    """The crossings as 4-tuples of positive integers; raises
+    PDSyntaxError at the first crossing that is not one."""
+    tuples = []
+    for t in crossings:
+        t = tuple(t)
+        if len(t) != 4:
+            raise PDSyntaxError("crossing %r does not have 4 strands" % (t,))
+        if not all(type(x) is int and x > 0 for x in t):
+            raise PDSyntaxError("strand labels must be positive integers: %r" % (t,))
+        tuples.append(t)
+    return tuple(tuples)
+
+
+def _assemble(live, other, arcs, free_loops: int) -> Diagram:
     """Renumber live crossings into a fresh diagram.
 
-    live: (original crossing id, original 4-tuple) pairs. port_arc maps
-    each live port to its arc id; heads gives each arc's flow-in port.
-    Components are walked from their lowest arc id, in the direction of
-    that arc; labels count up along the walk; a crossing entered through
-    its old slot 2 is rotated so the under-entry returns to slot 0.
+    live: the old ids of the crossings kept. other maps each live port to
+    the live port at the far end of its arc; arcs lists each arc as
+    (arc id, flow-in port). Components are walked from their lowest arc
+    id, in the direction of that arc; labels count up along the walk; a
+    crossing entered through its old slot 2 is rotated so the
+    under-entry returns to slot 0. Unless a component runs over-only,
+    and so takes its direction from the rule in __init__ instead, the
+    result is born canonical: it is its own canonical form.
     """
     if not live:
         return Diagram((), free_loops)
-    arc_ports = {}
-    for p, a in port_arc.items():
-        arc_ports.setdefault(a, []).append(p)
-
-    new_label = {}
+    arcs.sort()
+    label = [0] * len(other)
     rot = {}
     counter = 1
-    for a0 in sorted(arc_ports):
-        if a0 in new_label:
+    for _, head in arcs:
+        if label[head]:
             continue
-        # a0 is the lowest arc of a component not yet numbered
-        cur_arc, cur_head = a0, heads[a0]
-        while cur_arc not in new_label:
-            new_label[cur_arc] = counter
+        # the lowest arc of a component not yet numbered
+        cur = head
+        while True:
+            label[cur] = label[other[cur]] = counter
             counter += 1
-            ci, s = cur_head
-            if s == 0:
-                rot[ci] = 0
-            elif s == 2:
-                rot[ci] = 2
-            exit_port = (ci, _EXIT_SLOT[s])
-            nxt = port_arc[exit_port]
-            a, b = arc_ports[nxt]
-            cur_head = b if exit_port == a else a
-            cur_arc = nxt
+            s = cur & 3
+            if not s & 1:
+                rot[cur >> 2] = s
+            cur = other[cur ^ 2]
+            if label[cur]:
+                break
 
     out = []
-    for ci, _ in live:
-        r = rot[ci]
-        out.append(tuple(
-            new_label[port_arc[(ci, (k + r) % 4)]] for k in range(4)))
-    out.sort(key=lambda t: t[0])
-    return Diagram(out, free_loops)
+    for ci in live:
+        p = 4 * ci
+        if rot[ci]:
+            out.append((label[p + 2], label[p + 3], label[p], label[p + 1]))
+        else:
+            out.append((label[p], label[p + 1], label[p + 2], label[p + 3]))
+    out.sort()
+    d = Diagram(out, free_loops)
+    d._born_canonical = not d._over_only
+    return d
 
 
 _PD_TOKEN = re.compile(

@@ -133,67 +133,79 @@ def checkerboard(d: Diagram):
         return k1, k2
 
     n = len(d.crossings)
-    faces = d.faces()
+    faces = d._port_faces()
     if len(faces) != n + 2:
         raise NoEmbedding("face count %d is not crossings+2" % len(faces))
 
-    # each entry port (c, s) lies in one face, which owns corner (c, s-1)
-    face_of_corner = {}
-    face_of_port = {}
+    # each entry port p = 4c + s lies in one face, which owns corner
+    # (c, s-1) of crossing c
+    face_of = [0] * (4 * n)
     for fi, face in enumerate(faces):
-        for (ci, s) in face:
-            face_of_port[(ci, s)] = fi
-            face_of_corner[(ci, (s - 1) % 4)] = fi
+        for p in face:
+            face_of[p] = fi
 
     # two-color faces: arcs with both sides in one face cannot happen in
     # a planar 4-valent shadow with this face count, but stay defensive
-    color = {0: 0}
+    mate, flat = d._mate, d._flat
+    adj = [[] for _ in faces]
+    handled = [False] * (4 * n)
+    for face in faces:
+        for p in face:
+            if handled[p]:
+                continue
+            q = mate[p]
+            handled[q] = True
+            f, g = face_of[p], face_of[q]
+            if f == g:
+                raise NoEmbedding("arc %d does not separate two faces"
+                                  % flat[p])
+            adj[f].append(g)
+            adj[g].append(f)
+    color = [None] * len(faces)
+    color[0] = 0
     stack = [0]
-    adj = {fi: set() for fi in range(len(faces))}
-    sides = {}
-    for (ci, s), fi in face_of_port.items():
-        lab = d.crossings[ci][s]
-        sides.setdefault(lab, []).append(fi)
-    for lab, fs in sides.items():
-        if len(fs) != 2 or fs[0] == fs[1]:
-            raise NoEmbedding("arc %d does not separate two faces" % lab)
-        adj[fs[0]].add(fs[1])
-        adj[fs[1]].add(fs[0])
+    reached = 1
     while stack:
         fi = stack.pop()
         for g in adj[fi]:
-            if g in color:
-                if color[g] == color[fi]:
-                    raise NoEmbedding("face classes are not two-colorable")
-            else:
+            if color[g] is None:
                 color[g] = 1 - color[fi]
+                reached += 1
                 stack.append(g)
-    if len(color) != len(faces):
+            elif color[g] == color[fi]:
+                raise NoEmbedding("face classes are not two-colorable")
+    if reached != len(faces):
         raise NoEmbedding("face adjacency is not connected")
 
-    class_of = [color[fi] for fi in range(len(faces))]
-    counts = [class_of.count(0), class_of.count(1)]
+    counts = [color.count(0), color.count(1)]
     if counts[0] != counts[1]:
         black = 0 if counts[0] > counts[1] else 1
     else:
-        black = 1 - class_of[face_of_port[min(face_of_port)]]
+        black = 1 - color[face_of[0]]
 
-    def build(cls):
-        verts = [fi for fi in range(len(faces)) if class_of[fi] == cls]
-        index = {fi: k for k, fi in enumerate(verts)}
-        edges = []
-        for ci in range(n):
-            corners = [face_of_corner[(ci, k)] for k in range(4)]
-            own = [k for k in range(4) if class_of[corners[k]] == cls]
-            # the two corners of one class sit opposite each other
-            sign = 1 if own == [1, 3] else -1
-            u = index[corners[own[0]]]
-            v = index[corners[own[1]]]
-            edges.append((u, v, sign))
-        return SignedPlanarGraph(len(verts), tuple(edges))
-
-    g_black = build(black)
-    g_white = build(1 - black)
+    # vertex numbers run in face order within each class; the two
+    # corners of one class sit opposite each other, and the edge is
+    # positive when they are corners 1 and 3
+    index = []
+    seen = [0, 0]
+    for c in color:
+        index.append(seen[c])
+        seen[c] += 1
+    black_edges = []
+    white_edges = []
+    for p in range(0, 4 * n, 4):
+        c0, c1, c2, c3 = (face_of[p + 1], face_of[p + 2], face_of[p + 3],
+                          face_of[p])
+        odd = (index[c1], index[c3])
+        even = (index[c0], index[c2])
+        if color[c1] == black:
+            black_edges.append(odd + (1,))
+            white_edges.append(even + (-1,))
+        else:
+            black_edges.append(even + (-1,))
+            white_edges.append(odd + (1,))
+    g_black = SignedPlanarGraph(seen[black], tuple(black_edges))
+    g_white = SignedPlanarGraph(seen[1 - black], tuple(white_edges))
     object.__setattr__(g_black, "_dual", g_white)
     object.__setattr__(g_white, "_dual", g_black)
     return g_black, g_white

@@ -236,6 +236,17 @@ def test_pd_json_row_not_array_is_exit_1(pd):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("pd", ["[[true,1,2,2]]", "[[true,true,2,2]]"])
+def test_pd_json_boolean_label_is_exit_1(pd):
+    # JSON true is not the integer 1
+    proc = subprocess.run(
+        [sys.executable, "-m", "qalt.cli", "jones", "--pd", pd],
+        capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
 def test_bad_pd_is_exit_1(capsys):
     code, _, err = run(capsys, "det", "--pd", "garbage")
     assert code == 1 and "error" in err

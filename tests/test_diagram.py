@@ -94,7 +94,6 @@ def test_crossing_info():
     info = d.crossing_info(1)
     assert info.index == 1
     assert info.sign == -1
-    assert info.type_I
     with pytest.raises(InvalidCrossing):
         d.crossing_info(3)
     with pytest.raises(InvalidCrossing):
