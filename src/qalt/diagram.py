@@ -84,7 +84,6 @@ class Diagram:
     # worked out on first use
     _connected = None
     _face_list = None
-    _faces = None
     _component_map = None
     _first_port = None
 
@@ -297,10 +296,8 @@ class Diagram:
         next entry is the other endpoint of the arc at the exit port.
         Faces are listed by their lexicographically least entry port.
         """
-        if self._faces is None:
-            self._faces = tuple(tuple((p >> 2, p & 3) for p in face)
-                                for face in self._port_faces())
-        return self._faces
+        return tuple(tuple((p >> 2, p & 3) for p in face)
+                     for face in self._port_faces())
 
     # rendering / parsing
 
