@@ -85,10 +85,11 @@ class Diagram:
     _connected = None
     _face_list = None
     _component_map = None
-    _first_port = None
 
     def __init__(self, crossings=(), free_loops: int = 0):
         crossings = tuple(crossings)
+        # check every label at once; on failure the ordered check below
+        # raises at the first bad crossing
         try:
             tuples = tuple(map(tuple, crossings))
             flat = list(itertools.chain.from_iterable(tuples))
@@ -105,36 +106,35 @@ class Diagram:
         self.crossings = tuples
         self.free_loops = free_loops
 
-        # a stable sort of the ports by label pairs each label's first
-        # port with its later one; a label seen other than twice breaks
-        # the pairing
+        # pair each port with the other port of its arc
         m = len(flat)
-        order = sorted(range(m), key=flat.__getitem__)
-        heads, later = order[0::2], order[1::2]
-        labels = sorted(flat)[0::2]
-        if (list(map(flat.__getitem__, later)) != labels
-                or len(set(labels)) != len(labels)):
+        first = {}
+        mate = [-1] * m
+        for p, lab in enumerate(flat):
+            q = first.setdefault(lab, p)
+            if q != p:
+                mate[p] = q
+                mate[q] = p
+        # a label seen other than twice leaves a port unpaired
+        if 2 * len(first) != m or -1 in mate:
             for lab, k in Counter(flat).items():
                 if k != 2:
                     raise InvalidStrandLabels(
                         "label %d appears %d times (want 2)" % (lab, k))
-        mate = [0] * m
-        for p, q in zip(heads, later):
-            mate[p] = q
-            mate[q] = p
         self._flat = flat
+        self._first = first
         self._mate = mate
-        self.strand_count = len(labels)
+        self.strand_count = len(first)
 
         # walk each component once, from its lowest arc entering at that
         # arc's later occurrence and leaving by the opposite slot
         fin = [None] * m
         starts = []
         over_only = False
-        for lab, p, start in zip(labels, heads, later):
-            if fin[p] is not None:
+        for lab in sorted(first):
+            if fin[first[lab]] is not None:
                 continue
-            cur = start
+            start = cur = mate[first[lab]]
             entries = []
             while True:
                 entries.append(cur)
@@ -192,16 +192,6 @@ class Diagram:
                         break
             self._component_map = cmap
         return self._component_map
-
-    @property
-    def _first(self) -> dict:
-        """Arc label -> its first port, labels in order of appearance."""
-        if self._first_port is None:
-            first = {}
-            for p, lab in enumerate(self._flat):
-                first.setdefault(lab, p)
-            self._first_port = first
-        return self._first_port
 
     @property
     def _ports(self) -> dict:
@@ -432,11 +422,11 @@ class Diagram:
             # alternating factors stay alternating; slot 0 always flows in
             mate, flat = d._mate, d._flat
             return min((flat[p] for p in range(0, len(flat), 4)
-                        if mate[p] & 1), default=min(flat))
+                        if mate[p] & 1), default=min(d._first))
 
         x = splice_arc(self)
         y = splice_arc(other)
-        shift = max(self._flat)
+        shift = max(self._first)
         hx = self._head_port(x)
         hy = other._head_port(y)
 

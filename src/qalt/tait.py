@@ -187,13 +187,14 @@ def checkerboard(d: Diagram):
     # corners of one class sit opposite each other, and the edge is
     # positive when they are corners 1 and 3
     index = []
-    seen = [0, 0]
+    size = [0, 0]
     for c in color:
-        index.append(seen[c])
-        seen[c] += 1
+        index.append(size[c])
+        size[c] += 1
     black_edges = []
     white_edges = []
     for p in range(0, 4 * n, 4):
+        # corner k lies in the face entered at slot k+1
         c0, c1, c2, c3 = (face_of[p + 1], face_of[p + 2], face_of[p + 3],
                           face_of[p])
         odd = (index[c1], index[c3])
@@ -204,8 +205,8 @@ def checkerboard(d: Diagram):
         else:
             black_edges.append(even + (-1,))
             white_edges.append(odd + (1,))
-    g_black = SignedPlanarGraph(seen[black], tuple(black_edges))
-    g_white = SignedPlanarGraph(seen[1 - black], tuple(white_edges))
+    g_black = SignedPlanarGraph(size[black], tuple(black_edges))
+    g_white = SignedPlanarGraph(size[1 - black], tuple(white_edges))
     object.__setattr__(g_black, "_dual", g_white)
     object.__setattr__(g_white, "_dual", g_black)
     return g_black, g_white
