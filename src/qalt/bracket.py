@@ -124,7 +124,7 @@ def bracket_state_sum(d: Diagram) -> HalfLaurent:
     n = len(d.crossings)
     if n > 16:
         raise ValueError("state sum capped at 16 crossings")
-    arcs = [(d.arc_head(lab), d.arc_tail(lab)) for lab in d.component_map]
+    labels = list(d.component_map)
     total = HalfLaurent.zero()
     for mask in range(1 << n):
         dsu = DisjointSet()
@@ -135,8 +135,8 @@ def bracket_state_sum(d: Diagram) -> HalfLaurent:
             else:
                 dsu.union((ci, 0), (ci, 1))
                 dsu.union((ci, 2), (ci, 3))
-        for head, tail in arcs:
-            dsu.union(head, tail)
+        for lab in labels:
+            dsu.union(d.arc_head(lab), d.arc_tail(lab))
         circles = dsu.count() + d.free_loops
         ones = bin(mask).count("1")
         total = total + _delta_power(circles - 1).shift2(2 * (n - 2 * ones))

@@ -19,8 +19,9 @@ Ports are numbered flat: port p = 4*c + s is slot s of crossing c, so
 integer order is the lexicographic order of the (c, s) pairs and "least
 port" means the same in either form. The opposite slot is p ^ 2. A
 diagram keeps, per port, the other port of its arc (_mate) and whether
-the strand flows into the crossing there (_fin); faces(), _ports,
-_flow_in and component_map are derived from these.
+the strand flows into the crossing there (_fin); faces(),
+face_incidence(), _ports, _flow_in and component_map are derived from
+these, so the port layout is known to this module alone.
 
 Smoothings and Reidemeister reductions splice ports and renumber on one
 engine, as canonical() does, so the rules stay consistent: a fused arc
@@ -83,30 +84,24 @@ class Diagram:
     _born_canonical = False
     # worked out on first use
     _connected = None
-    _face_list = None
     _component_map = None
 
     def __init__(self, crossings=(), free_loops: int = 0):
-        crossings = tuple(crossings)
-        # check every label at once; on failure the ordered check below
-        # raises at the first bad crossing
-        try:
-            tuples = tuple(map(tuple, crossings))
-            flat = list(itertools.chain.from_iterable(tuples))
-            ok = (set(map(len, tuples)) <= {4}
-                  and set(map(type, flat)) <= {int}
-                  and min(flat, default=1) > 0)
-        except TypeError:
-            ok = False
-        if not ok:
-            tuples = _checked_crossings(crossings)
-            flat = list(itertools.chain.from_iterable(tuples))
+        tuples = []
+        for t in crossings:
+            t = tuple(t)
+            if len(t) != 4:
+                raise PDSyntaxError("crossing %r does not have 4 strands" % (t,))
+            if not all(type(x) is int and x > 0 for x in t):
+                raise PDSyntaxError("strand labels must be positive integers: %r" % (t,))
+            tuples.append(t)
         if not isinstance(free_loops, int) or free_loops < 0:
             raise ValueError("free_loops must be a nonnegative integer")
-        self.crossings = tuples
+        self.crossings = tuple(tuples)
         self.free_loops = free_loops
 
         # pair each port with the other port of its arc
+        flat = list(itertools.chain.from_iterable(tuples))
         m = len(flat)
         first = {}
         mate = [-1] * m
@@ -259,25 +254,23 @@ class Diagram:
     def _port_faces(self) -> list:
         """faces() on port numbers: lists of entry ports, each starting
         at its least port, in increasing order of that port."""
-        if self._face_list is None:
-            mate = self._mate
-            seen = [False] * len(mate)
-            faces = []
-            for start in range(len(mate)):
-                if seen[start]:
-                    continue
-                orbit = []
-                cur = start
-                while True:
-                    orbit.append(cur)
-                    seen[cur] = True
-                    # exit by the previous slot, enter at the arc's far end
-                    cur = mate[cur - 1 if cur & 3 else cur + 3]
-                    if cur == start:
-                        break
-                faces.append(orbit)
-            self._face_list = faces
-        return self._face_list
+        mate = self._mate
+        seen = [False] * len(mate)
+        faces = []
+        for start in range(len(mate)):
+            if seen[start]:
+                continue
+            orbit = []
+            cur = start
+            while True:
+                orbit.append(cur)
+                seen[cur] = True
+                # exit by the previous slot, enter at the arc's far end
+                cur = mate[cur - 1 if cur & 3 else cur + 3]
+                if cur == start:
+                    break
+            faces.append(orbit)
+        return faces
 
     def faces(self):
         """Face orbits of the 4-valent shadow, as tuples of entry ports.
@@ -288,6 +281,35 @@ class Diagram:
         """
         return tuple(tuple((p >> 2, p & 3) for p in face)
                      for face in self._port_faces())
+
+    def face_incidence(self):
+        """The faces met by each crossing and each arc, numbered by their
+        position in faces().
+
+        Returns (face count, corners, sides). corners[c][k] is the face
+        at corner k of crossing c, the corner between slots k and k+1.
+        sides lists each arc once as (label, f, g), f and g being the
+        faces entered at its two ports, in the order faces() first
+        meets the arcs.
+        """
+        faces = self._port_faces()
+        mate, flat = self._mate, self._flat
+        face_of = [0] * len(mate)
+        for fi, face in enumerate(faces):
+            for p in face:
+                face_of[p] = fi
+        # the face entered at slot k+1 holds corner k
+        corners = [(face_of[p + 1], face_of[p + 2], face_of[p + 3],
+                    face_of[p]) for p in range(0, len(mate), 4)]
+        sides = []
+        met = [False] * len(mate)
+        for face in faces:
+            for p in face:
+                if not met[p]:
+                    q = mate[p]
+                    met[q] = True
+                    sides.append((flat[p], face_of[p], face_of[q]))
+        return len(faces), corners, sides
 
     # rendering / parsing
 
@@ -488,20 +510,6 @@ class Diagram:
                 continue
             break
         return d
-
-
-def _checked_crossings(crossings) -> tuple:
-    """The crossings as 4-tuples of positive integers; raises
-    PDSyntaxError at the first crossing that is not one."""
-    tuples = []
-    for t in crossings:
-        t = tuple(t)
-        if len(t) != 4:
-            raise PDSyntaxError("crossing %r does not have 4 strands" % (t,))
-        if not all(type(x) is int and x > 0 for x in t):
-            raise PDSyntaxError("strand labels must be positive integers: %r" % (t,))
-        tuples.append(t)
-    return tuple(tuples)
 
 
 def _assemble(live, other, arcs, free_loops: int) -> Diagram:

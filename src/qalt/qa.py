@@ -246,13 +246,7 @@ def replay_certificate(cert) -> bool:
     the node's content determine every later check, so the copy would
     pass just as the first did. A copy that differs anywhere is checked
     in full, so the same trees are accepted and rejected, with the same
-    first error, as when every occurrence is checked.
-
-    A child whose "pd" is the very text its smoothing renders to is that
-    smoothing, so it is accepted without parsing; this needs a smoothing
-    with crossings and no free loop, the ones whose text is determined.
-    Any other child, such as one written with other spacing, is parsed
-    and compared as a diagram."""
+    first error, as when every occurrence is checked."""
     tree = cert.tree if isinstance(cert, Certificate) else cert
     _check_node(tree)
     root = parse_pd(tree["pd"])
@@ -279,11 +273,7 @@ def replay_certificate(cert) -> bool:
         smoothings = [s.smooth(c, r) for r in (0, 1)]
         for r, kid in enumerate(kids):
             _check_node(kid)
-            sm = smoothings[r]
-            if sm.crossings and not sm.free_loops \
-                    and kid["pd"] == sm.render():
-                continue
-            if parse_pd(kid["pd"]) != sm:
+            if parse_pd(kid["pd"]) != smoothings[r]:
                 raise ValueError("child %d is not the %d-smoothing" % (r, r))
         d0 = walk(kids[0], smoothings[0])
         d1 = walk(kids[1], smoothings[1])

@@ -133,35 +133,19 @@ def checkerboard(d: Diagram):
         return k1, k2
 
     n = len(d.crossings)
-    faces = d._port_faces()
-    if len(faces) != n + 2:
-        raise NoEmbedding("face count %d is not crossings+2" % len(faces))
-
-    # each entry port p = 4c + s lies in one face, which owns corner
-    # (c, s-1) of crossing c
-    face_of = [0] * (4 * n)
-    for fi, face in enumerate(faces):
-        for p in face:
-            face_of[p] = fi
+    nfaces, corners, sides = d.face_incidence()
+    if nfaces != n + 2:
+        raise NoEmbedding("face count %d is not crossings+2" % nfaces)
 
     # two-color faces: arcs with both sides in one face cannot happen in
     # a planar 4-valent shadow with this face count, but stay defensive
-    mate, flat = d._mate, d._flat
-    adj = [[] for _ in faces]
-    handled = [False] * (4 * n)
-    for face in faces:
-        for p in face:
-            if handled[p]:
-                continue
-            q = mate[p]
-            handled[q] = True
-            f, g = face_of[p], face_of[q]
-            if f == g:
-                raise NoEmbedding("arc %d does not separate two faces"
-                                  % flat[p])
-            adj[f].append(g)
-            adj[g].append(f)
-    color = [None] * len(faces)
+    adj = [[] for _ in range(nfaces)]
+    for lab, f, g in sides:
+        if f == g:
+            raise NoEmbedding("arc %d does not separate two faces" % lab)
+        adj[f].append(g)
+        adj[g].append(f)
+    color = [None] * nfaces
     color[0] = 0
     stack = [0]
     reached = 1
@@ -174,14 +158,15 @@ def checkerboard(d: Diagram):
                 stack.append(g)
             elif color[g] == color[fi]:
                 raise NoEmbedding("face classes are not two-colorable")
-    if reached != len(faces):
+    if reached != nfaces:
         raise NoEmbedding("face adjacency is not connected")
 
     counts = [color.count(0), color.count(1)]
     if counts[0] != counts[1]:
         black = 0 if counts[0] > counts[1] else 1
     else:
-        black = 1 - color[face_of[0]]
+        # face 0 holds the least port (0, 0)
+        black = 1 - color[0]
 
     # vertex numbers run in face order within each class; the two
     # corners of one class sit opposite each other, and the edge is
@@ -193,10 +178,7 @@ def checkerboard(d: Diagram):
         size[c] += 1
     black_edges = []
     white_edges = []
-    for p in range(0, 4 * n, 4):
-        # corner k lies in the face entered at slot k+1
-        c0, c1, c2, c3 = (face_of[p + 1], face_of[p + 2], face_of[p + 3],
-                          face_of[p])
+    for c0, c1, c2, c3 in corners:
         odd = (index[c1], index[c3])
         even = (index[c0], index[c2])
         if color[c1] == black:

@@ -226,19 +226,10 @@ def test_batch_has_no_workers_flag(tmp_path, capsys):
     assert "unrecognized arguments" in err
 
 
-@pytest.mark.parametrize("pd", ["[5]", "[null]", "[[1,4,2,3], 7]"])
+# JSON true is not the integer 1
+@pytest.mark.parametrize("pd", ["[5]", "[null]", "[[1,4,2,3], 7]",
+                                "[[true,1,2,2]]", "[[true,true,2,2]]"])
 def test_pd_json_row_not_array_is_exit_1(pd):
-    proc = subprocess.run(
-        [sys.executable, "-m", "qalt.cli", "jones", "--pd", pd],
-        capture_output=True, text=True)
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("error:")
-    assert "Traceback" not in proc.stderr
-
-
-@pytest.mark.parametrize("pd", ["[[true,1,2,2]]", "[[true,true,2,2]]"])
-def test_pd_json_boolean_label_is_exit_1(pd):
-    # JSON true is not the integer 1
     proc = subprocess.run(
         [sys.executable, "-m", "qalt.cli", "jones", "--pd", pd],
         capture_output=True, text=True)

@@ -348,6 +348,22 @@ def test_fresh_diagram_canonicalises_like_its_source():
             assert fresh.canonical() == e.canonical()
 
 
+def test_face_incidence_matches_faces():
+    for d in _kernel_corpus():
+        for e in _kernel_family(d):
+            faces = e.faces()
+            face_of = {port: fi for fi, face in enumerate(faces)
+                       for port in face}
+            count, corners, sides = e.face_incidence()
+            assert count == len(faces)
+            assert corners == [tuple(face_of[(c, (k + 1) % 4)]
+                                     for k in range(4))
+                               for c in range(len(e.crossings))]
+            assert sorted((lab, {f, g}) for lab, f, g in sides) == sorted(
+                (lab, {face_of[p], face_of[q]})
+                for lab, (p, q) in e._ports.items())
+
+
 def test_spliced_over_only_component_is_renumbered_by_canonical():
     # the smoothing orients the over-only circle 1-2-3-4 from its lowest
     # fragment; canonical() reorients it from the later occurrence of
