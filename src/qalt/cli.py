@@ -172,7 +172,7 @@ def _cmd_obstruct(args) -> int:
         d = _read_diagram(args)
         v = jones(d)
         det = v.abs_at_minus_one()
-    out = obstruct(v, det, prime=args.prime, torus_2n=args.torus2n)
+    out = obstruct(v, det, prime=args.prime)
     p = _verdict_payload(out)
     p["det"] = det
     lines = ["status: %s" % out.status]
@@ -236,8 +236,8 @@ def _batch_line(idx, line, args):
         d = parse_pd(text)
         payload, poly = _jones_payload(d)
         record.update(payload)
-        v = obstruct(poly, record["det"], prime=args.prime,
-                     torus_2n=args.torus2n) if record["det"] >= 1 else None
+        v = obstruct(poly, record["det"], prime=args.prime) \
+            if record["det"] >= 1 else None
         if v is None:
             record["verdict"] = "Undefined"
         else:
@@ -379,8 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--det", type=int, default=None)
     s.add_argument("--prime", action="store_true",
                    help="caller asserts the link is prime")
-    s.add_argument("--torus2n", action="store_true",
-                   help="caller asserts the link is a (2,n) torus link")
     s.set_defaults(func=_cmd_obstruct)
 
     s = subs.add_parser("certify", help="search for a membership certificate")
@@ -400,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(s)
     s.add_argument("path")
     s.add_argument("--prime", action="store_true")
-    s.add_argument("--torus2n", action="store_true")
     s.add_argument("--certify", action="store_true")
     _add_budget_flags(s)
     s.set_defaults(func=_cmd_batch)

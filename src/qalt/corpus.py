@@ -85,7 +85,6 @@ class Entry:
     name: str
     diagram: Diagram
     prime: bool
-    torus_2n: bool
     det: int
 
 
@@ -93,15 +92,15 @@ def entries() -> tuple:
     """The full corpus, duplicates elided: torus(2) and torus(3) equal
     the Hopf and trefoil codes tuple-for-tuple."""
     return (
-        Entry("unknot", unknot(), prime=False, torus_2n=False, det=1),
-        Entry("curl", curl(), prime=False, torus_2n=False, det=1),
-        Entry("hopf", hopf(), prime=True, torus_2n=True, det=2),
-        Entry("trefoil", trefoil(), prime=True, torus_2n=True, det=3),
-        Entry("figure_eight", figure_eight(), prime=True, torus_2n=False, det=5),
-        Entry("torus_2_4", torus(4), prime=True, torus_2n=True, det=4),
-        Entry("torus_2_5", torus(5), prime=True, torus_2n=True, det=5),
-        Entry("torus_2_6", torus(6), prime=True, torus_2n=True, det=6),
-        Entry("torus_2_7", torus(7), prime=True, torus_2n=True, det=7),
-        Entry("hopf_hopf", hopf_hopf(), prime=False, torus_2n=False, det=4),
-        Entry("hopf_trefoil", hopf_trefoil(), prime=False, torus_2n=False, det=6),
+        Entry("unknot", unknot(), prime=False, det=1),
+        Entry("curl", curl(), prime=False, det=1),
+        Entry("hopf", hopf(), prime=True, det=2),
+        Entry("trefoil", trefoil(), prime=True, det=3),
+        Entry("figure_eight", figure_eight(), prime=True, det=5),
+        Entry("torus_2_4", torus(4), prime=True, det=4),
+        Entry("torus_2_5", torus(5), prime=True, det=5),
+        Entry("torus_2_6", torus(6), prime=True, det=6),
+        Entry("torus_2_7", torus(7), prime=True, det=7),
+        Entry("hopf_hopf", hopf_hopf(), prime=False, det=4),
+        Entry("hopf_trefoil", hopf_trefoil(), prime=False, det=6),
     )

@@ -12,7 +12,6 @@ is in play.
 
 from __future__ import annotations
 
-import cmath
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -161,24 +160,6 @@ class HalfLaurent:
         return "HalfLaurent(%r)" % self.render()
 
     # evaluation
-
-    def evaluate(self, z: complex) -> complex:
-        """Numeric value with x^(1/2) taken as the principal square root.
-
-        z = -1 and z = 1 short-circuit to exact integer arithmetic.
-        """
-        if z == 0:
-            raise ValueError("evaluation point must be nonzero")
-        if z == 1:
-            return complex(sum(self._terms.values()))
-        if z == -1:
-            re_, im = self.eval_at_minus_one()
-            return complex(re_, im)
-        s = cmath.sqrt(z)
-        total = 0j
-        for e2, c in self._terms.items():
-            total += c * s ** e2
-        return total
 
     def eval_at_minus_one(self) -> tuple:
         """Exact Gaussian integer (a, b) = a + b*i at x = -1, x^(1/2) = i."""

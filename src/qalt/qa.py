@@ -38,14 +38,35 @@ class QAVerdict:
         return tuple(r[0] for r in self.reasons)
 
 
-def obstruct(v: HalfLaurent, det: int, prime: bool = False,
-             torus_2n: bool = False) -> QAVerdict:
+def torus_2n_jones(n: int) -> HalfLaurent:
+    """Jones polynomial of the (2,n) torus link T(2,n), n >= 1, as the
+    closure of the positive braid sigma_1^n:
+
+        V = (-1)^(n+1) t^((n-1)/2) (1 + t^2 - t^3 + t^4 - ... + (-t)^n)
+
+    for n >= 2, and 1 for the unknot T(2,1). It solves the skein
+    recursion V_n = t^2 V_(n-2) + (t^(3/2) - t^(1/2)) V_(n-1) from
+    V_0 = -(t^(1/2) + t^(-1/2)) and V_1 = 1."""
+    if not isinstance(n, int) or n < 1:
+        raise ValueError("need n >= 1")
+    if n == 1:
+        return HalfLaurent.one()
+    sign = 1 if n % 2 else -1
+    terms = {n - 1: sign, n + 3: sign}
+    for k in range(3, n + 1):
+        terms[n - 1 + 2 * k] = sign if k % 2 == 0 else -sign
+    return HalfLaurent(terms)
+
+
+def obstruct(v: HalfLaurent, det: int, prime: bool = False) -> QAVerdict:
     """Necessary-condition battery for quasi-alternating links.
 
     Collects every firing rule, in order: breadth bound against the
-    determinant; any gap when the caller asserts a prime non-torus
-    link; more than one gap without Hopf-sum structure; small breadth
-    with a determinant other than 1, 2, 3; broken sign alternation.
+    determinant; any gap when the caller asserts a prime link and V is
+    not +-t^r V(T(2,det)) nor that of its mirror, so the link is not a
+    (2,n) torus link; more than one gap without Hopf-sum structure;
+    small breadth with a determinant other than 1, 2, 3; broken sign
+    alternation.
     """
     if v.is_zero():
         raise ZeroPolynomial("the zero polynomial is not a Jones polynomial")
@@ -56,11 +77,19 @@ def obstruct(v: HalfLaurent, det: int, prime: bool = False,
     if rep.breadth2 > 2 * det:
         reasons.append(("breadth", "breadth exceeds the determinant",
                         {"breadth2": rep.breadth2, "det": det}))
-    if prime and not torus_2n and rep.gap_count() >= 1:
-        reasons.append(("gap",
-                        "gap in the Jones polynomial of a prime link "
-                        "that is not a (2,n) torus link",
-                        {"gaps": rep.gaps}))
+    if prime and rep.gap_count() >= 1:
+        # T(2,n) has determinant n; reversing one component of a link
+        # multiplies V by a power of t (Jones's reversal formula), so one
+        # orientation of T(2,det) and its mirror cover every candidate
+        ref = torus_2n_jones(det)
+        mirror = HalfLaurent({-e2: c for e2, c in ref.items2()})
+        if (monomial_quotient(v, ref) is None
+                and monomial_quotient(v, mirror) is None):
+            reasons.append(("gap",
+                            "gap in the Jones polynomial of a prime link "
+                            "that is not a (2,n) torus link",
+                            {"gaps": rep.gaps,
+                             "torus_2n": {"n": det, "jones": ref.render()}}))
     if rep.gap_count() >= 2:
         k = rep.breadth2 // 4
         power = HalfLaurent.one()
@@ -81,8 +110,7 @@ def obstruct(v: HalfLaurent, det: int, prime: bool = False,
                         {"support2": v.support2()}))
     status = NOTQA if reasons else INCONCLUSIVE
     return QAVerdict(status=status, reasons=tuple(reasons),
-                     assumptions={"prime": prime,
-                                  "not_torus_2n": not torus_2n})
+                     assumptions={"prime": prime})
 
 
 # certification search
@@ -105,13 +133,69 @@ class Budget:
         return cls(max_nodes=int(nodes))
 
 
+class _NotPlainJSON(Exception):
+    pass
+
+
+_json_str = json.encoder.encode_basestring_ascii
+_JSON_CONST = {True: "true", False: "false", None: "null"}
+
+
+def _write_json(o, emit, nl):
+    """Emit o as json.dumps(o, indent=2) does, nl being a newline and the
+    indent of o's own line. Anything but exact dicts with str keys, lists,
+    str, int, bool and None raises _NotPlainJSON."""
+    t = type(o)
+    if t is str:
+        emit(_json_str(o))
+    elif t is int:
+        emit(int.__repr__(o))
+    elif t is bool or o is None:
+        emit(_JSON_CONST[o])
+    elif t is dict:
+        if not o:
+            emit("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k, v in o.items():
+            if type(k) is not str:
+                raise _NotPlainJSON
+            emit(sep + _json_str(k) + ": ")
+            _write_json(v, emit, inner)
+            sep = "," + inner
+        emit(nl + "}")
+    elif t is list:
+        if not o:
+            emit("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for v in o:
+            emit(sep)
+            _write_json(v, emit, inner)
+            sep = "," + inner
+        emit(nl + "]")
+    else:
+        raise _NotPlainJSON
+
+
 @dataclass(frozen=True)
 class Certificate:
     root: Diagram
     tree: dict
 
     def to_json(self) -> str:
-        return json.dumps(self.tree, indent=2)
+        """json.dumps(self.tree, indent=2), written without the pure-Python
+        encoder that json uses whenever indent is set."""
+        out = []
+        try:
+            _write_json(self.tree, out.append, "\n")
+        except (_NotPlainJSON, RecursionError):
+            # floats, tuples, subclasses, non-str keys, cycles: json.dumps
+            # writes them, or raises the exception json raises
+            return json.dumps(self.tree, indent=2)
+        return "".join(out)
 
     @classmethod
     def from_json(cls, text: str) -> "Certificate":
@@ -273,7 +357,11 @@ def replay_certificate(cert) -> bool:
         smoothings = [s.smooth(c, r) for r in (0, 1)]
         for r, kid in enumerate(kids):
             _check_node(kid)
-            if parse_pd(kid["pd"]) != smoothings[r]:
+            sm = smoothings[r]
+            # parse_pd(sm.render()) == sm when sm has no free loops, so
+            # matching text needs no parse
+            if ((sm.free_loops or kid["pd"] != sm.render())
+                    and parse_pd(kid["pd"]) != sm):
                 raise ValueError("child %d is not the %d-smoothing" % (r, r))
         d0 = walk(kids[0], smoothings[0])
         d1 = walk(kids[1], smoothings[1])
@@ -317,8 +405,7 @@ def kanenobu_obstruction(p: int, q: int) -> KanenobuVerdict:
     the closed-form polynomial with det 25."""
     status = NOTQA if (abs(p) + abs(q) >= 19 or abs(p + q) > 6) \
         else INCONCLUSIVE
-    verdict = obstruct(kanenobu_jones(p, q), 25,
-                       prime=True, torus_2n=False)
+    verdict = obstruct(kanenobu_jones(p, q), 25, prime=True)
     return KanenobuVerdict(status=status,
                            agrees=(verdict.status == status),
                            obstruction=verdict)

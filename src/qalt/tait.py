@@ -341,17 +341,21 @@ def goeritz_det(g: SignedPlanarGraph) -> int:
     column deleted. Loops are ignored."""
     if not g.is_connected():
         raise ValueError("graph is not connected")
-    n = g.vertex_count
+    return _goeritz_minor_det(g.vertex_count, g.edges)
+
+
+def _goeritz_minor_det(n: int, edges) -> int:
+    """goeritz_det of the graph on n vertices with these edges, connected
+    or not: a piece without vertex 0 has rows summing to zero in the
+    minor, so a disconnected graph gets 0."""
     m = [[0] * n for _ in range(n)]
-    for u, v, s in g.edges:
-        if u == v:
-            continue
-        m[u][v] -= s
-        m[v][u] -= s
-    for i in range(n):
-        m[i][i] = -sum(m[i][j] for j in range(n) if j != i)
-    minor = [row[1:] for row in m[1:]]
-    return abs(bareiss_det(minor))
+    for u, v, s in edges:
+        if u != v:
+            m[u][v] -= s
+            m[v][u] -= s
+            m[u][u] += s
+            m[v][v] += s
+    return abs(bareiss_det([row[1:] for row in m[1:]]))
 
 
 def smoothing_dets(g: SignedPlanarGraph, e: int) -> tuple:
@@ -362,10 +366,24 @@ def smoothing_dets(g: SignedPlanarGraph, e: int) -> tuple:
     corners 1 and 3, which are black exactly when e is positive: it
     contracts a positive edge and deletes a negative one. A loop or an
     isthmus is a nugatory crossing, whose face-merging or
-    face-separating smoothing respectively is split."""
-    merged = 0 if g.is_loop(e) else goeritz_det(g.contract(e))
-    separated = 0 if g.is_isthmus(e) else goeritz_det(g.delete(e))
-    return (merged, separated) if g.edges[e][2] > 0 else (separated, merged)
+    face-separating smoothing respectively is split: a loop gets 0
+    without contracting it, and an isthmus gets 0 because deleting it
+    disconnects the graph."""
+    u, v, sign = g.edges[e]
+    rest = g.edges[:e] + g.edges[e + 1:]
+    separated = _goeritz_minor_det(g.vertex_count, rest)
+    if u == v:
+        merged = 0
+    else:
+        # contract e: its higher end becomes its lower one, and the
+        # vertices above close the gap
+        keep, gone = min(u, v), max(u, v)
+        remap = [w - (w > gone) for w in range(g.vertex_count)]
+        remap[gone] = keep
+        merged = _goeritz_minor_det(
+            g.vertex_count - 1,
+            [(remap[a], remap[b], s) for a, b, s in rest])
+    return (merged, separated) if sign > 0 else (separated, merged)
 
 
 def tutte(g: SignedPlanarGraph) -> dict:

@@ -130,7 +130,36 @@ def test_obstruct_pd_flags(capsys):
     code, out, _ = run(capsys, "obstruct", "--pd", FIG8, "--prime", "--json")
     data = json.loads(out)
     assert code == 0 and data["status"] == "Inconclusive"
-    assert data["assumptions"] == {"prime": True, "not_torus_2n": True}
+    assert data["assumptions"] == {"prime": True}
+
+
+@pytest.mark.parametrize("pd", [TREFOIL, corpus.HOPF_PD,
+                                corpus.torus(4).render(),
+                                corpus.torus(7).render()],
+                         ids=["trefoil", "hopf", "T(2,4)", "T(2,7)"])
+def test_obstruct_prime_spares_torus_2n(capsys, pd):
+    # each has a gap, and each certifies, so --prime alone must not
+    # obstruct it
+    code, out, _ = run(capsys, "obstruct", "--pd", pd, "--prime", "--json")
+    data = json.loads(out)
+    assert code == 0 and data["status"] == "Inconclusive", data
+    code, out, _ = run(capsys, "jones", "--pd", pd, "--json")
+    assert json.loads(out)["gap_count"] >= 1
+
+
+def test_obstruct_gap_witness_names_the_torus_link(capsys):
+    code, out, _ = run(capsys, "obstruct", "--poly", "1 + t^2", "--det",
+                       "5", "--prime", "--json")
+    data = json.loads(out)
+    assert code == 0 and data["status"] == "NotQA"
+    gap = next(r for r in data["reasons"] if r["rule"] == "gap")
+    assert gap["witness"]["torus_2n"] == {
+        "n": 5, "jones": "t^2 + t^4 - t^5 + t^6 - t^7"}
+
+
+def test_torus2n_flag_is_gone(capsys):
+    code, _, err = run(capsys, "obstruct", "--pd", TREFOIL, "--torus2n")
+    assert code == 1 and "--torus2n" in err
 
 
 def test_certify_json_replayable(capsys):

@@ -70,14 +70,15 @@ def test_immutability_and_hash():
 
 
 def test_evaluate_trivial_points():
-    assert HalfLaurent.one().evaluate(2.7 + 1j) == 1
+    # the value at t = 1 is the coefficient sum; at t = -1 it is exact
+    assert HalfLaurent.one().eval_at_minus_one() == (1, 0)
     f = hl((0, 3), (2, -1), (4, 5))
-    assert f.evaluate(1) == 7
+    assert sum(c for _, c in f.items2()) == 7
+    assert f.eval_at_minus_one() == (3 + 1 + 5, 0)
 
 
 def test_evaluate_hopf_at_minus_one():
     # i^(-5) = -i and i^(-1) = -i, so the value is 2i
-    assert HOPF_JONES.evaluate(-1) == 2j
     assert HOPF_JONES.eval_at_minus_one() == (0, 2)
     assert HOPF_JONES.abs_at_minus_one() == 2
 
@@ -96,8 +97,11 @@ def test_evaluate_matches_exact_gaussian():
 def test_eighth_root_hopf_gamma():
     # spanning-tree polynomial of the Hopf Tait graph
     gamma = hl((-8, -1), (8, -1))  # -A^(-4) - A^4
+    # A^4 = -1 at A = zeta_8, so the value is -(-1) - (-1) = 2
     assert gamma.abs_at_primitive_eighth_root() == 2
-    assert abs(gamma.evaluate(complex(2 ** -0.5, 2 ** -0.5))) == pytest.approx(2)
+    # a unit factor A^k leaves the absolute value alone
+    assert hl((8, 1)).abs_at_primitive_eighth_root() == 1
+    assert (gamma * hl((2, 1))).abs_at_primitive_eighth_root() == 2
 
 
 def test_eighth_root_requires_integer_exponents():

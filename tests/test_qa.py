@@ -1,4 +1,6 @@
+import collections
 import json
+import random
 
 import pytest
 
@@ -9,7 +11,7 @@ from qalt.diagram import Diagram, SplitDiagram, parse_pd
 from qalt.laurent import HalfLaurent, ZeroPolynomial
 from qalt.qa import (INCONCLUSIVE, NOTQA, Budget, Certificate, QAVerdict,
                      Unknown, certify, kanenobu_jones, kanenobu_obstruction,
-                     obstruct, replay_certificate)
+                     obstruct, replay_certificate, torus_2n_jones)
 from qalt.tait import checkerboard, gamma
 
 
@@ -29,11 +31,37 @@ def test_obstruct_breadth_rule():
 
 def test_obstruct_gap_rule_needs_flags():
     v = hl((0, 1), (2, 1))  # gap at exponent 1
-    assert obstruct(v, 5, prime=True, torus_2n=False).status == NOTQA
+    assert obstruct(v, 5, prime=True).status == NOTQA
     assert "gap" in obstruct(v, 5, prime=True).rule_ids()
     # without the primality assertion the gap alone cannot fire
     res = obstruct(v, 5, prime=False)
     assert "gap" not in res.rule_ids()
+
+
+def test_torus_2n_jones_solves_the_skein_recursion():
+    # V_n = t^2 V_(n-2) + (t^(3/2) - t^(1/2)) V_(n-1), positive crossings
+    prev, cur = HalfLaurent({1: -1, -1: -1}), HalfLaurent.one()
+    step = HalfLaurent({3: 1, 1: -1})
+    assert torus_2n_jones(1) == cur
+    for n in range(2, 16):
+        prev, cur = cur, prev.shift2(4) + step * cur
+        assert torus_2n_jones(n) == cur, n
+    # the bundled torus diagrams have negative crossings
+    for n in range(2, 9):
+        assert jones(corpus.torus(n).mirror()) == torus_2n_jones(n)
+
+
+def test_obstruct_gap_rule_spares_torus_2n_links():
+    for n in range(2, 9):
+        d = corpus.torus(n)
+        for link in (d, d.mirror()):
+            out = obstruct(jones(link), n, prime=True)
+            assert out.status == INCONCLUSIVE, (n, out.reasons)
+    # reversing one component of T(2,4) shifts V by a power of t
+    v = jones(corpus.torus(4)).shift2(-12)
+    assert obstruct(v, 4, prime=True).status == INCONCLUSIVE
+    # a torus polynomial with the wrong determinant is not spared
+    assert "gap" in obstruct(jones(corpus.torus(5)), 7, prime=True).rule_ids()
 
 
 def test_obstruct_multi_gap_rule():
@@ -45,7 +73,7 @@ def test_obstruct_multi_gap_rule():
 
 def test_obstruct_hopf_sum_is_spared_by_multi_gap_rule():
     v = jones(corpus.hopf_hopf())
-    out = obstruct(v, 4, prime=False, torus_2n=False)
+    out = obstruct(v, 4, prime=False)
     assert out.status == INCONCLUSIVE
 
 
@@ -63,11 +91,10 @@ def test_obstruct_alternation_rule():
 
 
 def test_obstruct_figure_eight_inconclusive():
-    out = obstruct(jones(corpus.figure_eight()), 5, prime=True,
-                   torus_2n=False)
+    out = obstruct(jones(corpus.figure_eight()), 5, prime=True)
     assert out.status == INCONCLUSIVE
     assert out.reasons == ()
-    assert out.assumptions == {"prime": True, "not_torus_2n": True}
+    assert out.assumptions == {"prime": True}
 
 
 def test_obstruct_guards():
@@ -206,6 +233,75 @@ def test_trefoil_certificate_is_pinned():
     assert certify(corpus.trefoil()).to_json() == TREFOIL_CERTIFICATE
 
 
+def _alternating_closures(count, seed):
+    # sigma_i positive for odd i and negative for even i, every
+    # generator used at least twice
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        strands = rng.choice((3, 4))
+        word = [i if i % 2 else -i
+                for i in (rng.randint(1, strands - 1)
+                          for _ in range(rng.randint(6, 9)))]
+        if all(sum(abs(g) == i for g in word) >= 2
+               for i in range(1, strands)):
+            out.append(braid_closure(word, strands))
+    return out
+
+
+def test_to_json_is_json_dumps_on_generated_certificates():
+    for d in _alternating_closures(8, seed=5):
+        cert = certify(d)
+        assert isinstance(cert, Certificate)
+        assert cert.to_json() == json.dumps(cert.tree, indent=2)
+
+
+@pytest.mark.parametrize("tree", [
+    {"pd": "quote \" slash \\ / newline \n tab \t bell \x07",
+     "na\u00efve": "\u00e9 \u2713 \U0001d11e", "empty": {}, "none": [],
+     "consts": [True, False, None], "nested": [{"a": [[], {}]}, [[1, -2]]],
+     "floats": [0.1, -2.5e-300, 1e300, float("inf"), float("-inf"),
+                float("nan"), -0.0]},
+    {1: "int key", 1.5: "float key", True: "bool key", None: "null key",
+     "s": "str key"},
+    {"tuple": (1, (2, 3)), "sub": collections.OrderedDict(b=1, a=[])},
+    [], {}, "top-level string", 7, None,
+], ids=["escapes", "non-str-keys", "tuple-and-subclass", "empty-list",
+        "empty-dict", "string", "int", "null"])
+def test_to_json_is_json_dumps_on_hand_built_trees(tree):
+    cert = Certificate(root=corpus.trefoil(), tree=tree)
+    assert cert.to_json() == json.dumps(tree, indent=2)
+
+
+def test_to_json_rejects_what_json_rejects():
+    for tree in ({"pd": {1, 2}}, {"kids": [object()]}, {(1, 2): "key"}):
+        with pytest.raises(TypeError):
+            Certificate(root=corpus.trefoil(), tree=tree).to_json()
+    loop = []
+    loop.append({"children": loop})
+    with pytest.raises(ValueError, match="Circular reference"):
+        Certificate(root=corpus.trefoil(), tree={"children": loop}).to_json()
+
+
+def test_replay_names_a_wrong_child_of_a_free_loop_smoothing():
+    # a node stored unreduced, at a curl: one smoothing of the curl's
+    # crossing splits off a free loop, and a child showing only the
+    # crossings that remain is not that smoothing
+    d = corpus.trefoil().connected_sum(corpus.curl()).canonical()
+    c, r = next((c, r) for c in range(len(d.crossings)) for r in (0, 1)
+                if d.smooth(c, r).free_loops)
+    sm = d.smooth(c, r)
+    assert sm.crossings
+    kids = [{"pd": d.smooth(c, k).render() if k != r
+             else Diagram(sm.crossings).render(), "det": 1, "leaf": True}
+            for k in (0, 1)]
+    tree = {"pd": d.render(), "det": 3, "reduced_pd": d.render(),
+            "crossing": c, "children": kids}
+    with pytest.raises(ValueError) as err:
+        replay_certificate(tree)
+    assert str(err.value) == "child %d is not the %d-smoothing" % (r, r)
+
+
 def test_replay_parses_a_child_that_differs_only_in_spacing():
     tree = json.loads(TREFOIL_CERTIFICATE)
     tree["children"][1]["pd"] = " X[1, 3,2,4]   X[4,2,3,1] "
@@ -333,7 +429,7 @@ def test_certified_links_never_obstructed():
         cert = certify(e.diagram)
         assert isinstance(cert, Certificate)
         out = obstruct(jones(e.diagram), determinant(e.diagram),
-                       prime=e.prime, torus_2n=e.torus_2n)
+                       prime=e.prime)
         assert out.status == INCONCLUSIVE, (e.name, out.reasons)
 
 

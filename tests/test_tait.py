@@ -243,6 +243,27 @@ def test_smoothing_dets_match_diagram_smoothings():
     assert loops and isthmi
 
 
+def _contract_delete_dets(g, e):
+    # smoothing_dets by building both graphs
+    merged = 0 if g.is_loop(e) else goeritz_det(g.contract(e))
+    separated = 0 if g.is_isthmus(e) else goeritz_det(g.delete(e))
+    return (merged, separated) if g.edges[e][2] > 0 else (separated, merged)
+
+
+def test_smoothing_dets_match_contract_and_delete():
+    rng = random.Random(11)
+    graphs = [checkerboard(d)[0] for d in _smoothing_cases()]
+    graphs += [random_connected_graph(rng) for _ in range(40)]
+    graphs += [random_alternating_graph(rng) for _ in range(40)]
+    loops = isthmi = 0
+    for g in graphs:
+        for e in range(len(g.edges)):
+            loops += g.is_loop(e)
+            isthmi += g.is_isthmus(e)
+            assert smoothing_dets(g, e) == _contract_delete_dets(g, e), (g, e)
+    assert loops and isthmi
+
+
 def test_tutte_check_trefoil():
     g, _ = checkerboard(corpus.trefoil())
     jones = hl((-4, -1), (-3, 1), (-1, 1))
