@@ -10,9 +10,9 @@ determinant is |V(-1)| evaluated exactly at t^(1/2) = i.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass
 
-from ._util import DisjointSet
 from .diagram import Diagram, EmptyDiagram, SameComponent
 from .laurent import (HalfLaurent, Overlap, SupportNotOnLattice, gap_between)
 
@@ -118,29 +118,47 @@ def kauffman_bracket(d: Diagram) -> HalfLaurent:
 
 
 def bracket_state_sum(d: Diagram) -> HalfLaurent:
-    """Bracket by brute-force enumeration of all 2^n smoothings."""
+    """Bracket by brute-force enumeration of all 2^n smoothings.
+
+    Ports are numbered 4*c + s for slot s of crossing c, and each arc
+    is one element of a union-find; a smoothing joins the arcs at its
+    crossing's slot pairs, and the circles are the classes left. The
+    sum tallies how many states have each count of 1-smoothings and
+    circles, then expands the tally once."""
     if d.component_count == 0:
         raise EmptyDiagram("the empty diagram has no bracket")
     n = len(d.crossings)
     if n > 16:
         raise ValueError("state sum capped at 16 crossings")
+    arc = [0] * (4 * n)
     labels = list(d.component_map)
-    total = HalfLaurent.zero()
+    for i, lab in enumerate(labels):
+        for c, s in (d.arc_head(lab), d.arc_tail(lab)):
+            arc[4 * c + s] = i
+    # per crossing, the pairs of arcs that its 0- and 1-smoothing join
+    joins = [(((arc[p], arc[p + 1]), (arc[p + 2], arc[p + 3])),
+               ((arc[p], arc[p + 3]), (arc[p + 1], arc[p + 2])))
+              for p in range(0, 4 * n, 4)]
+    tally = Counter()
     for mask in range(1 << n):
-        dsu = DisjointSet()
-        for ci in range(n):
-            if (mask >> ci) & 1:
-                dsu.union((ci, 0), (ci, 3))
-                dsu.union((ci, 1), (ci, 2))
-            else:
-                dsu.union((ci, 0), (ci, 1))
-                dsu.union((ci, 2), (ci, 3))
-        for lab in labels:
-            dsu.union(d.arc_head(lab), d.arc_tail(lab))
-        circles = dsu.count() + d.free_loops
-        ones = bin(mask).count("1")
-        total = total + _delta_power(circles - 1).shift2(2 * (n - 2 * ones))
-    return total
+        parent = list(range(len(labels)))
+        circles = len(labels) + d.free_loops
+        for c in range(n):
+            for a, b in joins[c][mask >> c & 1]:
+                while parent[a] != a:
+                    parent[a] = a = parent[parent[a]]
+                while parent[b] != b:
+                    parent[b] = b = parent[parent[b]]
+                if a != b:
+                    parent[a] = b
+                    circles -= 1
+        tally[mask.bit_count(), circles] += 1
+    terms = {}
+    for (ones, circles), k in tally.items():
+        for e2, c in _delta_power(circles - 1).items2():
+            e2 += 2 * (n - 2 * ones)
+            terms[e2] = terms.get(e2, 0) + k * c
+    return HalfLaurent(terms)
 
 
 def _normalize(bracket: HalfLaurent, w: int) -> HalfLaurent:

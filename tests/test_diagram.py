@@ -354,14 +354,17 @@ def test_face_incidence_matches_faces():
             faces = e.faces()
             face_of = {port: fi for fi, face in enumerate(faces)
                        for port in face}
-            count, corners, sides = e.face_incidence()
-            assert count == len(faces)
+            count, corners, colors = e.face_incidence()
+            assert count == len(faces) == len(colors)
             assert corners == [tuple(face_of[(c, (k + 1) % 4)]
                                      for k in range(4))
                                for c in range(len(e.crossings))]
-            assert sorted((lab, {f, g}) for lab, f, g in sides) == sorted(
-                (lab, {face_of[p], face_of[q]})
-                for lab, (p, q) in e._ports.items())
+            # the two faces beside each arc differ in color, and the
+            # face at the least port is colored 0
+            assert set(colors) <= {0, 1}
+            assert all(colors[face_of[p]] != colors[face_of[q]]
+                       for p, q in e._ports.values())
+            assert not e.crossings or colors[0] == 0
 
 
 def test_spliced_over_only_component_is_renumbered_by_canonical():
@@ -374,3 +377,53 @@ def test_spliced_over_only_component_is_renumbered_by_canonical():
     c = s.canonical()
     assert c.render() == "X[5,1,6,4] X[6,3,5,4] X[7,2,8,1] X[8,2,7,3]"
     assert c.canonical() == c
+
+
+def _fields(d) -> dict:
+    """Everything a Diagram holds or works out, but the flag that only
+    diagrams numbered by a splice carry."""
+    return {"crossings": d.crossings, "free_loops": d.free_loops,
+            "flat": d._flat, "mate": d._mate, "fin": d._fin,
+            "starts": d._starts, "signs": d._signs,
+            "strand_count": d.strand_count,
+            "component_count": d.component_count,
+            "over_only": d._over_only, "first": list(d._first.items()),
+            "component_map": d.component_map,
+            "connected": d.is_connected()}
+
+
+def _assembled(d):
+    """The diagrams that splices of d number: its smoothings, each step
+    of its simplification and its canonical form."""
+    for c in range(len(d.crossings)):
+        for r in (0, 1):
+            yield d.smooth(c, r)
+    step = d
+    while step.crossings:
+        nxt = step.simplify(1)
+        if nxt is step:
+            break
+        yield nxt
+        step = nxt
+    yield d.canonical()
+
+
+def test_assembled_diagrams_equal_their_parse():
+    over = loops = 0
+    for d in _kernel_corpus():
+        for e in _assembled(d):
+            fresh = Diagram(e.crossings, e.free_loops)
+            assert _fields(e) == _fields(fresh)
+            over += e._over_only
+            loops += bool(e.crossings and e.free_loops)
+    assert over and loops
+
+
+def test_spliced_over_only_component_equals_its_parse():
+    # the smoothing orients its over-only circle as __init__ does
+    d = parse_pd("X[9,5,10,1] X[6,7,2,6] X[10,5,9,4] X[3,4,7,8] X[2,1,3,8]")
+    s = d.smooth(1, 0)
+    assert s._over_only and s.canonical() is not s
+    assert _fields(s) == _fields(Diagram(s.crossings, s.free_loops))
+    for e in _assembled(s):
+        assert _fields(e) == _fields(Diagram(e.crossings, e.free_loops))

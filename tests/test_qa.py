@@ -1,9 +1,11 @@
 import collections
+import hashlib
 import json
 import random
 
 import pytest
 
+import qalt.qa
 from conftest import braid_closure
 from qalt import corpus
 from qalt.bracket import determinant, jones
@@ -233,6 +235,31 @@ def test_trefoil_certificate_is_pinned():
     assert certify(corpus.trefoil()).to_json() == TREFOIL_CERTIFICATE
 
 
+# sha256 over the certificates, or Unknown reasons, of seeded
+# near-alternating braid closures under a 300-node budget: 36 certified,
+# 21 exhausted, 3 over budget. The search and to_json must not depend on
+# set or dict order, so CI runs this under two PYTHONHASHSEED values.
+SEEDED_CERTIFICATES_DIGEST = (
+    "bae531173f66591001b4eba9436c1a8f0107f53f1b62e16c6dca6eecf3cfc95d")
+
+
+def test_certificates_of_seeded_closures_are_pinned():
+    rng = random.Random(20261018)
+    h = hashlib.sha256()
+    for _ in range(60):
+        strands = rng.randint(3, 4)
+        word = [rng.randint(1, strands - 1)
+                for _ in range(rng.randint(7, 12))]
+        word += list(range(1, strands))
+        # alternating signs, with about one letter in four flipped
+        word = [g * (1 if g % 2 else -1) * (-1 if rng.random() < 0.25 else 1)
+                for g in word]
+        out = certify(braid_closure(word, strands), Budget(max_nodes=300))
+        text = out.to_json() if isinstance(out, Certificate) else out.reason
+        h.update(text.encode() + b"\n")
+    assert h.hexdigest() == SEEDED_CERTIFICATES_DIGEST
+
+
 def _alternating_closures(count, seed):
     # sigma_i positive for odd i and negative for even i, every
     # generator used at least twice
@@ -363,14 +390,31 @@ def test_replay_checks_each_distinct_node_once(monkeypatch):
     keys = [n["reduced_pd"] for n in _internal_nodes(cert.tree)]
     assert len(keys) > len(set(keys))
     calls = []
+    black = qalt.qa.checkerboard
 
     def counting(d):
         calls.append(d.render())
-        return checkerboard(d)
+        return black(d)
 
     monkeypatch.setattr("qalt.qa.checkerboard", counting)
     assert replay_certificate(Certificate.from_json(cert.to_json()))
     assert sorted(calls) == sorted(set(keys))
+
+
+def test_replay_reduces_each_distinct_node_once(monkeypatch):
+    tree = json.loads(certify(_shared_closure()).to_json())
+    texts = {n["pd"] for n in _internal_nodes(tree)}
+    assert len(list(_internal_nodes(tree))) > len(texts)
+    wanted = []
+    reduced = qalt.qa._reduced
+
+    def counting(d, want):
+        wanted.append(want)
+        return reduced(d, want)
+
+    monkeypatch.setattr("qalt.qa._reduced", counting)
+    assert replay_certificate(tree)
+    assert len(wanted) == len(texts)
 
 
 def test_replay_rejects_tampering_inside_a_shared_copy():

@@ -7,7 +7,7 @@ from qalt import corpus
 from qalt.diagram import DisconnectedDiagram, parse_pd
 from qalt.laurent import HalfLaurent, analyze
 from qalt.tait import (LoopOrIsthmus, NoEmbedding, SignedPlanarGraph,
-                       activity, checkerboard, dual, gamma,
+                       activity, black_graph, checkerboard, dual, gamma,
                        gamma_skein_check, goeritz_det, kirchhoff_count,
                        parse_edgelist, smoothing_dets, spanning_trees, tutte,
                        tutte_check)
@@ -241,6 +241,62 @@ def test_smoothing_dets_match_diagram_smoothings():
                     _split_or_det(d.smooth(c, 1)))
             assert smoothing_dets(g, c) == want, (d, c)
     assert loops and isthmi
+
+
+def _reference_checkerboard(d):
+    """(vertex count, edges) of the black and of the white graph, from
+    faces() and the arcs' ports alone: faces colored by a search across
+    arcs, the black class the larger one (on a tie, the class without
+    face 0), vertices numbered in face order within each class, and
+    crossing c's edge joining its corner faces of one class, positive
+    when those are corners 1 and 3."""
+    faces = d.faces()
+    face_of = {port: fi for fi, face in enumerate(faces) for port in face}
+    across = {fi: set() for fi in range(len(faces))}
+    for p, q in d._ports.values():
+        across[face_of[p]].add(face_of[q])
+        across[face_of[q]].add(face_of[p])
+    color = {0: 0}
+    stack = [0]
+    while stack:
+        f = stack.pop()
+        for g in across[f]:
+            if g not in color:
+                color[g] = 1 - color[f]
+                stack.append(g)
+            assert color[g] != color[f]
+    counts = [list(color.values()).count(k) for k in (0, 1)]
+    black = 0 if counts[0] > counts[1] else 1
+    index = {}
+    for f in range(len(faces)):
+        index[f] = sum(color[g] == color[f] for g in range(f))
+    graphs = []
+    for cls in (black, 1 - black):
+        edges = []
+        for c in range(len(d.crossings)):
+            corner = [face_of[(c, (k + 1) % 4)] for k in range(4)]
+            if color[corner[1]] == cls:
+                edges.append((index[corner[1]], index[corner[3]], 1))
+            else:
+                edges.append((index[corner[0]], index[corner[2]], -1))
+        graphs.append((counts[cls], tuple(edges)))
+    return graphs
+
+
+def test_black_graph_matches_a_reference_checkerboard():
+    cases = _smoothing_cases()
+    cases += [e for d in cases[:30] for c in range(len(d.crossings))
+              for e in (d.smooth(c, 0), d.smooth(c, 1))
+              if e.crossings and e.is_connected()]
+    for d in cases:
+        g = black_graph(d)
+        black, white = _reference_checkerboard(d)
+        assert (g.vertex_count, g.edges) == black, d
+        assert SignedPlanarGraph(g.vertex_count, g.edges) == g
+        assert checkerboard(d)[0] == g
+        w = dual(g)
+        assert (w.vertex_count, w.edges) == white, d
+        assert dual(w) is g and dual(g) is w and dual(dual(g)) is g
 
 
 def _contract_delete_dets(g, e):
