@@ -277,6 +277,10 @@ def certify(d: Diagram, budget: Budget = None):
         tree = rec(d, None, 0)
     except _BudgetExceeded:
         return Unknown("budget")
+    finally:
+        # rec reaches itself through its closure; unbinding it frees the
+        # memo now instead of at the next cyclic collection
+        rec = None
     if tree is None:
         return Unknown("exhausted")
     return Certificate(root=d, tree=tree)
@@ -382,7 +386,11 @@ def replay_certificate(cert) -> bool:
         passed[node["pd"]] = node
         return node["det"]
 
-    root_det = walk(tree, root)
+    try:
+        root_det = walk(tree, root)
+    finally:
+        # as in certify: free what walk's closure holds now
+        walk = None
     if root_det != bracket_determinant(root):
         raise ValueError("root determinant disagrees with the bracket route")
     return True
