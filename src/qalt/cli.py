@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import fields
 from fractions import Fraction
 
 from . import laurent
@@ -184,8 +184,7 @@ def _cmd_obstruct(args) -> int:
 
 def _budget(args) -> Budget:
     given = {f.name: getattr(args, f.name) for f in fields(Budget)}
-    return replace(Budget.default(),
-                   **{f: v for f, v in given.items() if v is not None})
+    return Budget(**{f: v for f, v in given.items() if v is not None})
 
 
 def _cmd_certify(args) -> int:
@@ -199,7 +198,8 @@ def _cmd_certify(args) -> int:
         print(json.dumps({"status": "Certified", "certificate": out.tree},
                          indent=2))
     else:
-        print(out.to_json())
+        # to_json is compact; the terminal gets the indented layout
+        print(json.dumps(out.tree, indent=2))
     return 0
 
 
@@ -236,16 +236,11 @@ def _batch_line(idx, line, args):
         d = parse_pd(text)
         payload, poly = _jones_payload(d)
         record.update(payload)
-        v = obstruct(poly, record["det"], prime=args.prime) \
-            if record["det"] >= 1 else None
-        if v is None:
-            record["verdict"] = "Undefined"
-        else:
-            record["verdict"] = v.status
-            if v.status == NOTQA:
-                record["reasons"] = [
-                    {"rule": rid, "statement": stmt}
-                    for rid, stmt, _ in v.reasons]
+        v = obstruct(poly, record["det"], prime=args.prime)
+        record["verdict"] = v.status
+        if v.status == NOTQA:
+            record["reasons"] = [{"rule": rid, "statement": stmt}
+                                 for rid, stmt, _ in v.reasons]
         if args.certify:
             out = certify(d, _budget(args))
             if isinstance(out, Unknown):

@@ -11,7 +11,6 @@ from the search is never evidence against membership.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 
 from .diagram import Diagram, SplitDiagram, parse_pd
@@ -65,23 +64,31 @@ def torus_2n_jones(n: int) -> HalfLaurent:
 def obstruct(v: HalfLaurent, det: int, prime: bool = False) -> QAVerdict:
     """Necessary-condition battery for quasi-alternating links.
 
-    Collects every firing rule, in order: breadth bound against the
-    determinant; any gap when the caller asserts a prime link and V is
-    not +-t^r V(T(2,det)) nor that of its mirror, so the link is not a
-    (2,n) torus link; more than one gap without Hopf-sum structure;
-    small breadth with a determinant other than 1, 2, 3; broken sign
-    alternation.
+    Collects every firing rule, in order: determinant 0, or 1 on a V
+    other than the unknot's; breadth bound against the determinant; any
+    gap when the caller asserts a prime link and V is not
+    +-t^r V(T(2,det)) nor that of its mirror, so the link is not a (2,n)
+    torus link; more than one gap without Hopf-sum structure; small
+    breadth with a determinant other than 1, 2, 3; broken sign
+    alternation. A negative det raises ValueError.
     """
     if v.is_zero():
         raise ZeroPolynomial("the zero polynomial is not a Jones polynomial")
-    if det < 1:
-        raise ValueError("det must be a positive integer")
+    if det < 0:
+        raise ValueError("det must be a non-negative integer")
     rep = analyze(v, step2=2)
     reasons = []
+    if det == 0 or (det == 1 and v != HalfLaurent.one()):
+        # a split at a crossing needs det = det0 + det1 with both terms
+        # at least 1, so only the unknot has a determinant below 2
+        reasons.append(("det",
+                        "a quasi-alternating link has determinant at "
+                        "least 1, and only the unknot has determinant 1",
+                        {"det": det}))
     if rep.breadth2 > 2 * det:
         reasons.append(("breadth", "breadth exceeds the determinant",
                         {"breadth2": rep.breadth2, "det": det}))
-    if prime and rep.gap_count() >= 1:
+    if prime and det >= 1 and rep.gap_count() >= 1:
         # T(2,n) has determinant n; reversing one component of a link
         # multiplies V by a power of t (Jones's reversal formula), so one
         # orientation of T(2,det) and its mirror cover every candidate
@@ -96,10 +103,7 @@ def obstruct(v: HalfLaurent, det: int, prime: bool = False) -> QAVerdict:
                              "torus_2n": {"n": det, "jones": ref.render()}}))
     if rep.gap_count() >= 2:
         k = rep.breadth2 // 4
-        power = HalfLaurent.one()
-        for _ in range(k):
-            power = power * HOPF_JONES
-        if monomial_quotient(v, power) is None:
+        if monomial_quotient(v, HOPF_JONES ** k) is None:
             reasons.append(("multi-gap",
                             "more than one gap but not a connected sum "
                             "of Hopf links",
@@ -126,63 +130,6 @@ class Budget:
     max_nodes: int = 100000
     simplify_passes: int | None = None  # None: simplify to the fixpoint
 
-    @classmethod
-    def default(cls) -> "Budget":
-        nodes = os.environ.get("QALT_BUDGET_NODES")
-        if nodes is None:
-            return cls()
-        if not nodes.strip().isdecimal():
-            raise ValueError("QALT_BUDGET_NODES must be a non-negative "
-                             "integer, got %r" % nodes)
-        return cls(max_nodes=int(nodes))
-
-
-class _NotPlainJSON(Exception):
-    pass
-
-
-_json_str = json.encoder.encode_basestring_ascii
-_JSON_CONST = {True: "true", False: "false", None: "null"}
-
-
-def _write_json(o, emit, nl):
-    """Emit o as json.dumps(o, indent=2) does, nl being a newline and the
-    indent of o's own line. Anything but exact dicts with str keys, lists,
-    str, int, bool and None raises _NotPlainJSON."""
-    t = type(o)
-    if t is str:
-        emit(_json_str(o))
-    elif t is int:
-        emit(int.__repr__(o))
-    elif t is bool or o is None:
-        emit(_JSON_CONST[o])
-    elif t is dict:
-        if not o:
-            emit("{}")
-            return
-        inner = nl + "  "
-        sep = "{" + inner
-        for k, v in o.items():
-            if type(k) is not str:
-                raise _NotPlainJSON
-            emit(sep + _json_str(k) + ": ")
-            _write_json(v, emit, inner)
-            sep = "," + inner
-        emit(nl + "}")
-    elif t is list:
-        if not o:
-            emit("[]")
-            return
-        inner = nl + "  "
-        sep = "[" + inner
-        for v in o:
-            emit(sep)
-            _write_json(v, emit, inner)
-            sep = "," + inner
-        emit(nl + "]")
-    else:
-        raise _NotPlainJSON
-
 
 @dataclass(frozen=True)
 class Certificate:
@@ -190,16 +137,8 @@ class Certificate:
     tree: dict
 
     def to_json(self) -> str:
-        """json.dumps(self.tree, indent=2), written without the pure-Python
-        encoder that json uses whenever indent is set."""
-        out = []
-        try:
-            _write_json(self.tree, out.append, "\n")
-        except (_NotPlainJSON, RecursionError):
-            # floats, tuples, subclasses, non-str keys, cycles: json.dumps
-            # writes them, or raises the exception json raises
-            return json.dumps(self.tree, indent=2)
-        return "".join(out)
+        """The tree as compact JSON; from_json reads any JSON layout."""
+        return json.dumps(self.tree)
 
     @classmethod
     def from_json(cls, text: str) -> "Certificate":
@@ -217,7 +156,7 @@ class _BudgetExceeded(Exception):
     pass
 
 
-def certify(d: Diagram, budget: Budget = None):
+def certify(d: Diagram, budget: Budget = Budget()):
     """Bounded search for a quasi-alternating certificate.
 
     At each node the diagram is simplified; a 0-crossing unknot is a
@@ -226,8 +165,6 @@ def certify(d: Diagram, budget: Budget = None):
     to the parent's, and both children certify recursively. Returns the
     first Certificate in this deterministic order, or Unknown("budget")
     / Unknown("exhausted")."""
-    if budget is None:
-        budget = Budget.default()
     if d.component_count == 0 or not d.is_connected():
         raise SplitDiagram("certification needs a connected nonempty diagram")
     memo = {}
@@ -327,14 +264,15 @@ def _check_node(node):
 
 def replay_certificate(cert) -> bool:
     """Re-verify a certificate from scratch; raises ValueError on any
-    broken condition, including root determinant against the bracket
-    route.
+    broken condition, including a Certificate whose root diagram is not
+    the one its tree's "pd" describes, and the root determinant against
+    the bracket route. A raw tree is rooted at its parsed "pd".
 
     Each distinct node is verified once. An occurrence equal, own "pd"
     included, to a node that already passed is accepted at once: the
-    root's diagram is parsed from its text and every child's text was
-    checked against its smoothing, so that text fixes the diagram, and
-    the diagram and the node fix every check. Any other occurrence is
+    root's text was checked against the root diagram, and every child's
+    text against its smoothing, so that text fixes the diagram, and the
+    diagram and the node fix every check. Any other occurrence is
     reduced and compared with its "reduced_pd"; one equal, apart from
     its "pd", to a node that already passed under the same "reduced_pd"
     is accepted without repeating the rest, since the reduced diagram is
@@ -343,7 +281,14 @@ def replay_certificate(cert) -> bool:
     first error, as when every occurrence is checked."""
     tree = cert.tree if isinstance(cert, Certificate) else cert
     _check_node(tree)
-    root = parse_pd(tree["pd"])
+    if isinstance(cert, Certificate):
+        root = cert.root
+        # as for a child below, matching text needs no parse
+        if ((root.free_loops or tree["pd"] != root.render())
+                and parse_pd(tree["pd"]) != root):
+            raise ValueError("root \"pd\" is not the certificate's root")
+    else:
+        root = parse_pd(tree["pd"])
     passed = {}  # "pd" -> a node that passed
     verified = {}  # reduced_pd -> a node that passed, without its "pd"
 

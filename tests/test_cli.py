@@ -13,6 +13,7 @@ from qalt.qa import Certificate, replay_certificate
 HOPF = "X[1,4,2,3] X[3,2,4,1]"
 TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 FIG8 = "X[4,2,5,1] X[8,6,1,5] X[6,3,7,4] X[2,7,3,8]"
+SPLIT_HOPFS = "X[1,4,2,3] X[3,2,4,1] X[5,8,6,7] X[7,6,8,5]"  # det 0
 
 
 def run(capsys, *argv):
@@ -157,6 +158,26 @@ def test_obstruct_gap_witness_names_the_torus_link(capsys):
         "n": 5, "jones": "t^2 + t^4 - t^5 + t^6 - t^7"}
 
 
+def test_obstruct_det_zero_is_notqa(capsys):
+    code, out, err = run(capsys, "obstruct", "--pd", SPLIT_HOPFS)
+    assert code == 0 and err == ""
+    assert out.splitlines()[:2] == [
+        "status: NotQA",
+        "  det: a quasi-alternating link has determinant at least 1, "
+        "and only the unknot has determinant 1"]
+    code, out, _ = run(capsys, "obstruct", "--poly", "1 - t", "--det", "1",
+                       "--json")
+    data = json.loads(out)
+    assert code == 0 and data["status"] == "NotQA"
+    assert [r["rule"] for r in data["reasons"]] == ["det"]
+
+
+def test_obstruct_negative_det_is_exit_1(capsys):
+    code, out, err = run(capsys, "obstruct", "--poly", "1", "--det", "-1")
+    assert code == 1 and out == ""
+    assert "non-negative" in err
+
+
 def test_torus2n_flag_is_gone(capsys):
     code, _, err = run(capsys, "obstruct", "--pd", TREFOIL, "--torus2n")
     assert code == 1 and "--torus2n" in err
@@ -165,6 +186,7 @@ def test_torus2n_flag_is_gone(capsys):
 def test_certify_json_replayable(capsys):
     code, out, _ = run(capsys, "certify", "--pd", TREFOIL)
     assert code == 0
+    assert out.startswith('{\n  "pd": ')  # pretty-printed for the terminal
     cert = Certificate.from_json(out)
     assert replay_certificate(cert)
     assert cert.tree["det"] == 3
@@ -221,6 +243,18 @@ def test_batch_error_isolation(tmp_path, capsys):
     assert data["entries"][2]["det"] == 3
     assert data["summary"] == {"entries": 3, "errors": 1, "notqa": 0,
                                "inconclusive": 2}
+
+
+def test_batch_det_zero_is_notqa(tmp_path, capsys):
+    path = tmp_path / "links.txt"
+    path.write_text("%s  # split\n" % SPLIT_HOPFS)
+    code, out, _ = run(capsys, "batch", str(path))
+    assert code == 0
+    assert out.splitlines()[0].split() == [
+        "split", "det=0", "breadth=5", "gaps=0", "verdict=NotQA"]
+    code, out, _ = run(capsys, "batch", str(path), "--json")
+    entry = json.loads(out)["entries"][0]
+    assert entry["verdict"] == "NotQA" and entry["reasons"][0]["rule"] == "det"
 
 
 def test_batch_empty_file(tmp_path, capsys):

@@ -7,10 +7,10 @@ import pytest
 
 import qalt.qa
 from conftest import braid_closure
-from qalt import corpus
+from qalt import cli, corpus
 from qalt.bracket import determinant, jones
 from qalt.diagram import Diagram, SplitDiagram, parse_pd
-from qalt.laurent import HalfLaurent, ZeroPolynomial
+from qalt.laurent import HalfLaurent, ZeroPolynomial, analyze
 from qalt.qa import (INCONCLUSIVE, NOTQA, Budget, Certificate, QAVerdict,
                      Unknown, certify, kanenobu_jones, kanenobu_obstruction,
                      obstruct, replay_certificate, torus_2n_jones)
@@ -102,8 +102,26 @@ def test_obstruct_figure_eight_inconclusive():
 def test_obstruct_guards():
     with pytest.raises(ZeroPolynomial):
         obstruct(HalfLaurent.zero(), 3)
-    with pytest.raises(ValueError):
-        obstruct(HalfLaurent.one(), 0)
+    with pytest.raises(ValueError, match="non-negative"):
+        obstruct(HalfLaurent.one(), -1)
+
+
+def test_obstruct_det_rule():
+    # det 0: the split union of two Hopf links
+    split = parse_pd("X[1,4,2,3] X[3,2,4,1] X[5,8,6,7] X[7,6,8,5]")
+    v = jones(split)
+    assert v.abs_at_minus_one() == 0
+    for prime in (False, True):
+        out = obstruct(v, 0, prime=prime)
+        assert out.status == NOTQA
+        assert out.rule_ids()[0] == "det"
+        assert out.reasons[0][2] == {"det": 0}
+    # det 1 is the unknot's alone
+    assert obstruct(HalfLaurent.one(), 1).status == INCONCLUSIVE
+    assert obstruct(HalfLaurent.one(), 1, prime=True).status == INCONCLUSIVE
+    v = hl((0, 1), (1, -1))  # breadth 1: no other rule fires at det 1
+    assert obstruct(v, 1).rule_ids() == ("det",)
+    assert obstruct(v, 2).status == INCONCLUSIVE
 
 
 def test_obstruct_collects_multiple_reasons():
@@ -173,17 +191,6 @@ def test_certify_budget_exhaustion_is_unknown():
     assert out.reason == "budget"
 
 
-def test_budget_env_override(monkeypatch):
-    monkeypatch.setenv("QALT_BUDGET_NODES", "17")
-    assert Budget.default().max_nodes == 17
-    for bad in ("abc", "-1"):
-        monkeypatch.setenv("QALT_BUDGET_NODES", bad)
-        with pytest.raises(ValueError, match="QALT_BUDGET_NODES"):
-            Budget.default()
-    monkeypatch.delenv("QALT_BUDGET_NODES")
-    assert Budget.default().max_nodes == 100000
-
-
 def test_replay_rejects_tampering():
     cert = certify(corpus.trefoil())
     bad = json.loads(cert.to_json())
@@ -194,6 +201,17 @@ def test_replay_rejects_tampering():
     bad2["children"][0]["pd"] = corpus.hopf().render()
     with pytest.raises(ValueError):
         replay_certificate(Certificate(root=cert.root, tree=bad2))
+
+
+def test_replay_checks_the_certificates_root():
+    tree = certify(corpus.trefoil()).tree
+    with pytest.raises(ValueError, match="root"):
+        replay_certificate(Certificate(root=corpus.figure_eight(), tree=tree))
+    # the raw tree is rooted at its own "pd"
+    assert replay_certificate(tree)
+    # text that differs but parses to the root is accepted
+    spaced = dict(tree, pd=tree["pd"].replace(",", ", "))
+    assert replay_certificate(Certificate(root=corpus.trefoil(), tree=spaced))
 
 
 TREFOIL_CERTIFICATE = """{
@@ -229,24 +247,29 @@ TREFOIL_CERTIFICATE = """{
 }"""
 
 
-def test_trefoil_certificate_is_pinned():
+def test_trefoil_certificate_is_pinned(capsys):
     # the children's PD text depends on how a smoothing orients its
-    # fused arcs (each takes the direction of its lowest fragment)
-    assert certify(corpus.trefoil()).to_json() == TREFOIL_CERTIFICATE
+    # fused arcs (each takes the direction of its lowest fragment);
+    # qalt certify prints the tree indented, to_json writes it compact
+    assert cli.main(["certify", "--pd", corpus.trefoil().render()]) == 0
+    assert capsys.readouterr().out == TREFOIL_CERTIFICATE + "\n"
+    text = certify(corpus.trefoil()).to_json()
+    assert json.loads(text) == json.loads(TREFOIL_CERTIFICATE)
 
 
 # sha256 over the certificates, or Unknown reasons, of seeded
 # near-alternating braid closures under a 300-node budget: 36 certified,
-# 21 exhausted, 3 over budget. The search and to_json must not depend on
-# set or dict order, so CI runs this under two PYTHONHASHSEED values.
+# 21 exhausted, 3 over budget, each certificate hashed as its indented
+# JSON. The search must not depend on set or dict order, so CI runs this
+# under two PYTHONHASHSEED values.
 SEEDED_CERTIFICATES_DIGEST = (
     "bae531173f66591001b4eba9436c1a8f0107f53f1b62e16c6dca6eecf3cfc95d")
 
 
-def test_certificates_of_seeded_closures_are_pinned():
-    rng = random.Random(20261018)
-    h = hashlib.sha256()
-    for _ in range(60):
+def _near_alternating_closures(count, seed):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
         strands = rng.randint(3, 4)
         word = [rng.randint(1, strands - 1)
                 for _ in range(rng.randint(7, 12))]
@@ -254,8 +277,19 @@ def test_certificates_of_seeded_closures_are_pinned():
         # alternating signs, with about one letter in four flipped
         word = [g * (1 if g % 2 else -1) * (-1 if rng.random() < 0.25 else 1)
                 for g in word]
-        out = certify(braid_closure(word, strands), Budget(max_nodes=300))
-        text = out.to_json() if isinstance(out, Certificate) else out.reason
+        out.append(braid_closure(word, strands))
+    return out
+
+
+def test_certificates_of_seeded_closures_are_pinned():
+    h = hashlib.sha256()
+    for d in _near_alternating_closures(60, seed=20261018):
+        out = certify(d, Budget(max_nodes=300))
+        if isinstance(out, Certificate):
+            assert json.loads(out.to_json()) == out.tree
+            text = json.dumps(out.tree, indent=2)
+        else:
+            text = out.reason
         h.update(text.encode() + b"\n")
     assert h.hexdigest() == SEEDED_CERTIFICATES_DIGEST
 
@@ -276,11 +310,33 @@ def _alternating_closures(count, seed):
     return out
 
 
+def test_certified_closures_satisfy_the_papers_bounds():
+    # a certificate proves membership, so no rule of the battery without
+    # flags may fire, and breadth(V) <= det must hold
+    closures = (_alternating_closures(30, seed=11)
+                + _near_alternating_closures(120, seed=12))
+    certified = 0
+    for d in closures:
+        out = certify(d, Budget(max_nodes=300))
+        if not isinstance(out, Certificate):
+            continue
+        certified += 1
+        v = jones(d)
+        det = out.tree["det"]
+        assert det == v.abs_at_minus_one()
+        verdict = obstruct(v, det)
+        assert verdict.status == INCONCLUSIVE, verdict.reasons
+        assert analyze(v, step2=2).breadth2 <= 2 * det
+    assert certified >= 110, certified
+
+
 def test_to_json_is_json_dumps_on_generated_certificates():
     for d in _alternating_closures(8, seed=5):
         cert = certify(d)
         assert isinstance(cert, Certificate)
-        assert cert.to_json() == json.dumps(cert.tree, indent=2)
+        text = cert.to_json()
+        assert text == json.dumps(cert.tree)
+        assert json.loads(text) == cert.tree
 
 
 @pytest.mark.parametrize("tree", [
@@ -297,7 +353,7 @@ def test_to_json_is_json_dumps_on_generated_certificates():
         "empty-dict", "string", "int", "null"])
 def test_to_json_is_json_dumps_on_hand_built_trees(tree):
     cert = Certificate(root=corpus.trefoil(), tree=tree)
-    assert cert.to_json() == json.dumps(tree, indent=2)
+    assert cert.to_json() == json.dumps(tree)
 
 
 def test_to_json_rejects_what_json_rejects():
