@@ -1,44 +1,6 @@
-"""Small shared helpers: disjoint sets and exact integer determinants."""
+"""Exact integer determinants."""
 
 from __future__ import annotations
-
-
-class DisjointSet:
-    """Union-find over arbitrary hashable keys, path halving + union by size."""
-
-    def __init__(self):
-        self._parent = {}
-        self._size = {}
-
-    def find(self, x):
-        parent = self._parent
-        if x not in parent:
-            parent[x] = x
-            self._size[x] = 1
-            return x
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a, b) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self._size[ra] < self._size[rb]:
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        self._size[ra] += self._size[rb]
-        return True
-
-    def copy(self) -> "DisjointSet":
-        dup = DisjointSet()
-        dup._parent = dict(self._parent)
-        dup._size = dict(self._size)
-        return dup
-
-    def count(self) -> int:
-        return sum(1 for x in self._parent if self._parent[x] == x)
 
 
 def bareiss_det(rows: list[list[int]]) -> int:

@@ -46,7 +46,6 @@ import itertools
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass
 
 
 class PDSyntaxError(ValueError):
@@ -75,12 +74,6 @@ class SplitDiagram(ValueError):
 
 class SameComponent(ValueError):
     """The crossing joins two arcs of one component."""
-
-
-@dataclass(frozen=True)
-class CrossingInfo:
-    index: int
-    sign: int
 
 
 class Diagram:
@@ -270,10 +263,6 @@ class Diagram:
 
     def writhe(self) -> int:
         return sum(self._signs)
-
-    def crossing_info(self, c: int) -> CrossingInfo:
-        self._check_crossing(c)
-        return CrossingInfo(index=c, sign=self._signs[c])
 
     def _check_crossing(self, c: int):
         if not isinstance(c, int) or not 0 <= c < len(self.crossings):

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ._util import DisjointSet, bareiss_det
+from ._util import bareiss_det
 from .diagram import Diagram, DisconnectedDiagram
 from .laurent import HalfLaurent, monomial_quotient
 
@@ -39,8 +39,57 @@ class LoopOrIsthmus(ValueError):
 
 # weight of each activity state, as (doubled A-exponent, coefficient):
 # in-tree active, in-tree inactive, external active, external inactive
-_WEIGHTS_POS = {"L": (-6, -1), "D": (2, 1), "l": (6, -1), "d": (-2, 1)}
-_WEIGHTS_NEG = {"Lbar": (6, -1), "Dbar": (-2, 1), "lbar": (-6, -1), "dbar": (2, 1)}
+_WEIGHTS = {"L": (-6, -1), "D": (2, 1), "l": (6, -1), "d": (-2, 1),
+            "Lbar": (6, -1), "Dbar": (-2, 1), "lbar": (-6, -1), "dbar": (2, 1)}
+
+
+def _root(parent: list, x: int) -> int:
+    """Root of x in a union-find parent list, halving the path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _join(parent: list, u: int, v: int) -> bool:
+    """Merge the sets of u and v; whether they were apart."""
+    ru, rv = _root(parent, u), _root(parent, v)
+    if ru == rv:
+        return False
+    parent[ru] = rv
+    return True
+
+
+def _forest(n: int, edges) -> list:
+    """Union-find parent list of the graph on n vertices with these edges."""
+    parent = list(range(n))
+    for u, v, _ in edges:
+        _join(parent, u, v)
+    return parent
+
+
+def _connected(n: int, edges) -> bool:
+    """Whether these edges join all n vertices. Fewer than n - 1 edges
+    cannot, which is answered before anything is made per vertex."""
+    if len(edges) < n - 1:
+        return False
+    parent = list(range(n))
+    parts = n
+    for u, v, _ in edges:
+        parts -= _join(parent, u, v)
+    return parts == 1
+
+
+def _contracted(n: int, edges, i: int) -> list:
+    """The edges after contracting non-loop edge i of a graph on n
+    vertices: its higher end becomes its lower one, and the vertices
+    above close the gap."""
+    u, v, _ = edges[i]
+    keep, gone = min(u, v), max(u, v)
+    remap = [w - (w > gone) for w in range(n)]
+    remap[gone] = keep
+    return [(remap[a], remap[b], s)
+            for j, (a, b, s) in enumerate(edges) if j != i]
 
 
 @dataclass(frozen=True)
@@ -73,12 +122,7 @@ class SignedPlanarGraph:
         return len(self.edges)
 
     def is_connected(self) -> bool:
-        dsu = DisjointSet()
-        for v in range(self.vertex_count):
-            dsu.find(v)
-        for u, v, _ in self.edges:
-            dsu.union(u, v)
-        return dsu.count() == 1
+        return _connected(self.vertex_count, self.edges)
 
     def is_loop(self, i: int) -> bool:
         u, v, _ = self.edges[i]
@@ -87,33 +131,21 @@ class SignedPlanarGraph:
     def is_isthmus(self, i: int) -> bool:
         if self.is_loop(i):
             return False
-        dsu = DisjointSet()
-        for v in range(self.vertex_count):
-            dsu.find(v)
-        for j, (u, v, _) in enumerate(self.edges):
-            if j != i:
-                dsu.union(u, v)
+        parent = _forest(self.vertex_count,
+                         self.edges[:i] + self.edges[i + 1:])
         u, v, _ = self.edges[i]
-        return dsu.find(u) != dsu.find(v)
+        return _root(parent, u) != _root(parent, v)
 
     def delete(self, i: int) -> "SignedPlanarGraph":
         edges = self.edges[:i] + self.edges[i + 1:]
         return SignedPlanarGraph(self.vertex_count, edges)
 
     def contract(self, i: int) -> "SignedPlanarGraph":
-        u, v, _ = self.edges[i]
-        if u == v:
+        if self.is_loop(i):
             raise LoopOrIsthmus("cannot contract a loop")
-        keep, gone = min(u, v), max(u, v)
-
-        def remap(w):
-            if w == gone:
-                w = keep
-            return w - 1 if w > gone else w
-
-        edges = tuple((remap(a), remap(b), s)
-                      for j, (a, b, s) in enumerate(self.edges) if j != i)
-        return SignedPlanarGraph(self.vertex_count - 1, edges)
+        return SignedPlanarGraph(
+            self.vertex_count - 1,
+            _contracted(self.vertex_count, self.edges, i))
 
     def reorder(self, perm) -> "SignedPlanarGraph":
         """Same graph with edges listed in the given permutation order."""
@@ -194,98 +226,54 @@ def spanning_trees(g: SignedPlanarGraph):
     if not g.is_connected():
         raise ValueError("graph is not connected")
     n = g.vertex_count
-    m = len(g.edges)
+    edges = g.edges
+    m = len(edges)
 
-    def rec(i, dsu, chosen, parts):
+    def rec(i, parent, chosen, parts):
         if parts == 1:
             yield frozenset(chosen)
             return
         if i == m or m - i < parts - 1:
             return
-        u, v, _ = g.edges[i]
-        if dsu.find(u) != dsu.find(v):
-            child = dsu.copy()
-            child.union(u, v)
+        u, v, _ = edges[i]
+        child = parent[:]
+        if _join(child, u, v):
             yield from rec(i + 1, child, chosen + [i], parts - 1)
         # skip branch: still feasible only if the rest can connect
-        rest = dsu.copy()
-        for j in range(i + 1, m):
-            a, b, _ = g.edges[j]
-            rest.union(a, b)
-        if rest.count() == 1:
-            yield from rec(i + 1, dsu, chosen, parts)
+        if _connected(n, [edges[j] for j in chosen] + list(edges[i + 1:])):
+            yield from rec(i + 1, parent, chosen, parts)
 
-    dsu = DisjointSet()
-    for v in range(n):
-        dsu.find(v)
-    yield from rec(0, dsu, [], n)
+    yield from rec(0, list(range(n)), [], n)
 
 
 def kirchhoff_count(g: SignedPlanarGraph) -> int:
-    """Matrix-tree number of spanning trees (signs ignored)."""
-    n = g.vertex_count
-    if n == 1:
-        return 1
-    lap = [[0] * n for _ in range(n)]
-    for u, v, _ in g.edges:
-        if u == v:
-            continue
-        lap[u][u] += 1
-        lap[v][v] += 1
-        lap[u][v] -= 1
-        lap[v][u] -= 1
-    minor = [row[1:] for row in lap[1:]]
-    return bareiss_det(minor)
-
-
-def _tree_components(g, tree, without):
-    dsu = DisjointSet()
-    for v in range(g.vertex_count):
-        dsu.find(v)
-    for j in tree:
-        if j != without:
-            u, v, _ = g.edges[j]
-            dsu.union(u, v)
-    return dsu
+    """Matrix-tree number of spanning trees (signs ignored): the Goeritz
+    minor of the graph with every edge positive is its Laplacian minor."""
+    return _goeritz_minor_det(g.vertex_count,
+                              [(u, v, 1) for u, v, _ in g.edges])
 
 
 def activity(g: SignedPlanarGraph, tree: frozenset, e: int) -> str:
     """Activity state of edge e for the given spanning tree.
 
     Returns one of L/D/l/d, with a "bar" suffix on negative edges:
-    capital letters are in-tree, lowercase out-of-tree; L/l mean active."""
-    u, v, sign = g.edges[e]
+    capital letters are in-tree, lowercase out-of-tree; L/l mean active.
+    An in-tree edge is active when no earlier edge crosses the cut left
+    by removing it. An outside edge is active when no earlier tree edge
+    lies on its cycle, which is when the later tree edges alone join
+    its ends (a loop's cycle is itself)."""
+    edges = g.edges
+    u, v, sign = edges[e]
     if e in tree:
-        dsu = _tree_components(g, tree, e)
-        cut = [j for j, (a, b, _) in enumerate(g.edges)
-               if a != b and dsu.find(a) != dsu.find(b)]
-        state = "L" if min(cut) == e else "D"
+        parent = _forest(g.vertex_count,
+                         [edges[j] for j in tree if j != e])
+        crossed = any(_root(parent, a) != _root(parent, b)
+                      for a, b, _ in edges[:e])
+        state = "D" if crossed else "L"
     else:
-        if u == v:
-            cycle = [e]
-        else:
-            # fundamental cycle: path in the tree between u and v, plus e
-            parent = {u: None}
-            frontier = [u]
-            adj = {}
-            for j in tree:
-                a, b, _ = g.edges[j]
-                adj.setdefault(a, []).append((b, j))
-                adj.setdefault(b, []).append((a, j))
-            while frontier:
-                x = frontier.pop()
-                if x == v:
-                    break
-                for y, j in adj.get(x, ()):
-                    if y not in parent:
-                        parent[y] = (x, j)
-                        frontier.append(y)
-            cycle = [e]
-            x = v
-            while parent[x] is not None:
-                x, j = parent[x]
-                cycle.append(j)
-        state = "l" if min(cycle) == e else "d"
+        parent = _forest(g.vertex_count,
+                         [edges[j] for j in tree if j > e])
+        state = "l" if _root(parent, u) == _root(parent, v) else "d"
     return state + ("" if sign > 0 else "bar")
 
 
@@ -294,15 +282,16 @@ def gamma(g: SignedPlanarGraph) -> HalfLaurent:
     single vertex."""
     if not g.is_connected():
         raise ValueError("graph is not connected")
-    total = HalfLaurent.zero()
+    terms = {}
     for tree in spanning_trees(g):
-        term = HalfLaurent.one()
+        # each tree contributes one monomial: exponents add, signs multiply
+        e2, c = 0, 1
         for e in range(len(g.edges)):
-            state = activity(g, tree, e)
-            e2, c = (_WEIGHTS_POS | _WEIGHTS_NEG)[state]
-            term = term * HalfLaurent.monomial2(e2, c)
-        total = total + term
-    return total
+            de2, dc = _WEIGHTS[activity(g, tree, e)]
+            e2 += de2
+            c *= dc
+        terms[e2] = terms.get(e2, 0) + c
+    return HalfLaurent(terms)
 
 
 def gamma_skein_check(g: SignedPlanarGraph, e: int) -> bool:
@@ -364,14 +353,8 @@ def smoothing_dets(g: SignedPlanarGraph, e: int) -> tuple:
     if u == v:
         merged = 0
     else:
-        # contract e: its higher end becomes its lower one, and the
-        # vertices above close the gap
-        keep, gone = min(u, v), max(u, v)
-        remap = [w - (w > gone) for w in range(g.vertex_count)]
-        remap[gone] = keep
         merged = _goeritz_minor_det(
-            g.vertex_count - 1,
-            [(remap[a], remap[b], s) for a, b, s in rest])
+            g.vertex_count - 1, _contracted(g.vertex_count, g.edges, e))
     return (merged, separated) if sign > 0 else (separated, merged)
 
 

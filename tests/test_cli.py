@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -88,6 +89,23 @@ def test_bad_vertices_line_is_exit_1(tmp_path, text, line):
     assert proc.stderr.startswith("error:")
     assert repr(line) in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_edgelist_with_a_huge_vertex_number_exits_at_once(tmp_path, capsys):
+    # one edge cannot connect a million vertices; the answer needs no
+    # per-vertex table
+    edges = tmp_path / "g.edges"
+    edges.write_text("0 1000000 +\n")
+    tracemalloc.start()
+    try:
+        code = main(["goeritz", "--edgelist", str(edges)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr()
+    assert code == 1 and out.out == ""
+    assert out.err == "error: graph is not connected\n"
+    assert peak < 2 ** 20
 
 
 def test_goeritz(capsys):

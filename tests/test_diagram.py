@@ -89,13 +89,11 @@ def test_signs_and_writhe():
     assert sorted(corpus.figure_eight().sign(c) for c in range(4)) == [-1, -1, 1, 1]
 
 
-def test_crossing_info():
+def test_sign_and_smooth_reject_a_missing_crossing():
     d = corpus.trefoil()
-    info = d.crossing_info(1)
-    assert info.index == 1
-    assert info.sign == -1
+    assert d.sign(1) == -1
     with pytest.raises(InvalidCrossing):
-        d.crossing_info(3)
+        d.sign(3)
     with pytest.raises(InvalidCrossing):
         d.smooth(0, 2)
 

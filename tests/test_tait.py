@@ -1,11 +1,13 @@
 import random
 import re
+import tracemalloc
 
 import pytest
 
 from qalt import corpus
+from qalt.bracket import kauffman_bracket
 from qalt.diagram import DisconnectedDiagram, parse_pd
-from qalt.laurent import HalfLaurent, analyze
+from qalt.laurent import HalfLaurent, analyze, monomial_quotient
 from qalt.tait import (LoopOrIsthmus, NoEmbedding, SignedPlanarGraph,
                        activity, black_graph, checkerboard, dual, gamma,
                        gamma_skein_check, goeritz_det, kirchhoff_count,
@@ -111,6 +113,38 @@ def test_gamma_corpus_values():
         "trefoil": "-A^(-5) - A^3 + A^7",
         "fig8": "A^(-8) - A^(-4) + 1 - A^4 + A^8",
     }
+
+
+def _braid_closures(seed: int, count: int, alternating: bool):
+    """Closures of braid words of 8-12 letters on 3-4 strands, each
+    generator at least once so the closure is connected; alternating
+    words take sigma_i positive for odd i and negative for even i,
+    the others a random sign per letter."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        strands = rng.randint(3, 4)
+        gens = list(range(1, strands))
+        gens += [rng.randint(1, strands - 1)
+                 for _ in range(rng.randint(8, 12) - len(gens))]
+        rng.shuffle(gens)
+        if alternating:
+            word = [g if g % 2 else -g for g in gens]
+        else:
+            word = [rng.choice((1, -1)) * g for g in gens]
+        out.append(braid_closure(word, strands))
+    return out
+
+
+def test_gamma_is_the_bracket_up_to_a_monomial_on_braid_closures():
+    # Thistlethwaite's expansion against the frontier-sweep bracket: an
+    # oracle for spanning_trees and activity beyond the corpus
+    closures = (_braid_closures(5, 25, alternating=True)
+                + _braid_closures(6, 25, alternating=False))
+    for d in closures:
+        assert len(d.crossings) >= 8
+        q = monomial_quotient(gamma(black_graph(d)), kauffman_bracket(d))
+        assert q is not None, d.crossings
 
 
 def test_gamma_order_invariant():
@@ -370,6 +404,16 @@ def test_contract_and_delete():
     loop = SignedPlanarGraph(1, ((0, 0, 1),))
     with pytest.raises(LoopOrIsthmus):
         loop.contract(0)
+
+
+def test_connectivity_of_a_huge_sparse_graph_allocates_nothing_per_vertex():
+    tracemalloc.start()
+    try:
+        assert not SignedPlanarGraph(10 ** 6, ((0, 1, 1),)).is_connected()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_isthmus_and_loop_flags():
