@@ -1,4 +1,5 @@
-"""Exact integer determinants."""
+"""Exact integer determinants, and the integer union-find that the graph
+layer and the bracket's state-sum oracle share."""
 
 from __future__ import annotations
 
@@ -33,3 +34,20 @@ def bareiss_det(rows: list[list[int]]) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def _root(parent: list, x: int) -> int:
+    """Root of x in a union-find parent list, halving the path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _join(parent: list, u: int, v: int) -> bool:
+    """Merge the sets of u and v; whether they were apart."""
+    ru, rv = _root(parent, u), _root(parent, v)
+    if ru == rv:
+        return False
+    parent[ru] = rv
+    return True

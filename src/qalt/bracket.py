@@ -13,6 +13,7 @@ import logging
 from collections import Counter
 from dataclasses import dataclass
 
+from ._util import _join
 from .diagram import Diagram, EmptyDiagram, SameComponent
 from .laurent import (HalfLaurent, Overlap, SupportNotOnLattice, gap_between)
 
@@ -45,7 +46,7 @@ def _sweep_order(crossings) -> list:
     return order
 
 
-def _join(edges):
+def _chain(edges):
     """Chain label-to-label edges into paths and loops.
 
     Each label meets one edge (an end of a path) or two (an inner
@@ -95,7 +96,7 @@ def kauffman_bracket(d: Diagram) -> HalfLaurent:
         nxt = {}
         for state, poly in states.items():
             for arcs, de in smoothings:
-                paths, loops = _join(state + arcs)
+                paths, loops = _chain(state + arcs)
                 key = tuple(sorted(paths))
                 acc = nxt.get(key)
                 if acc is None:
@@ -120,38 +121,27 @@ def kauffman_bracket(d: Diagram) -> HalfLaurent:
 def bracket_state_sum(d: Diagram) -> HalfLaurent:
     """Bracket by brute-force enumeration of all 2^n smoothings.
 
-    Ports are numbered 4*c + s for slot s of crossing c, and each arc
-    is one element of a union-find; a smoothing joins the arcs at its
-    crossing's slot pairs, and the circles are the classes left. The
-    sum tallies how many states have each count of 1-smoothings and
-    circles, then expands the tally once."""
+    Each arc label is one element of a union-find; a smoothing joins the
+    labels of its crossing's slot pairs, read off _SMOOTHINGS, and the
+    circles are the classes left. The sum tallies how many states have
+    each count of 1-smoothings and circles, then expands the tally once."""
     if d.component_count == 0:
         raise EmptyDiagram("the empty diagram has no bracket")
     n = len(d.crossings)
     if n > 16:
         raise ValueError("state sum capped at 16 crossings")
-    arc = [0] * (4 * n)
-    labels = list(d.component_map)
-    for i, lab in enumerate(labels):
-        for c, s in (d.arc_head(lab), d.arc_tail(lab)):
-            arc[4 * c + s] = i
+    index = {lab: i for i, lab in enumerate(
+        sorted({lab for t in d.crossings for lab in t}))}
     # per crossing, the pairs of arcs that its 0- and 1-smoothing join
-    joins = [(((arc[p], arc[p + 1]), (arc[p + 2], arc[p + 3])),
-               ((arc[p], arc[p + 3]), (arc[p + 1], arc[p + 2])))
-              for p in range(0, 4 * n, 4)]
+    joins = [[[(index[t[i]], index[t[j]]) for i, j in pairs]
+              for pairs, _ in _SMOOTHINGS] for t in d.crossings]
     tally = Counter()
     for mask in range(1 << n):
-        parent = list(range(len(labels)))
-        circles = len(labels) + d.free_loops
+        parent = list(range(len(index)))
+        circles = len(index) + d.free_loops
         for c in range(n):
             for a, b in joins[c][mask >> c & 1]:
-                while parent[a] != a:
-                    parent[a] = a = parent[parent[a]]
-                while parent[b] != b:
-                    parent[b] = b = parent[parent[b]]
-                if a != b:
-                    parent[a] = b
-                    circles -= 1
+                circles -= _join(parent, a, b)
         tally[mask.bit_count(), circles] += 1
     terms = {}
     for (ones, circles), k in tally.items():

@@ -20,9 +20,9 @@ from . import laurent
 from .bracket import bracket_result, jones, kauffman_bracket
 from .diagram import parse_pd
 from .laurent import analyze
-from .qa import (INCONCLUSIVE, NOTQA, Budget, Certificate, Unknown, certify,
-                 kanenobu_jones, kanenobu_obstruction, obstruct)
-from .tait import checkerboard, dual, gamma, goeritz_det, parse_edgelist
+from .qa import (INCONCLUSIVE, NOTQA, Budget, Unknown, certify, kanenobu_jones,
+                 kanenobu_obstruction, obstruct)
+from .tait import black_graph, dual, gamma, goeritz_det, parse_edgelist
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,7 +57,7 @@ def _read_graph(args):
         with open(args.edgelist) as fh:
             g = parse_edgelist(fh.read())
     else:
-        g = checkerboard(_read_diagram(args))[0]
+        g = black_graph(_read_diagram(args))
     return dual(g) if getattr(args, "white", False) else g
 
 

@@ -20,8 +20,8 @@ integer order is the lexicographic order of the (c, s) pairs and "least
 port" means the same in either form. The opposite slot is p ^ 2. A
 diagram keeps, per port, the other port of its arc (_mate) and whether
 the strand flows into the crossing there (_fin); faces(),
-face_incidence(), _ports, _flow_in and component_map are derived from
-these, so the port layout is known to this module alone.
+face_incidence(), component_map and arc_head are derived from these,
+so the port layout is known to this module alone.
 
 Smoothings and Reidemeister reductions splice ports and renumber on one
 engine, as canonical() does, so the rules stay consistent: a fused arc
@@ -84,7 +84,6 @@ class Diagram:
     # worked out on first use
     _connected = None
     _component_map = None
-    _first_ports = None
 
     def __init__(self, crossings=(), free_loops: int = 0):
         tuples = [tuple(t) for t in crossings]
@@ -165,16 +164,6 @@ class Diagram:
         self.component_count = len(starts) + free_loops
         self._over_only = over_only
 
-    @property
-    def _first(self) -> dict:
-        """Arc label -> its least port."""
-        if self._first_ports is None:
-            first = {}
-            for p, lab in enumerate(self._flat):
-                first.setdefault(lab, p)
-            self._first_ports = first
-        return self._first_ports
-
     # basic queries
 
     def __eq__(self, other):
@@ -208,18 +197,6 @@ class Diagram:
             self._component_map = cmap
         return self._component_map
 
-    @property
-    def _ports(self) -> dict:
-        """Arc label -> its two (crossing, slot) ports, in port order."""
-        mate = self._mate
-        return {lab: [(p >> 2, p & 3), (mate[p] >> 2, mate[p] & 3)]
-                for lab, p in self._first.items()}
-
-    @property
-    def _flow_in(self) -> dict:
-        """(crossing, slot) -> whether the strand flows in there."""
-        return {(p >> 2, p & 3): f for p, f in enumerate(self._fin)}
-
     def is_connected(self) -> bool:
         if not self.crossings:
             return self.free_loops == 1
@@ -245,16 +222,12 @@ class Diagram:
         return self._connected and self.free_loops == 0
 
     def _head_port(self, lab: int) -> int:
-        p = self._first[lab]
+        p = self._flat.index(lab)
         return p if self._fin[p] else self._mate[p]
 
     def arc_head(self, lab: int):
         """The port the arc flows into."""
         p = self._head_port(lab)
-        return (p >> 2, p & 3)
-
-    def arc_tail(self, lab: int):
-        p = self._mate[self._head_port(lab)]
         return (p >> 2, p & 3)
 
     def sign(self, c: int) -> int:
@@ -478,11 +451,11 @@ class Diagram:
             # alternating factors stay alternating; slot 0 always flows in
             mate, flat = d._mate, d._flat
             return min((flat[p] for p in range(0, len(flat), 4)
-                        if mate[p] & 1), default=min(d._first))
+                        if mate[p] & 1), default=min(d._flat))
 
         x = splice_arc(self)
         y = splice_arc(other)
-        shift = max(self._first)
+        shift = max(self._flat)
         hx = self._head_port(x)
         hy = other._head_port(y)
 

@@ -60,11 +60,6 @@ class HalfLaurent:
     def one(cls) -> "HalfLaurent":
         return cls({0: 1})
 
-    @classmethod
-    def monomial2(cls, e2: int, coeff: int = 1) -> "HalfLaurent":
-        """coeff * x^(e2/2)."""
-        return cls({e2: coeff})
-
     # inspection
 
     def items2(self) -> tuple:
@@ -137,8 +132,9 @@ class HalfLaurent:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def shift2(self, k2: int) -> "HalfLaurent":
@@ -327,19 +323,8 @@ class GapReport:
     gaps: tuple
     alternating: bool
 
-    @property
-    def breadth(self) -> Fraction:
-        return Fraction(self.breadth2, 2)
-
-    @property
-    def step(self) -> Fraction:
-        return Fraction(self.step2, 2)
-
     def gap_count(self) -> int:
         return len(self.gaps)
-
-    def total_gap_length(self) -> int:
-        return sum(length for _, length in self.gaps)
 
 
 def analyze(f: HalfLaurent, step2: int) -> GapReport:
@@ -359,34 +344,22 @@ def analyze(f: HalfLaurent, step2: int) -> GapReport:
             raise SupportNotOnLattice(
                 "support %r does not lie on a step-%s lattice"
                 % (support, Fraction(step2, 2)))
+    # one pass over the terms: a gap is a run of missing positions
+    # between neighbours, and the signs alternate when every term gives
+    # one answer to "positive exactly on an even lattice index?"
     gaps = []
-    run_start = None
-    run_len = 0
-    sign_ref = 0
-    alternating = True
-    for idx in range((support[-1] - lo) // step2 + 1):
-        e2 = lo + idx * step2
-        c = f.coeff2(e2)
-        if c == 0:
-            if run_start is None:
-                run_start = e2
-                run_len = 0
-            run_len += 1
-            continue
-        if run_start is not None:
-            gaps.append((run_start, run_len))
-            run_start = None
-        expected = 1 if idx % 2 == 0 else -1
-        s = 1 if c > 0 else -1
-        if sign_ref == 0:
-            sign_ref = s * expected
-        elif s != sign_ref * expected:
-            alternating = False
+    answers = set()
+    prev = lo - step2
+    for e2, c in f.items2():
+        if e2 - prev > step2:
+            gaps.append((prev + step2, (e2 - prev) // step2 - 1))
+        answers.add((c > 0) == ((e2 - lo) // step2 % 2 == 0))
+        prev = e2
     return GapReport(
         breadth2=support[-1] - lo,
         step2=step2,
         gaps=tuple(gaps),
-        alternating=alternating,
+        alternating=len(answers) == 1,
     )
 
 

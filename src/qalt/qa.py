@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 from .diagram import Diagram, SplitDiagram, parse_pd
 from .bracket import determinant as bracket_determinant
-from .bracket import jones
 from .laurent import HalfLaurent, ZeroPolynomial, analyze, monomial_quotient
 from .tait import goeritz_det, smoothing_dets
 # certify and replay read only the black graph of each node; the call
@@ -103,7 +102,10 @@ def obstruct(v: HalfLaurent, det: int, prime: bool = False) -> QAVerdict:
                              "torus_2n": {"n": det, "jones": ref.render()}}))
     if rep.gap_count() >= 2:
         k = rep.breadth2 // 4
-        if monomial_quotient(v, HOPF_JONES ** k) is None:
+        # (-t^(-5/2) (1 + t^2))^k has k + 1 terms, so a V of any other
+        # length is no Hopf sum, and the power is not built for it
+        if (len(v.items2()) != k + 1
+                or monomial_quotient(v, HOPF_JONES ** k) is None):
             reasons.append(("multi-gap",
                             "more than one gap but not a connected sum "
                             "of Hopf links",

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ._util import bareiss_det
+from ._util import _join, _root, bareiss_det
 from .diagram import Diagram, DisconnectedDiagram
 from .laurent import HalfLaurent, monomial_quotient
 
@@ -41,23 +41,6 @@ class LoopOrIsthmus(ValueError):
 # in-tree active, in-tree inactive, external active, external inactive
 _WEIGHTS = {"L": (-6, -1), "D": (2, 1), "l": (6, -1), "d": (-2, 1),
             "Lbar": (6, -1), "Dbar": (-2, 1), "lbar": (-6, -1), "dbar": (2, 1)}
-
-
-def _root(parent: list, x: int) -> int:
-    """Root of x in a union-find parent list, halving the path."""
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
-def _join(parent: list, u: int, v: int) -> bool:
-    """Merge the sets of u and v; whether they were apart."""
-    ru, rv = _root(parent, u), _root(parent, v)
-    if ru == rv:
-        return False
-    parent[ru] = rv
-    return True
 
 
 def _forest(n: int, edges) -> list:
@@ -183,24 +166,22 @@ def black_graph(d: Diagram) -> SignedPlanarGraph:
     black = 0 if 2 * sum(colors) < nfaces else 1
 
     # vertex numbers run in face order within each class; the two
-    # corners of one class sit opposite each other, and the black edge
-    # is positive when they are corners 1 and 3
+    # corners of one class sit opposite each other, and an edge of the
+    # graph of either color is positive when its corners are 1 and 3
     index = []
     size = [0, 0]
     for c in colors:
         index.append(size[c])
         size[c] += 1
 
-    def white(g):
-        return _embedded(size[1 - black], tuple([
-            (index[c0], index[c2], -1) if colors[c1] == black
-            else (index[c1], index[c3], 1)
-            for c0, c1, c2, c3 in corners]), g)
+    def edges(color):
+        return tuple([
+            (index[c1], index[c3], 1) if colors[c1] == color
+            else (index[c0], index[c2], -1)
+            for c0, c1, c2, c3 in corners])
 
-    return _embedded(size[black], tuple([
-        (index[c1], index[c3], 1) if colors[c1] == black
-        else (index[c0], index[c2], -1)
-        for c0, c1, c2, c3 in corners]), white)
+    return _embedded(size[black], edges(black),
+                     lambda g: _embedded(size[1 - black], edges(1 - black), g))
 
 
 def checkerboard(d: Diagram):
@@ -229,21 +210,24 @@ def spanning_trees(g: SignedPlanarGraph):
     edges = g.edges
     m = len(edges)
 
-    def rec(i, parent, chosen, parts):
+    # depth first with an explicit stack, so a long path cannot exhaust
+    # the recursion limit: the branch that takes edge i is pushed last
+    # and so enumerated first
+    stack = [(0, list(range(n)), [], n)]
+    while stack:
+        i, parent, chosen, parts = stack.pop()
         if parts == 1:
             yield frozenset(chosen)
-            return
+            continue
         if i == m or m - i < parts - 1:
-            return
+            continue
+        # skip branch: still feasible only if the rest can connect
+        if _connected(n, [edges[j] for j in chosen] + list(edges[i + 1:])):
+            stack.append((i + 1, parent, chosen, parts))
         u, v, _ = edges[i]
         child = parent[:]
         if _join(child, u, v):
-            yield from rec(i + 1, child, chosen + [i], parts - 1)
-        # skip branch: still feasible only if the rest can connect
-        if _connected(n, [edges[j] for j in chosen] + list(edges[i + 1:])):
-            yield from rec(i + 1, parent, chosen, parts)
-
-    yield from rec(0, list(range(n)), [], n)
+            stack.append((i + 1, child, chosen + [i], parts - 1))
 
 
 def kirchhoff_count(g: SignedPlanarGraph) -> int:

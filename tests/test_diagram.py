@@ -232,7 +232,7 @@ def test_unoriented_over_component():
     # a circle lying entirely over another: orientations still resolve
     d = parse_pd("X[1,3,2,4] X[2,4,1,3]")
     assert d.component_count == 2
-    assert len(d._flow_in) == 8
+    assert len(d._fin) == 8 and None not in d._fin
 
 
 def test_free_loop_splits_connectivity():
@@ -276,7 +276,8 @@ def test_orientation_matches_brute_force():
                 Diagram(crossings)
             continue
         valid += 1
-        assert Diagram(crossings)._flow_in in solutions
+        fin = Diagram(crossings)._fin
+        assert {(p >> 2, p & 3): f for p, f in enumerate(fin)} in solutions
     assert valid > 1000 and conflicts > 1000
 
 
@@ -360,8 +361,9 @@ def test_face_incidence_matches_faces():
             # the two faces beside each arc differ in color, and the
             # face at the least port is colored 0
             assert set(colors) <= {0, 1}
-            assert all(colors[face_of[p]] != colors[face_of[q]]
-                       for p, q in e._ports.values())
+            assert all(colors[face_of[(p >> 2, p & 3)]]
+                       != colors[face_of[(q >> 2, q & 3)]]
+                       for p, q in enumerate(e._mate))
             assert not e.crossings or colors[0] == 0
 
 
@@ -385,7 +387,7 @@ def _fields(d) -> dict:
             "starts": d._starts, "signs": d._signs,
             "strand_count": d.strand_count,
             "component_count": d.component_count,
-            "over_only": d._over_only, "first": list(d._first.items()),
+            "over_only": d._over_only,
             "component_map": d.component_map,
             "connected": d.is_connected()}
 

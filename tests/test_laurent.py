@@ -52,6 +52,21 @@ def test_hopf_jones_square():
     assert sq.support2() == (-10, -6, -2)
 
 
+def test_pow_squares_no_further_than_the_exponent(monkeypatch):
+    calls = []
+    mul = HalfLaurent.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(HalfLaurent, "__mul__", counting)
+    # 4 = 0b100: two squarings, then one product into the result
+    assert HOPF_JONES ** 4 == mul(mul(HOPF_JONES, HOPF_JONES),
+                                  mul(HOPF_JONES, HOPF_JONES))
+    assert len(calls) == 3
+
+
 def test_pow_zero_and_one():
     assert HOPF_JONES ** 0 == HalfLaurent.one()
     assert HOPF_JONES ** 1 == HOPF_JONES
@@ -125,6 +140,18 @@ def test_analyze_hopf_square_two_gaps():
     assert rep.alternating
 
 
+def test_analyze_wide_support_walks_the_terms_only(monkeypatch):
+    # breadth 10^9 in two terms: a walk over the lattice positions would
+    # look up each of them
+    def no_lookup(self, e2):
+        raise AssertionError("coeff2(%d) looked up" % e2)
+
+    monkeypatch.setattr(HalfLaurent, "coeff2", no_lookup)
+    rep = analyze(parse("1 + t^1000000000"), 2)
+    assert rep.gaps == ((2, 999999999),)
+    assert rep.breadth2 == 2000000000 and rep.alternating
+
+
 def test_analyze_alternating_flag():
     assert analyze(hl((0, 1), (2, -2), (4, 3)), 2).alternating
     assert not analyze(hl((0, 1), (2, 2)), 2).alternating
@@ -161,7 +188,8 @@ def test_analyze_gap_interiority_and_budget():
             assert start2 + (length - 1) * step2 < f.max2()
             for j in range(length):
                 assert f.coeff2(start2 + j * step2) == 0
-        assert rep.total_gap_length() < rep.breadth2 // step2 or rep.breadth2 == 0
+        missing = sum(length for _, length in rep.gaps)
+        assert missing < rep.breadth2 // step2 or rep.breadth2 == 0
 
 
 def test_analyze_monomial_shift_invariance():

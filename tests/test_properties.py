@@ -96,7 +96,7 @@ def curled_closures(draw):
     d = braid_closure([g * s for g, s in zip(gens, signs)], strands)
     for curl in draw(st.lists(st.sampled_from(CURLS), max_size=3)):
         d = d.connected_sum(curl)
-    labels = sorted(d._ports)
+    labels = sorted(set(d._flat))
     image = draw(st.permutations(range(1, 2 * len(labels) + 1)))
     perm = dict(zip(labels, image))
     relabelled = Diagram([tuple(perm[x] for x in t) for t in d.crossings])

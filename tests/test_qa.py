@@ -10,7 +10,7 @@ from conftest import braid_closure
 from qalt import cli, corpus
 from qalt.bracket import determinant, jones
 from qalt.diagram import Diagram, SplitDiagram, parse_pd
-from qalt.laurent import HalfLaurent, ZeroPolynomial, analyze
+from qalt.laurent import HalfLaurent, ZeroPolynomial, analyze, parse
 from qalt.qa import (INCONCLUSIVE, NOTQA, Budget, Certificate, QAVerdict,
                      Unknown, certify, kanenobu_jones, kanenobu_obstruction,
                      obstruct, replay_certificate, torus_2n_jones)
@@ -71,6 +71,20 @@ def test_obstruct_multi_gap_rule():
     out = obstruct(v, 9, prime=False)
     assert out.status == NOTQA
     assert "multi-gap" in out.rule_ids()
+
+
+def test_obstruct_multi_gap_rule_on_a_wide_v_builds_no_power(monkeypatch):
+    # a Hopf sum's V has k + 1 terms, so a 3-term V of breadth 8000 is
+    # decided without raising HOPF_JONES to the 4000th power
+    def no_power(self, n):
+        raise AssertionError("HOPF_JONES ** %d was built" % n)
+
+    monkeypatch.setattr(HalfLaurent, "__pow__", no_power)
+    out = obstruct(parse("1 + t^2 + t^8000"), 3)
+    assert out.status == NOTQA
+    reason = {r[0]: r[2] for r in out.reasons}["multi-gap"]
+    assert reason["hopf_factors_tried"] == 4000
+    assert reason["gaps"] == ((2, 1), (6, 7997))
 
 
 def test_obstruct_hopf_sum_is_spared_by_multi_gap_rule():

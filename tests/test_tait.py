@@ -74,6 +74,14 @@ def test_spanning_trees_and_kirchhoff_small():
     assert list(spanning_trees(loopy)) == [frozenset({1})]
 
 
+def test_gamma_of_a_long_path():
+    # every edge of a path is in its one tree and active, weight -A^(-3);
+    # tree enumeration as deep as the edge count stays off the call stack
+    m = 1100
+    g = SignedPlanarGraph(m + 1, tuple((i, i + 1, 1) for i in range(m)))
+    assert gamma(g) == HalfLaurent({-6 * m: (-1) ** m})
+
+
 def test_activity_two_cycle_table():
     g = SignedPlanarGraph(2, ((0, 1, 1), (0, 1, 1)))
     assert activity(g, frozenset({0}), 0) == "L"
@@ -287,7 +295,8 @@ def _reference_checkerboard(d):
     faces = d.faces()
     face_of = {port: fi for fi, face in enumerate(faces) for port in face}
     across = {fi: set() for fi in range(len(faces))}
-    for p, q in d._ports.values():
+    for p, q in enumerate(d._mate):
+        p, q = (p >> 2, p & 3), (q >> 2, q & 3)
         across[face_of[p]].add(face_of[q])
         across[face_of[q]].add(face_of[p])
     color = {0: 0}
