@@ -76,23 +76,29 @@ def kauffman_bracket(d: Diagram) -> HalfLaurent:
 
     A label is open once one of its two ends has been processed. A state
     is the pairing of the open labels that the smoothed part joins by
-    paths, as a sorted tuple of pairs; it maps to the partial state sum,
-    a dict {(A exponent, closed loops): coefficient}. Each crossing
-    splits every state in two by its smoothings: a smoothing's two arcs
-    join the crossing's labels, and chaining them with the state's paths
-    gives the new pairing and the loops closed. Equal pairings merge, so
+    paths, as a sorted tuple of pairs. It maps to its partial sum: the
+    Laurent polynomial {doubled A exponent: coefficient} that the
+    smoothings leading to it contribute, every loop they closed already
+    a factor delta. Each crossing splits every state in two by its
+    smoothings: a smoothing's two arcs join the crossing's labels, and
+    chaining them with the state's paths gives the new pairing and the
+    loops closed, so the partial sum is multiplied by A^(+1 or -1) and
+    by delta^loops. The last crossing closes every path; one of its
+    loops is the circle <O> = 1, with no delta. Equal pairings merge, so
     the cost is set by the number of open labels."""
     if d.component_count == 0:
         raise EmptyDiagram("the empty diagram has no bracket")
     crossings = d.crossings
     if not crossings:
         return _delta_power(d.free_loops - 1)
-    states = {(): {(0, 0): 1}}
+    order = _sweep_order(crossings)
+    states = {(): {0: 1}}
     width = peak = 0
-    for ci in _sweep_order(crossings):
+    for ci in order:
         labs = crossings[ci]
-        smoothings = [(tuple((labs[i], labs[j]) for i, j in pairs), de)
+        smoothings = [(tuple((labs[i], labs[j]) for i, j in pairs), 2 * de)
                       for pairs, de in _SMOOTHINGS]
+        closing = ci == order[-1]
         nxt = {}
         for state, poly in states.items():
             for arcs, de in smoothings:
@@ -101,21 +107,17 @@ def kauffman_bracket(d: Diagram) -> HalfLaurent:
                 acc = nxt.get(key)
                 if acc is None:
                     acc = nxt[key] = {}
-                for (e, k), c in poly.items():
-                    ek = (e + de, k + loops)
-                    acc[ek] = acc.get(ek, 0) + c
+                for e2, dc in _delta_power(loops - closing).items2():
+                    e2 += de
+                    for e, c in poly.items():
+                        acc[e + e2] = acc.get(e + e2, 0) + c * dc
         states = nxt
         # every state pairs up the same open labels
         width = max(width, 2 * len(next(iter(states))))
         peak = max(peak, len(states))
     log.debug("kauffman_bracket: %d crossings, frontier width %d, "
               "peak states %d", len(crossings), width, peak)
-    # sum of c A^e delta^(loops - 1 + free loops), doubled exponents
-    terms = {}
-    for (e, k), c in states[()].items():
-        for e2, dc in _delta_power(k - 1 + d.free_loops).items2():
-            terms[2 * e + e2] = terms.get(2 * e + e2, 0) + c * dc
-    return HalfLaurent(terms)
+    return HalfLaurent(states[()]) * _delta_power(d.free_loops)
 
 
 def bracket_state_sum(d: Diagram) -> HalfLaurent:
@@ -151,27 +153,11 @@ def bracket_state_sum(d: Diagram) -> HalfLaurent:
     return HalfLaurent(terms)
 
 
-def _normalize(bracket: HalfLaurent, w: int) -> HalfLaurent:
-    """(-A)^(-3w) times the bracket, rewritten in t^(1/2) = A^(-2)."""
-    b = bracket.shift2(-6 * w)
-    if w % 2:
-        b = -b
-    terms = {}
-    for e2, c in b.items2():
-        if e2 % 4:
-            raise SupportNotOnLattice(
-                "bracket exponent %s/2 not divisible by 2" % e2)
-        terms[-e2 // 4] = c
-    return HalfLaurent(terms)
-
-
 def jones(d: Diagram) -> HalfLaurent:
     """Jones polynomial in t^(1/2): (-A)^(-3w) times the bracket, with
     t^(1/2) = A^(-2). Defined for any nonempty diagram; orientation and
     writhe come from the PD numbering."""
-    if d.component_count == 0:
-        raise EmptyDiagram("the empty diagram has no Jones polynomial")
-    return _normalize(kauffman_bracket(d), d.writhe())
+    return bracket_result(d).jones
 
 
 def determinant(d: Diagram) -> int:
@@ -188,11 +174,20 @@ class BracketResult:
 
 
 def bracket_result(d: Diagram) -> BracketResult:
+    """The bracket, the writhe w, and from them the Jones polynomial,
+    (-A)^(-3w) times the bracket rewritten in t^(1/2) = A^(-2), and its
+    determinant."""
     if d.component_count == 0:
         raise EmptyDiagram("the empty diagram has no Jones polynomial")
     b = kauffman_bracket(d)
     w = d.writhe()
-    v = _normalize(b, w)
+    terms = {}
+    for e2, c in b.shift2(-6 * w).items2():
+        if e2 % 4:
+            raise SupportNotOnLattice(
+                "bracket exponent %s/2 not divisible by 2" % e2)
+        terms[-e2 // 4] = -c if w % 2 else c
+    v = HalfLaurent(terms)
     return BracketResult(bracket=b, jones=v, writhe=w,
                          determinant=v.abs_at_minus_one())
 

@@ -38,9 +38,18 @@ def _frac(e2: int) -> str:
     return str(Fraction(e2, 2))
 
 
-def _gap_list(rep) -> list:
-    return [{"start": _frac(start2), "length": length}
-            for start2, length in rep.gaps]
+def _gap_fields(rep) -> dict:
+    return {
+        "gap_count": rep.gap_count(),
+        "gaps": [{"start": _frac(start2), "length": length}
+                 for start2, length in rep.gaps],
+        "alternating": rep.alternating,
+    }
+
+
+def _gaps_line(p: dict) -> str:
+    return "gaps: %d %s" % (p["gap_count"],
+                            [(g["start"], g["length"]) for g in p["gaps"]])
 
 
 def _read_diagram(args):
@@ -77,9 +86,7 @@ def _jones_payload(d):
         "det": r.determinant,
         "writhe": r.writhe,
         "breadth": _frac(rep.breadth2),
-        "gap_count": rep.gap_count(),
-        "gaps": _gap_list(rep),
-        "alternating": rep.alternating,
+        **_gap_fields(rep),
     }
     return payload, r.jones
 
@@ -90,8 +97,7 @@ def _cmd_jones(args) -> int:
         "jones: %s" % p["jones"],
         "det: %d" % p["det"],
         "breadth: %s" % p["breadth"],
-        "gaps: %d %s" % (p["gap_count"],
-                         [(g["start"], g["length"]) for g in p["gaps"]]),
+        _gaps_line(p),
     ])
     return 0
 
@@ -138,15 +144,12 @@ def _cmd_analyze(args) -> int:
         "poly": f.render(args.var),
         "breadth": _frac(rep.breadth2),
         "step": _frac(rep.step2),
-        "gap_count": rep.gap_count(),
-        "gaps": _gap_list(rep),
-        "alternating": rep.alternating,
+        **_gap_fields(rep),
     }
     _emit(args, p, [
         "poly: %s" % p["poly"],
         "breadth: %s (step %s)" % (p["breadth"], p["step"]),
-        "gaps: %d %s" % (p["gap_count"],
-                         [(g["start"], g["length"]) for g in p["gaps"]]),
+        _gaps_line(p),
         "alternating: %s" % p["alternating"],
     ])
     return 0
@@ -217,12 +220,8 @@ def _cmd_kanenobu(args) -> int:
              "status: %s (battery agrees: %s)" % (kv.status, kv.agrees)]
     if args.analyze:
         rep = analyze(v, step2=2)
-        p.update(breadth=_frac(rep.breadth2), gap_count=rep.gap_count(),
-                 gaps=_gap_list(rep), alternating=rep.alternating)
-        lines.append("breadth: %s" % p["breadth"])
-        lines.append("gaps: %d %s" % (p["gap_count"],
-                                      [(g["start"], g["length"])
-                                       for g in p["gaps"]]))
+        p.update(breadth=_frac(rep.breadth2), **_gap_fields(rep))
+        lines += ["breadth: %s" % p["breadth"], _gaps_line(p)]
     _emit(args, p, lines)
     return 0
 

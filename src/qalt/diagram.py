@@ -88,18 +88,13 @@ class Diagram:
     def __init__(self, crossings=(), free_loops: int = 0):
         tuples = [tuple(t) for t in crossings]
         flat = list(itertools.chain.from_iterable(tuples))
-        # one pass over the labels; only a bad one looks for the first
-        # bad crossing to name
-        if (not set(map(len, tuples)) <= {4}
-                or not set(map(type, flat)) <= {int}
-                or (flat and min(flat) < 1)):
-            for t in tuples:
-                if len(t) != 4:
-                    raise PDSyntaxError(
-                        "crossing %r does not have 4 strands" % (t,))
-                if not all(type(x) is int and x > 0 for x in t):
-                    raise PDSyntaxError(
-                        "strand labels must be positive integers: %r" % (t,))
+        for t in tuples:
+            if len(t) != 4:
+                raise PDSyntaxError(
+                    "crossing %r does not have 4 strands" % (t,))
+            if not all(type(x) is int and x > 0 for x in t):
+                raise PDSyntaxError(
+                    "strand labels must be positive integers: %r" % (t,))
         if not isinstance(free_loops, int) or free_loops < 0:
             raise ValueError("free_loops must be a nonnegative integer")
 

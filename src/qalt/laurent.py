@@ -33,7 +33,7 @@ class Overlap(ValueError):
 class HalfLaurent:
     """Immutable Laurent polynomial with doubled-integer exponents."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
         # terms: mapping doubled exponent -> coefficient; zeros dropped here
@@ -45,7 +45,6 @@ class HalfLaurent:
                 if c != 0:
                     clean[e2] = c
         object.__setattr__(self, "_terms", clean)
-        object.__setattr__(self, "_hash", hash(tuple(sorted(clean.items()))))
 
     def __setattr__(self, name, value):
         raise AttributeError("HalfLaurent is immutable")
@@ -147,7 +146,7 @@ class HalfLaurent:
         return self._terms == other._terms
 
     def __hash__(self):
-        return self._hash
+        return hash(self.items2())
 
     def __bool__(self):
         return bool(self._terms)

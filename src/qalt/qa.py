@@ -272,8 +272,8 @@ def replay_certificate(cert) -> bool:
 
     Each distinct node is verified once. An occurrence equal, own "pd"
     included, to a node that already passed is accepted at once: the
-    root's text was checked against the root diagram, and every child's
-    text against its smoothing, so that text fixes the diagram, and the
+    root's text was parsed to the root diagram, and every child's text
+    checked against its smoothing, so that text fixes the diagram, and the
     diagram and the node fix every check. Any other occurrence is
     reduced and compared with its "reduced_pd"; one equal, apart from
     its "pd", to a node that already passed under the same "reduced_pd"
@@ -285,9 +285,7 @@ def replay_certificate(cert) -> bool:
     _check_node(tree)
     if isinstance(cert, Certificate):
         root = cert.root
-        # as for a child below, matching text needs no parse
-        if ((root.free_loops or tree["pd"] != root.render())
-                and parse_pd(tree["pd"]) != root):
+        if parse_pd(tree["pd"]) != root:
             raise ValueError("root \"pd\" is not the certificate's root")
     else:
         root = parse_pd(tree["pd"])

@@ -344,17 +344,26 @@ def smoothing_dets(g: SignedPlanarGraph, e: int) -> tuple:
 
 def tutte(g: SignedPlanarGraph) -> dict:
     """Tutte polynomial of the underlying unsigned graph as {(i, j): c},
-    by deletion/contraction of the first edge."""
-    if not g.edges:
-        return {(0, 0): 1}
-    if g.is_loop(0):
-        return {(i, j + 1): c for (i, j), c in tutte(g.delete(0)).items()}
-    if g.is_isthmus(0):
-        return {(i + 1, j): c for (i, j), c in tutte(g.contract(0)).items()}
-    out = tutte(g.delete(0))
-    for key, c in tutte(g.contract(0)).items():
-        out[key] = out.get(key, 0) + c
-    return {k: c for k, c in out.items() if c}
+    by deletion/contraction of the first edge. The work stack holds
+    (vertex count, edges, i, j): a graph still to expand, whose Tutte
+    polynomial enters the sum times x^i y^j."""
+    out = {}
+    stack = [(g.vertex_count, g.edges, 0, 0)]
+    while stack:
+        n, edges, i, j = stack.pop()
+        if not edges:
+            out[i, j] = out.get((i, j), 0) + 1
+            continue
+        u, v, _ = edges[0]
+        if u == v:
+            stack.append((n, edges[1:], i, j + 1))
+            continue
+        parent = _forest(n, edges[1:])
+        isthmus = _root(parent, u) != _root(parent, v)
+        stack.append((n - 1, _contracted(n, edges, 0), i + isthmus, j))
+        if not isthmus:
+            stack.append((n, edges[1:], i, j))
+    return out
 
 
 @dataclass(frozen=True)

@@ -2,14 +2,18 @@ import json
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
 from qalt import corpus
 from qalt.bracket import jones, kauffman_bracket
 from qalt.cli import main
-from qalt.laurent import parse
-from qalt.qa import Certificate, replay_certificate
+from qalt.diagram import parse_pd
+from qalt.laurent import analyze, parse
+from qalt.qa import (Certificate, kanenobu_jones, replay_certificate,
+                     torus_2n_jones)
+from qalt.tait import black_graph, dual, gamma
 
 HOPF = "X[1,4,2,3] X[3,2,4,1]"
 TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
@@ -49,6 +53,31 @@ def test_bracket_json_round_trips(capsys):
     assert parse(data["bracket"], var="A") == kauffman_bracket(
         corpus.trefoil())
     assert data["writhe"] == -3
+
+
+def _json(capsys, *argv):
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    return json.loads(out)
+
+
+def _gap_fields(rep):
+    return {"gap_count": rep.gap_count(),
+            "gaps": [{"start": str(Fraction(s2, 2)), "length": n}
+                     for s2, n in rep.gaps],
+            "alternating": rep.alternating}
+
+
+@pytest.mark.parametrize("white", [False, True])
+def test_gamma_json_round_trips(capsys, white):
+    g = black_graph(parse_pd(FIG8))
+    flags = []
+    if white:
+        g, flags = dual(g), ["--white"]
+    data = _json(capsys, "gamma", "--pd", FIG8, *flags)
+    assert parse(data["gamma"], var="A") == gamma(g)
+    assert (data["edges"], data["vertices"]) == (len(g.edges),
+                                                 g.vertex_count)
 
 
 def test_gamma_from_pd_and_edgelist(tmp_path, capsys):
@@ -111,6 +140,7 @@ def test_edgelist_with_a_huge_vertex_number_exits_at_once(tmp_path, capsys):
 def test_goeritz(capsys):
     code, out, _ = run(capsys, "goeritz", "--pd", FIG8)
     assert code == 0 and "goeritz det: 5" in out
+    assert _json(capsys, "goeritz", "--pd", FIG8) == {"goeritz_det": 5}
 
 
 def test_det(capsys):
@@ -129,6 +159,17 @@ def test_analyze_pd_json(capsys):
     code, out, _ = run(capsys, "analyze", "--pd", FIG8, "--json")
     data = json.loads(out)
     assert data["gap_count"] == 0 and data["alternating"] is True
+    v = jones(parse_pd(TREFOIL))
+    data = _json(capsys, "analyze", "--pd", TREFOIL)
+    assert parse(data["poly"]) == v
+    assert data == {"poly": data["poly"], "breadth": "3", "step": "1",
+                    **_gap_fields(analyze(v, step2=2))}
+    f = parse("A^(-10) - A^6 + A^14", var="A")
+    data = _json(capsys, "analyze", "--poly", f.render("A"), "--var", "A",
+                 "--step2", "8")
+    assert parse(data["poly"], var="A") == f
+    assert data == {"poly": data["poly"], "breadth": "24", "step": "4",
+                    **_gap_fields(analyze(f, step2=8))}
 
 
 def test_obstruct_poly_needs_det(capsys):
@@ -174,6 +215,7 @@ def test_obstruct_gap_witness_names_the_torus_link(capsys):
     gap = next(r for r in data["reasons"] if r["rule"] == "gap")
     assert gap["witness"]["torus_2n"] == {
         "n": 5, "jones": "t^2 + t^4 - t^5 + t^6 - t^7"}
+    assert parse(gap["witness"]["torus_2n"]["jones"]) == torus_2n_jones(5)
 
 
 def test_obstruct_det_zero_is_notqa(capsys):
@@ -208,6 +250,8 @@ def test_certify_json_replayable(capsys):
     cert = Certificate.from_json(out)
     assert replay_certificate(cert)
     assert cert.tree["det"] == 3
+    data = _json(capsys, "certify", "--pd", TREFOIL)
+    assert data == {"status": "Certified", "certificate": cert.tree}
 
 
 def test_certify_budget_exit_2(capsys):
@@ -234,8 +278,12 @@ def test_kanenobu(capsys):
     code, out, _ = run(capsys, "kanenobu", "0", "0", "--analyze", "--json")
     data = json.loads(out)
     assert code == 0
+    v = kanenobu_jones(0, 0)
+    assert parse(data["jones"]) == v
     assert data["det"] == 25
     assert data["breadth"] == "8"
+    assert {k: data[k] for k in ("gap_count", "gaps", "alternating")} == \
+        _gap_fields(analyze(v, step2=2))
     assert data["gap_count"] == 0
     assert data["status"] == "Inconclusive"
 
@@ -259,6 +307,8 @@ def test_batch_error_isolation(tmp_path, capsys):
     assert "error" in data["entries"][1]
     assert data["entries"][0]["det"] == 2
     assert data["entries"][2]["det"] == 3
+    assert parse(data["entries"][0]["jones"]) == jones(corpus.hopf())
+    assert parse(data["entries"][2]["jones"]) == jones(corpus.trefoil())
     assert data["summary"] == {"entries": 3, "errors": 1, "notqa": 0,
                                "inconclusive": 2}
 

@@ -1,11 +1,17 @@
-"""No module of qalt imports a name it never uses.
+"""No module of qalt imports a name it never uses, and no private name
+is left behind that nothing reads.
 
 Each module is parsed with ast; every name an import binds must be read
 somewhere in the module. __init__.py is exempt, since its imports are
 the package's re-exports, and so are __future__ imports.
+
+A private name (one leading underscore, not a dunder) bound at module
+level or in a class body must be read somewhere in src/qalt outside its
+own definition, as a bare name or as an attribute.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -30,3 +36,44 @@ def _unused_imports(source: str) -> list:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _reads(node) -> Counter:
+    """Names read under node, bare or as an attribute."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+        and isinstance(n.ctx, ast.Load))
+
+
+def _private_bindings(tree):
+    """(name, statement) for each private name bound at module level or
+    in a top-level class body."""
+    scopes = [tree] + [n for n in tree.body if isinstance(n, ast.ClassDef)]
+    for scope in scopes:
+        for stmt in scope.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, ast.Assign):
+                names = [t.id for t in stmt.targets
+                         if isinstance(t, ast.Name)]
+            elif (isinstance(stmt, ast.AnnAssign)
+                  and isinstance(stmt.target, ast.Name)):
+                names = [stmt.target.id]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.endswith("__"):
+                    yield name, stmt
+
+
+def test_every_private_name_is_read():
+    trees = {p.name: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
+    reads = sum((_reads(t) for t in trees.values()), Counter())
+    unread = ["%s: %s" % (module, name)
+              for module, tree in sorted(trees.items())
+              for name, stmt in _private_bindings(tree)
+              if reads[name] == _reads(stmt)[name]]
+    assert unread == []

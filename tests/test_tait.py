@@ -249,6 +249,14 @@ def test_tutte_evaluations_on_random_multigraphs():
     assert loops
 
 
+def test_tutte_of_a_long_path():
+    # every edge of a path is an isthmus; deletion-contraction as deep as
+    # the edge count stays off the call stack
+    m = 1200
+    g = SignedPlanarGraph(m + 1, tuple((i, i + 1, 1) for i in range(m)))
+    assert tutte(g) == {(m, 0): 1}
+
+
 def _split_or_det(d):
     return goeritz_det(checkerboard(d)[0]) if d.is_connected() else 0
 
