@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from ._util import _join
-from .diagram import Diagram, EmptyDiagram, SameComponent
+from .diagram import _SMOOTHINGS, Diagram, EmptyDiagram, SameComponent
 from .laurent import (HalfLaurent, Overlap, SupportNotOnLattice, gap_between)
 
 log = logging.getLogger(__name__)
@@ -66,11 +66,6 @@ def _chain(edges):
     return [(x, y) for x, y in end.items() if x < y], loops
 
 
-# r = 0 joins slots (0,1),(2,3) with weight A; r = 1 joins (0,3),(1,2)
-# with weight A^-1
-_SMOOTHINGS = ((((0, 1), (2, 3)), 1), (((0, 3), (1, 2)), -1))
-
-
 def kauffman_bracket(d: Diagram) -> HalfLaurent:
     """Bracket polynomial in A, by a frontier sweep over the crossings.
 
@@ -96,8 +91,9 @@ def kauffman_bracket(d: Diagram) -> HalfLaurent:
     width = peak = 0
     for ci in order:
         labs = crossings[ci]
-        smoothings = [(tuple((labs[i], labs[j]) for i, j in pairs), 2 * de)
-                      for pairs, de in _SMOOTHINGS]
+        # the 0-smoothing has weight A, the 1-smoothing A^-1
+        smoothings = [(tuple((labs[i], labs[j]) for i, j in pairs), de2)
+                      for pairs, de2 in zip(_SMOOTHINGS, (2, -2))]
         closing = ci == order[-1]
         nxt = {}
         for state, poly in states.items():
@@ -136,7 +132,7 @@ def bracket_state_sum(d: Diagram) -> HalfLaurent:
         sorted({lab for t in d.crossings for lab in t}))}
     # per crossing, the pairs of arcs that its 0- and 1-smoothing join
     joins = [[[(index[t[i]], index[t[j]]) for i, j in pairs]
-              for pairs, _ in _SMOOTHINGS] for t in d.crossings]
+              for pairs in _SMOOTHINGS] for t in d.crossings]
     tally = Counter()
     for mask in range(1 << n):
         parent = list(range(len(index)))
@@ -228,6 +224,7 @@ def bracket_gap_check(d: Diagram, c: int):
     Returns None when the supports are adjacent or overlap in either
     order; otherwise the number of missing integer A-exponents between
     them. A single-monomial side is logged, not rejected."""
+    d.sign(c)  # InvalidCrossing unless c is a crossing of d
     t = d.crossings[c]
     if d.component_map[t[0]] == d.component_map[t[1]]:
         raise SameComponent(

@@ -48,6 +48,10 @@ import re
 from collections import Counter
 
 
+# the slot pairs that the r-smoothing of a crossing joins, r = 0 and 1
+_SMOOTHINGS = (((0, 1), (2, 3)), ((0, 3), (1, 2)))
+
+
 class PDSyntaxError(ValueError):
     """Input text is not a PD code."""
 
@@ -238,19 +242,24 @@ class Diagram:
 
     # faces
 
+    def _face_step(self) -> list:
+        """The port entered next along its face after each port:
+        entering at slot s, leave by slot s - 1 and enter at the far end
+        of that arc."""
+        mate = self._mate
+        nxt = mate[:]
+        nxt[0::4], nxt[1::4] = mate[3::4], mate[0::4]
+        nxt[2::4], nxt[3::4] = mate[1::4], mate[2::4]
+        return nxt
+
     def _port_faces(self):
         """faces() on port numbers: lists of entry ports, each starting
         at its least port, in increasing order of that port; and the
         number of the face entered at each port."""
-        mate = self._mate
-        # entering at slot s, leave by slot s - 1 and enter at the far end
-        # of that arc
-        nxt = mate[:]
-        nxt[0::4], nxt[1::4] = mate[3::4], mate[0::4]
-        nxt[2::4], nxt[3::4] = mate[1::4], mate[2::4]
-        face_of = [-1] * len(mate)
+        nxt = self._face_step()
+        face_of = [-1] * len(nxt)
         faces = []
-        for start in range(len(mate)):
+        for start in range(len(nxt)):
             if face_of[start] >= 0:
                 continue
             fi = len(faces)
@@ -328,23 +337,21 @@ class Diagram:
         arcs = [(flat[p], p) for p, f in enumerate(self._fin) if f]
         return _assemble(self._mate, arcs, self.free_loops)
 
-    def _splice(self, joins, drops=None) -> "Diagram":
+    def _splice(self, joins) -> "Diagram":
         """Remove crossings, rewiring their ports.
 
         joins maps crossing id -> pairs of slots that fuse into a strand
-        passing straight through; drops maps crossing id -> slots whose
-        arc simply vanishes (the Reidemeister-1 loop). Chains of fused
-        arcs that close up with no live endpoint become free loops.
+        passing straight through. A slot of a removed crossing that no
+        pair names must share its arc with another such slot: that arc
+        simply vanishes (the Reidemeister-1 loop). Chains of fused arcs
+        that close up with no live endpoint become free loops.
         """
-        drops = drops or {}
         flat, mate, fin = self._flat, self._mate, self._fin
         wire = {}
         for ci, pairs in joins.items():
             for s1, s2 in pairs:
                 wire[4 * ci + s1] = 4 * ci + s2
                 wire[4 * ci + s2] = 4 * ci + s1
-        dropped = {4 * ci + s for ci, slots in drops.items() for s in slots}
-        removed = set(joins).union(drops)
 
         # other maps each live port to the far live end of its arc. Only
         # arcs through a removed crossing change: each such chain of
@@ -353,18 +360,15 @@ class Diagram:
         other = mate[:]
         fused = []
         passed = set()
-        for r in [4 * ci + k for ci in removed for k in range(4)]:
+        for r in [4 * ci + k for ci in joins for k in range(4)]:
             p = mate[r]
             other[r] = -1
-            if p >> 2 in removed or other[p] != r:
+            if p >> 2 in joins or other[p] != r:
                 continue
             q = r
             best = flat[p]
             forward = fin[q]
             while True:
-                if q in dropped:
-                    raise AssertionError(
-                        "arc half-attached to a dropped slot")
                 w = wire.get(q)
                 if w is None:
                     break
@@ -410,15 +414,14 @@ class Diagram:
     def smooth(self, c: int, r: int) -> "Diagram":
         """Replace crossing c by the r-resolution.
 
-        r = 0 joins slots (0,1) and (2,3); r = 1 joins (0,3) and (1,2).
-        The 0-resolution is the one whose coefficient in the bracket
-        expansion is A.
+        The slots joined are _SMOOTHINGS[r]: r = 0 joins (0,1) and (2,3),
+        r = 1 joins (0,3) and (1,2). The 0-resolution is the one whose
+        coefficient in the bracket expansion is A.
         """
         self._check_crossing(c)
         if r not in (0, 1):
             raise InvalidCrossing("smoothing selector must be 0 or 1, got %r" % (r,))
-        pairs = ((0, 1), (2, 3)) if r == 0 else ((0, 3), (1, 2))
-        return self._splice({c: pairs})
+        return self._splice({c: _SMOOTHINGS[r]})
 
     def mirror(self) -> "Diagram":
         """Switch every crossing; tuples re-rooted at the new under-entry."""
@@ -462,24 +465,19 @@ class Diagram:
         return Diagram([tuple(flat[k:k + 4])
                         for k in range(0, len(flat), 4)]).canonical()
 
-    def _r1_candidate(self):
-        # the first one-port face, a curl: the arc leaving slot s-1
-        # comes straight back in at slot s
-        mate = self._mate
-        for p in range(len(mate)):
-            if mate[p - 1 if p & 3 else p + 3] == p:
-                ci, s = p >> 2, p & 3
-                loop_slots = ((s - 1) % 4, s)
-                other = tuple(k for k in range(4) if k not in loop_slots)
-                return ci, (other,), loop_slots
-        return None
-
-    def _r2_candidate(self):
+    def _move(self):
+        """The _splice joins of one Reidemeister move, or None: the
+        first curl in port order, else the first removable bigon."""
+        nxt = self._face_step()
+        # a curl is a one-port face: the arc leaving slot s - 1 comes
+        # straight back in at slot s, and the other two slots fuse
+        for p, q in enumerate(nxt):
+            if p == q:
+                return {p >> 2: (((p + 1) & 3, (p + 2) & 3),)}
         # bigon faces (p, q) in face order, each met at its least port p
-        mate, flat = self._mate, self._flat
-        for p in range(len(mate)):
-            q = mate[p - 1 if p & 3 else p + 3]
-            if q <= p or mate[q - 1 if q & 3 else q + 3] != p:
+        flat = self._flat
+        for p, q in enumerate(nxt):
+            if q <= p or nxt[q] != p:
                 continue
             if p >> 2 == q >> 2 or flat[p] == flat[q]:
                 continue
@@ -487,7 +485,7 @@ class Diagram:
             # and the other stays under at both: the entry slots differ
             # in parity
             if (p ^ q) & 1:
-                return p >> 2, q >> 2
+                return {p >> 2: ((0, 2), (1, 3)), q >> 2: ((0, 2), (1, 3))}
         return None
 
     def simplify(self, max_passes: int | None = None) -> "Diagram":
@@ -497,20 +495,10 @@ class Diagram:
         d = self
         passes = itertools.count() if max_passes is None else range(max_passes)
         for _ in passes:
-            if not d.crossings:
+            joins = d._move()
+            if joins is None:
                 break
-            r1 = d._r1_candidate()
-            if r1 is not None:
-                ci, joins, drop_slots = r1
-                d = d._splice({ci: joins}, {ci: drop_slots})
-                continue
-            r2 = d._r2_candidate()
-            if r2 is not None:
-                c1, c2 = r2
-                straight = ((0, 2), (1, 3))
-                d = d._splice({c1: straight, c2: straight})
-                continue
-            break
+            d = d._splice(joins)
         return d
 
 

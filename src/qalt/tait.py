@@ -107,19 +107,26 @@ class SignedPlanarGraph:
     def is_connected(self) -> bool:
         return _connected(self.vertex_count, self.edges)
 
+    def _edge(self, i: int) -> tuple:
+        """Edge i, once i is known to be an edge index."""
+        if not isinstance(i, int) or not 0 <= i < len(self.edges):
+            raise ValueError("no edge %r" % (i,))
+        return self.edges[i]
+
     def is_loop(self, i: int) -> bool:
-        u, v, _ = self.edges[i]
+        u, v, _ = self._edge(i)
         return u == v
 
     def is_isthmus(self, i: int) -> bool:
-        if self.is_loop(i):
+        u, v, _ = self._edge(i)
+        if u == v:
             return False
         parent = _forest(self.vertex_count,
                          self.edges[:i] + self.edges[i + 1:])
-        u, v, _ = self.edges[i]
         return _root(parent, u) != _root(parent, v)
 
     def delete(self, i: int) -> "SignedPlanarGraph":
+        self._edge(i)
         edges = self.edges[:i] + self.edges[i + 1:]
         return SignedPlanarGraph(self.vertex_count, edges)
 
@@ -247,7 +254,7 @@ def activity(g: SignedPlanarGraph, tree: frozenset, e: int) -> str:
     lies on its cycle, which is when the later tree edges alone join
     its ends (a loop's cycle is itself)."""
     edges = g.edges
-    u, v, sign = edges[e]
+    u, v, sign = g._edge(e)
     if e in tree:
         parent = _forest(g.vertex_count,
                          [edges[j] for j in tree if j != e])
@@ -331,7 +338,7 @@ def smoothing_dets(g: SignedPlanarGraph, e: int) -> tuple:
     face-separating smoothing respectively is split: a loop gets 0
     without contracting it, and an isthmus gets 0 because deleting it
     disconnects the graph."""
-    u, v, sign = g.edges[e]
+    u, v, sign = g._edge(e)
     rest = g.edges[:e] + g.edges[e + 1:]
     separated = _goeritz_minor_det(g.vertex_count, rest)
     if u == v:

@@ -7,7 +7,8 @@ from qalt import corpus
 from qalt.bracket import (BracketResult, bracket_gap_check, bracket_result,
                           bracket_state_sum, determinant, jones,
                           kauffman_bracket, skein_check)
-from qalt.diagram import (Diagram, EmptyDiagram, SameComponent, parse_pd)
+from qalt.diagram import (Diagram, EmptyDiagram, InvalidCrossing,
+                          SameComponent, parse_pd)
 from qalt.laurent import HalfLaurent, analyze
 from qalt.tait import checkerboard, gamma, goeritz_det
 
@@ -290,6 +291,15 @@ def test_bracket_gap_check_same_component_raises():
     d = corpus.trefoil()
     with pytest.raises(SameComponent):
         bracket_gap_check(d, 0)
+
+
+def test_bracket_gap_check_rejects_a_bad_crossing_first():
+    # checked before the crossing is read: no IndexError, TypeError or
+    # SameComponent from a crossing that is not there
+    for d, c in ((corpus.hopf(), 2), (corpus.hopf(), 1.0),
+                 (corpus.hopf(), -1), (corpus.trefoil(), -1)):
+        with pytest.raises(InvalidCrossing, match="no crossing"):
+            bracket_gap_check(d, c)
 
 
 def test_bracket_gap_check_overlap_is_none():

@@ -187,8 +187,8 @@ def test_simplify_r2_pair():
     s = r2.simplify()
     assert s.crossings == ()
     assert s.component_count == 2
-    # the alternating clasp is not a Reidemeister-2 pair
-    assert corpus.hopf()._r2_candidate() is None
+    # the alternating clasp is not a Reidemeister-2 pair, nor a curl
+    assert corpus.hopf()._move() is None
 
 
 def test_simplify_preserves_trefoil():

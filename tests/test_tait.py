@@ -437,3 +437,19 @@ def test_isthmus_and_loop_flags():
     g = SignedPlanarGraph(3, ((0, 1, 1), (1, 2, 1), (1, 1, -1)))
     assert g.is_isthmus(0) and g.is_isthmus(1)
     assert g.is_loop(2) and not g.is_isthmus(2)
+
+
+def test_edge_indices_are_checked():
+    # a negative or too large index names no edge, rather than counting
+    # from the end or leaving the graph as it was
+    g = SignedPlanarGraph(3, ((0, 1, 1), (1, 2, 1), (0, 1, -1)))
+    black = black_graph(corpus.trefoil())
+    tree = next(spanning_trees(g))
+    for bad in (-1, 3, 9, 1.0, None):
+        for call in (g.is_loop, g.is_isthmus, g.delete, g.contract,
+                     lambda i: activity(g, tree, i),
+                     lambda i: smoothing_dets(g, i),
+                     lambda i: smoothing_dets(black, i)):
+            with pytest.raises(ValueError, match="no edge"):
+                call(bad)
+    assert smoothing_dets(black, 2) == (1, 2)
