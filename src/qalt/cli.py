@@ -1,15 +1,18 @@
 """Command-line front end.
 
 Subcommands map one-to-one onto the library: jones, bracket, gamma,
-goeritz, det, analyze, obstruct, certify, kanenobu, batch. Diagrams
-come in as PD text or a JSON array of 4-tuples; gamma and goeritz also
-accept a signed edge list. Exit codes: 0 success, 1 input error,
-2 certification budget exhausted.
+goeritz, det, analyze, obstruct, certify, kanenobu, batch. Each is
+declared once, in ``_COMMANDS``, and its handler returns the JSON
+payload, the text lines and, when not 0, the exit code; ``main`` alone
+writes output and errors. Diagrams come in as PD text or a JSON array of
+4-tuples; gamma and goeritz also accept a signed edge list. Exit codes:
+0 success, 1 input error, 2 certification budget exhausted.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -17,7 +20,7 @@ from dataclasses import fields
 from fractions import Fraction
 
 from . import laurent
-from .bracket import bracket_result, jones, kauffman_bracket
+from .bracket import bracket_result, kauffman_bracket
 from .diagram import parse_pd
 from .laurent import analyze
 from .qa import (INCONCLUSIVE, NOTQA, Budget, Unknown, certify, kanenobu_jones,
@@ -52,30 +55,26 @@ def _gaps_line(p: dict) -> str:
                             [(g["start"], g["length"]) for g in p["gaps"]])
 
 
+def _read(path: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ValueError("cannot read %s: %s" % (path, exc)) from None
+
+
 def _read_diagram(args):
-    if getattr(args, "file", None):
-        with open(args.file) as fh:
-            return parse_pd(fh.read())
-    return parse_pd(args.pd)
+    return parse_pd(args.pd if args.file is None else _read(args.file))
 
 
 def _read_graph(args):
     """Checkerboard graph from a PD, or a literal edge list; with --white,
     its planar dual, which an edge list does not carry."""
-    if getattr(args, "edgelist", None):
-        with open(args.edgelist) as fh:
-            g = parse_edgelist(fh.read())
-    else:
+    if args.edgelist is None:
         g = black_graph(_read_diagram(args))
-    return dual(g) if getattr(args, "white", False) else g
-
-
-def _emit(args, payload: dict, text_lines: list):
-    if args.json:
-        print(json.dumps(payload, indent=2))
     else:
-        for line in text_lines:
-            print(line)
+        g = parse_edgelist(_read(args.edgelist))
+    return dual(g) if args.white else g
 
 
 def _jones_payload(d):
@@ -91,54 +90,40 @@ def _jones_payload(d):
     return payload, r.jones
 
 
-def _cmd_jones(args) -> int:
+def _cmd_jones(args):
     p, _ = _jones_payload(_read_diagram(args))
-    _emit(args, p, [
-        "jones: %s" % p["jones"],
-        "det: %d" % p["det"],
-        "breadth: %s" % p["breadth"],
-        _gaps_line(p),
-    ])
-    return 0
+    return p, ["jones: %s" % p["jones"], "det: %d" % p["det"],
+               "breadth: %s" % p["breadth"], _gaps_line(p)]
 
 
-def _cmd_bracket(args) -> int:
+def _cmd_bracket(args):
     d = _read_diagram(args)
-    b = kauffman_bracket(d)
-    p = {"bracket": b.render("A"), "writhe": d.writhe()}
-    _emit(args, p, ["bracket: %s" % p["bracket"],
-                    "writhe: %d" % p["writhe"]])
-    return 0
+    p = {"bracket": kauffman_bracket(d).render("A"), "writhe": d.writhe()}
+    return p, ["bracket: %s" % p["bracket"], "writhe: %d" % p["writhe"]]
 
 
-def _cmd_gamma(args) -> int:
+def _cmd_gamma(args):
     g = _read_graph(args)
-    poly = gamma(g)
-    p = {"gamma": poly.render("A"), "edges": len(g.edges),
+    p = {"gamma": gamma(g).render("A"), "edges": len(g.edges),
          "vertices": g.vertex_count}
-    _emit(args, p, ["gamma: %s" % p["gamma"]])
-    return 0
+    return p, ["gamma: %s" % p["gamma"]]
 
 
-def _cmd_goeritz(args) -> int:
-    g = _read_graph(args)
-    p = {"goeritz_det": goeritz_det(g)}
-    _emit(args, p, ["goeritz det: %d" % p["goeritz_det"]])
-    return 0
+def _cmd_goeritz(args):
+    p = {"goeritz_det": goeritz_det(_read_graph(args))}
+    return p, ["goeritz det: %d" % p["goeritz_det"]]
 
 
-def _cmd_det(args) -> int:
-    d = _read_diagram(args)
-    p = {"det": jones(d).abs_at_minus_one()}
-    _emit(args, p, ["det: %d" % p["det"]])
-    return 0
+def _cmd_det(args):
+    p = {"det": bracket_result(_read_diagram(args)).determinant}
+    return p, ["det: %d" % p["det"]]
 
 
-def _cmd_analyze(args) -> int:
-    if args.poly:
-        f = laurent.parse(args.poly, var=args.var)
+def _cmd_analyze(args):
+    if args.poly is None:
+        f = bracket_result(_read_diagram(args)).jones
     else:
-        f = jones(_read_diagram(args))
+        f = laurent.parse(args.poly, var=args.var)
     rep = analyze(f, step2=args.step2)
     p = {
         "poly": f.render(args.var),
@@ -146,67 +131,52 @@ def _cmd_analyze(args) -> int:
         "step": _frac(rep.step2),
         **_gap_fields(rep),
     }
-    _emit(args, p, [
-        "poly: %s" % p["poly"],
-        "breadth: %s (step %s)" % (p["breadth"], p["step"]),
-        _gaps_line(p),
-        "alternating: %s" % p["alternating"],
-    ])
-    return 0
+    return p, ["poly: %s" % p["poly"],
+               "breadth: %s (step %s)" % (p["breadth"], p["step"]),
+               _gaps_line(p), "alternating: %s" % p["alternating"]]
 
 
-def _verdict_payload(v) -> dict:
-    return {
-        "status": v.status,
-        "reasons": [{"rule": rid, "statement": stmt, "witness": wit}
-                    for rid, stmt, wit in v.reasons],
-        "assumptions": v.assumptions,
-    }
-
-
-def _cmd_obstruct(args) -> int:
-    if args.poly:
-        if args.det is None:
-            print("obstruct --poly needs --det", file=sys.stderr)
-            return 1
-        v = laurent.parse(args.poly, var="t")
-        det = args.det
+def _cmd_obstruct(args):
+    if args.poly is None:
+        if args.det is not None:
+            raise ValueError("--det goes with --poly; a diagram gives "
+                             "its own determinant")
+        r = bracket_result(_read_diagram(args))
+        v, det = r.jones, r.determinant
+    elif args.det is None:
+        raise ValueError("obstruct --poly needs --det")
     else:
-        d = _read_diagram(args)
-        v = jones(d)
-        det = v.abs_at_minus_one()
+        v, det = laurent.parse(args.poly, var="t"), args.det
     out = obstruct(v, det, prime=args.prime)
-    p = _verdict_payload(out)
-    p["det"] = det
-    lines = ["status: %s" % out.status]
-    for r in p["reasons"]:
-        lines.append("  %s: %s" % (r["rule"], r["statement"]))
-    _emit(args, p, lines)
-    return 0
+    p = {
+        "status": out.status,
+        "reasons": [{"rule": rid, "statement": stmt, "witness": wit}
+                    for rid, stmt, wit in out.reasons],
+        "assumptions": out.assumptions,
+        "det": det,
+    }
+    return p, ["status: %s" % out.status] + [
+        "  %s: %s" % (rid, stmt) for rid, stmt, _ in out.reasons]
 
 
-def _budget(args) -> Budget:
-    given = {f.name: getattr(args, f.name) for f in fields(Budget)}
-    return Budget(**{f: v for f, v in given.items() if v is not None})
+def _budget_flags(args) -> dict:
+    """The budget flags given, by Budget field."""
+    return {f.name: getattr(args, f.name) for f in fields(Budget)
+            if getattr(args, f.name) is not None}
 
 
-def _cmd_certify(args) -> int:
-    d = _read_diagram(args)
-    out = certify(d, _budget(args))
+def _cmd_certify(args):
+    out = certify(_read_diagram(args), Budget(**_budget_flags(args)))
     if isinstance(out, Unknown):
-        p = {"status": "Unknown", "reason": out.reason}
-        _emit(args, p, ["status: Unknown (%s)" % out.reason])
-        return 2
-    if args.json:
-        print(json.dumps({"status": "Certified", "certificate": out.tree},
-                         indent=2))
-    else:
-        # to_json is compact; the terminal gets the indented layout
-        print(json.dumps(out.tree, indent=2))
-    return 0
+        return ({"status": "Unknown", "reason": out.reason},
+                ["status: Unknown (%s)" % out.reason], 2)
+    # to_json is compact; the terminal gets the indented layout, written
+    # only when the text is printed
+    return ({"status": "Certified", "certificate": out.tree},
+            (json.dumps(tree, indent=2) for tree in [out.tree]))
 
 
-def _cmd_kanenobu(args) -> int:
+def _cmd_kanenobu(args):
     v = kanenobu_jones(args.p, args.q)
     kv = kanenobu_obstruction(args.p, args.q)
     p = {
@@ -222,8 +192,7 @@ def _cmd_kanenobu(args) -> int:
         rep = analyze(v, step2=2)
         p.update(breadth=_frac(rep.breadth2), **_gap_fields(rep))
         lines += ["breadth: %s" % p["breadth"], _gaps_line(p)]
-    _emit(args, p, lines)
-    return 0
+    return p, lines
 
 
 def _batch_line(idx, line, args):
@@ -241,7 +210,7 @@ def _batch_line(idx, line, args):
             record["reasons"] = [{"rule": rid, "statement": stmt}
                                  for rid, stmt, _ in v.reasons]
         if args.certify:
-            out = certify(d, _budget(args))
+            out = certify(d, Budget(**_budget_flags(args)))
             if isinstance(out, Unknown):
                 record["certificate"] = None
                 record["certify_status"] = "Unknown:" + out.reason
@@ -254,16 +223,27 @@ def _batch_line(idx, line, args):
     return record
 
 
-def _cmd_batch(args) -> int:
-    try:
-        with open(args.path) as fh:
-            raw = fh.read().splitlines()
-    except OSError as exc:
-        print("cannot read %s: %s" % (args.path, exc), file=sys.stderr)
-        return 1
-    jobs = [(i + 1, line) for i, line in enumerate(raw)
-            if line.partition("#")[0].strip()]
-    records = [_batch_line(idx, line, args) for idx, line in jobs]
+def _batch_text(records, summary):
+    for r in records:
+        if "error" in r:
+            yield "%-16s ERROR %s" % (r["name"], r["error"])
+            continue
+        extra = ""
+        if "certify_status" in r:
+            extra = " certify=%s" % r["certify_status"]
+        yield ("%-16s det=%-3d breadth=%-5s gaps=%d verdict=%s%s"
+               % (r["name"], r["det"], r["breadth"], r["gap_count"],
+                  r["verdict"], extra))
+    yield ("entries=%(entries)d errors=%(errors)d notqa=%(notqa)d "
+           "inconclusive=%(inconclusive)d" % summary)
+
+
+def _cmd_batch(args):
+    if _budget_flags(args) and not args.certify:
+        raise ValueError("batch's budget flags need --certify")
+    records = [_batch_line(idx, line, args)
+               for idx, line in enumerate(_read(args.path).splitlines(), 1)
+               if line.partition("#")[0].strip()]
     summary = {
         "entries": len(records),
         "errors": sum(1 for r in records if "error" in r),
@@ -271,39 +251,8 @@ def _cmd_batch(args) -> int:
         "inconclusive": sum(1 for r in records
                             if r.get("verdict") == INCONCLUSIVE),
     }
-    report = {"entries": records, "summary": summary}
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        for r in records:
-            if "error" in r:
-                print("%-16s ERROR %s" % (r["name"], r["error"]))
-            else:
-                extra = ""
-                if "certify_status" in r:
-                    extra = " certify=%s" % r["certify_status"]
-                print("%-16s det=%-3d breadth=%-5s gaps=%d verdict=%s%s"
-                      % (r["name"], r["det"], r["breadth"],
-                         r["gap_count"], r["verdict"], extra))
-        print("entries=%(entries)d errors=%(errors)d notqa=%(notqa)d "
-              "inconclusive=%(inconclusive)d" % summary)
-    return 0
-
-
-def _add_common(sub):
-    sub.add_argument("--json", action="store_true",
-                     help="emit JSON instead of text")
-
-
-def _add_diagram_input(sub, edgelist=False):
-    src = sub.add_mutually_exclusive_group(required=True)
-    src.add_argument("--pd", help="inline PD text or JSON array")
-    src.add_argument("--file", help="file containing a PD code")
-    if edgelist:
-        src.add_argument("--edgelist",
-                         help="file with 'u v +' signed edges (0-based)")
-        sub.add_argument("--white", action="store_true",
-                         help="use the white checkerboard graph")
+    return ({"entries": records, "summary": summary},
+            _batch_text(records, summary))
 
 
 def _count(text: str) -> int:
@@ -315,101 +264,85 @@ def _count(text: str) -> int:
 
 _count.__name__ = "non-negative int"  # argparse names the type by this
 
+_INPUT_HELP = {
+    "--pd": "inline PD text or JSON array",
+    "--file": "file containing a PD code",
+    "--edgelist": "file with 'u v +' signed edges (0-based)",
+    "--poly": "inline Laurent polynomial",
+}
+_DIAGRAM = ("--pd", "--file")
+_GRAPH = _DIAGRAM + ("--edgelist",)
+_FLAG = {"action": "store_true"}
+_WHITE = ("--white", {**_FLAG, "help": "use the white checkerboard graph"})
+_BUDGET = (("--max-depth", {"type": _count}),
+           ("--max-nodes", {"type": _count}),
+           ("--simplify-passes", {"type": _count}))
 
-def _add_budget_flags(sub):
-    sub.add_argument("--max-depth", type=_count, default=None)
-    sub.add_argument("--max-nodes", type=_count, default=None)
-    sub.add_argument("--simplify-passes", type=_count, default=None)
+# name, help, handler, one-of inputs (required when any), other arguments
+_COMMANDS = (
+    ("jones", "Jones polynomial and gap structure", _cmd_jones, _DIAGRAM, ()),
+    ("bracket", "Kauffman bracket in A", _cmd_bracket, _DIAGRAM, ()),
+    ("gamma", "spanning-tree polynomial", _cmd_gamma, _GRAPH, (_WHITE,)),
+    ("goeritz", "Goeritz determinant", _cmd_goeritz, _GRAPH, (_WHITE,)),
+    ("det", "link determinant |V(-1)|", _cmd_det, _DIAGRAM, ()),
+    ("analyze", "breadth/gap/alternation report", _cmd_analyze,
+     ("--poly",) + _DIAGRAM,
+     (("--var", {"default": "t"}),
+      ("--step2", {"type": int, "default": 2,
+                   "help": "lattice step in half-exponent units "
+                           "(default 2)"}))),
+    ("obstruct", "necessary-condition battery", _cmd_obstruct,
+     _DIAGRAM + ("--poly",),
+     (("--det", {"type": int, "help": "determinant, with --poly"}),
+      ("--prime", {**_FLAG, "help": "caller asserts the link is prime"}))),
+    ("certify", "search for a membership certificate", _cmd_certify,
+     _DIAGRAM, _BUDGET),
+    ("kanenobu", "closed-form K(p,q) facts", _cmd_kanenobu, (),
+     (("p", {"type": int}), ("q", {"type": int}), ("--analyze", _FLAG))),
+    ("batch", "report over a file of PD codes", _cmd_batch, (),
+     (("path", {}), ("--prime", _FLAG), ("--certify", _FLAG)) + _BUDGET),
+)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and then shared. A subcommand
+    stores its handler's name, not the function, so main finds whatever
+    the module holds under that name when it runs."""
     parser = _Parser(prog="qalt",
                      description="Jones polynomials, tree expansions, and "
                                  "quasi-alternating obstructions")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    s = subs.add_parser("jones", help="Jones polynomial and gap structure")
-    _add_common(s)
-    _add_diagram_input(s)
-    s.set_defaults(func=_cmd_jones)
-
-    s = subs.add_parser("bracket", help="Kauffman bracket in A")
-    _add_common(s)
-    _add_diagram_input(s)
-    s.set_defaults(func=_cmd_bracket)
-
-    s = subs.add_parser("gamma", help="spanning-tree polynomial")
-    _add_common(s)
-    _add_diagram_input(s, edgelist=True)
-    s.set_defaults(func=_cmd_gamma)
-
-    s = subs.add_parser("goeritz", help="Goeritz determinant")
-    _add_common(s)
-    _add_diagram_input(s, edgelist=True)
-    s.set_defaults(func=_cmd_goeritz)
-
-    s = subs.add_parser("det", help="link determinant |V(-1)|")
-    _add_common(s)
-    _add_diagram_input(s)
-    s.set_defaults(func=_cmd_det)
-
-    s = subs.add_parser("analyze", help="breadth/gap/alternation report")
-    _add_common(s)
-    src = s.add_mutually_exclusive_group(required=True)
-    src.add_argument("--poly", help="inline Laurent polynomial")
-    src.add_argument("--pd", help="diagram whose Jones polynomial to analyze")
-    src.add_argument("--file", help="file containing a PD code")
-    s.add_argument("--var", default="t")
-    s.add_argument("--step2", type=int, default=2,
-                   help="lattice step in half-exponent units (default 2)")
-    s.set_defaults(func=_cmd_analyze)
-
-    s = subs.add_parser("obstruct", help="necessary-condition battery")
-    _add_common(s)
-    src = s.add_mutually_exclusive_group(required=True)
-    src.add_argument("--pd")
-    src.add_argument("--file")
-    src.add_argument("--poly", help="Jones polynomial in t (needs --det)")
-    s.add_argument("--det", type=int, default=None)
-    s.add_argument("--prime", action="store_true",
-                   help="caller asserts the link is prime")
-    s.set_defaults(func=_cmd_obstruct)
-
-    s = subs.add_parser("certify", help="search for a membership certificate")
-    _add_common(s)
-    _add_diagram_input(s)
-    _add_budget_flags(s)
-    s.set_defaults(func=_cmd_certify)
-
-    s = subs.add_parser("kanenobu", help="closed-form K(p,q) facts")
-    _add_common(s)
-    s.add_argument("p", type=int)
-    s.add_argument("q", type=int)
-    s.add_argument("--analyze", action="store_true")
-    s.set_defaults(func=_cmd_kanenobu)
-
-    s = subs.add_parser("batch", help="report over a file of PD codes")
-    _add_common(s)
-    s.add_argument("path")
-    s.add_argument("--prime", action="store_true")
-    s.add_argument("--certify", action="store_true")
-    _add_budget_flags(s)
-    s.set_defaults(func=_cmd_batch)
-
+    for name, text, handler, inputs, others in _COMMANDS:
+        s = subs.add_parser(name, help=text)
+        s.add_argument("--json", action="store_true",
+                       help="emit JSON instead of text")
+        if inputs:
+            src = s.add_mutually_exclusive_group(required=True)
+            for flag in inputs:
+                src.add_argument(flag, help=_INPUT_HELP[flag])
+        for flag, kw in others:
+            s.add_argument(flag, **kw)
+        s.set_defaults(handler=handler.__name__)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        return args.func(args)
+        payload, lines, *code = globals()[args.handler](args)
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    if args.json:
+        print(json.dumps(payload, indent=2))
+    else:
+        for line in lines:
+            print(line)
+    return code[0] if code else 0
 
 
 if __name__ == "__main__":

@@ -144,7 +144,10 @@ class Certificate:
 
     @classmethod
     def from_json(cls, text: str) -> "Certificate":
-        tree = json.loads(text)
+        try:
+            tree = json.loads(text)
+        except RecursionError:
+            raise ValueError("certificate JSON is nested too deeply") from None
         _check_node(tree)
         return cls(root=parse_pd(tree["pd"]), tree=tree)
 
@@ -248,17 +251,19 @@ def _reduced(d: Diagram, want: str) -> Diagram:
 
 def _check_node(node):
     """Raise ValueError unless node is shaped like a certificate node:
-    an object with a string "pd" and a "det"; unless it is a leaf, also
-    a string "reduced_pd", a "crossing" and a list of two children."""
+    an object with a string "pd" and an int "det"; unless it is a leaf,
+    also a string "reduced_pd", an int "crossing" and a list of two
+    children. JSON true and 3.0 are not ints here, as in parse_pd."""
     if not isinstance(node, dict) or not isinstance(node.get("pd"), str):
         raise ValueError("certificate node needs a string \"pd\"")
-    if "det" not in node:
-        raise ValueError("certificate node has no \"det\"")
+    if type(node.get("det")) is not int:
+        raise ValueError("certificate node needs an integer \"det\"")
     if node.get("leaf"):
         return
-    if not isinstance(node.get("reduced_pd"), str) or "crossing" not in node:
+    if (not isinstance(node.get("reduced_pd"), str)
+            or type(node.get("crossing")) is not int):
         raise ValueError("internal node needs a string \"reduced_pd\" "
-                         "and a \"crossing\"")
+                         "and an integer \"crossing\"")
     kids = node.get("children")
     if not isinstance(kids, list) or len(kids) != 2:
         raise ValueError("internal node needs two children")

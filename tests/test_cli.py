@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -177,6 +178,13 @@ def test_obstruct_poly_needs_det(capsys):
     assert code == 1 and "--det" in err
 
 
+def test_obstruct_det_without_poly_is_exit_1(capsys):
+    # a diagram gives its own det; a --det it would ignore is an error
+    code, out, err = run(capsys, "obstruct", "--pd", HOPF, "--det", "7")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "--poly" in err
+
+
 def test_obstruct_fires(capsys):
     code, out, _ = run(capsys, "obstruct", "--poly", "1 + t^2 + t^5",
                        "--det", "9", "--json")
@@ -344,6 +352,14 @@ def test_batch_certify_flag(tmp_path, capsys):
         root=corpus.hopf(), tree=entry["certificate"]))
 
 
+def test_batch_budget_without_certify_is_exit_1(tmp_path, capsys):
+    path = tmp_path / "links.txt"
+    path.write_text(HOPF + "\n")
+    code, out, err = run(capsys, "batch", str(path), "--max-nodes", "0")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "--certify" in err
+
+
 def test_batch_missing_file(capsys):
     code, _, err = run(capsys, "batch", "/nonexistent/path.txt")
     assert code == 1 and "cannot read" in err
@@ -374,6 +390,17 @@ def test_bad_pd_is_exit_1(capsys):
     assert code == 1 and "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--poly", ""], ["obstruct", "--poly", "", "--det", "3"],
+    ["jones", "--file", ""], ["gamma", "--edgelist", ""],
+], ids=["analyze-poly", "obstruct-poly", "jones-file", "gamma-edgelist"])
+def test_empty_input_value_is_exit_1(capsys, argv):
+    # an empty value is still the input given, not a missing one
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:")
+
+
 def test_usage_error_is_exit_1(capsys):
     code, _, _ = run(capsys, "jones")
     assert code == 1
@@ -385,3 +412,39 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "det: 2" in proc.stdout
+
+
+def test_parser_reuse_carries_no_flags_over(tmp_path, capsys):
+    path = tmp_path / "links.txt"
+    path.write_text(HOPF + "\n")
+    entry = _json(capsys, "batch", str(path), "--certify")["entries"][0]
+    assert entry["certify_status"] == "Certified"
+    entry = _json(capsys, "batch", str(path))["entries"][0]
+    assert "certify_status" not in entry and "certificate" not in entry
+    data = _json(capsys, "analyze", "--poly", "A^(-10) - A^6 + A^14",
+                 "--var", "A", "--step2", "8")
+    assert data["step"] == "4"
+    data = _json(capsys, "analyze", "--poly", "-t^(-5/2) - t^(-1/2)")
+    assert (data["poly"], data["step"]) == ("-t^(-5/2) - t^(-1/2)", "1")
+
+
+def test_second_main_call_builds_no_parser(monkeypatch, capsys):
+    assert main(["det", "--pd", HOPF]) == 0
+
+    def build(*args, **kwargs):
+        raise AssertionError("parser rebuilt")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", build)
+    assert main(["det", "--pd", HOPF]) == 0
+    assert capsys.readouterr().out == "det: 2\ndet: 2\n"
+
+
+def test_import_builds_no_parser():
+    code = ("import argparse\n"
+            "def build(*args, **kwargs):\n"
+            "    raise SystemExit('parser built at import')\n"
+            "argparse.ArgumentParser.__init__ = build\n"
+            "import qalt.cli\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

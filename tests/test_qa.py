@@ -420,26 +420,34 @@ def test_replay_names_a_wrong_child():
     (("children",), [1, 2]), (("children",), []),
     (("reduced_pd",), ["X[1,4,2,5]"]), (("pd",), 7),
     ((), [1, 2]), ((), "X[1,4,2,5]"),
+    (("children", 0, "det"), True), (("det",), 3.0), (("crossing",), True),
+    (None, "[" * 100000 + "]" * 100000),
 ], ids=["no-det", "no-children", "no-reduced-pd", "no-crossing", "no-pd",
         "no-child-pd", "no-leaf-det", "children-int", "children-ints",
-        "children-empty", "reduced-pd-list", "pd-int", "array", "string"])
+        "children-empty", "reduced-pd-list", "pd-int", "array", "string",
+        "leaf-det-true", "det-float", "crossing-true", "nested-too-deep"])
 def test_malformed_certificate_is_value_error(path, value):
-    # value None deletes the key at path; an empty path replaces the tree
-    tree = json.loads(TREFOIL_CERTIFICATE)
-    if not path:
-        tree = value
+    # value None deletes the key at path; an empty path replaces the
+    # tree; path None makes value the JSON text, which only from_json reads
+    if path is None:
+        text = value
     else:
-        node = tree
-        for k in path[:-1]:
-            node = node[k]
-        if value is None:
-            del node[path[-1]]
+        tree = json.loads(TREFOIL_CERTIFICATE)
+        if not path:
+            tree = value
         else:
-            node[path[-1]] = value
+            node = tree
+            for k in path[:-1]:
+                node = node[k]
+            if value is None:
+                del node[path[-1]]
+            else:
+                node[path[-1]] = value
+        with pytest.raises(ValueError):
+            replay_certificate(tree)
+        text = json.dumps(tree)
     with pytest.raises(ValueError):
-        replay_certificate(tree)
-    with pytest.raises(ValueError):
-        replay_certificate(Certificate.from_json(json.dumps(tree)))
+        replay_certificate(Certificate.from_json(text))
 
 
 def _shared_closure():

@@ -1,12 +1,13 @@
 """README's library example runs and gives the values its comments name,
-and every command of its CLI block exits 0, so neither can go stale
-unnoticed."""
+and its CLI block shows every subcommand and each command exits 0, so
+neither can go stale unnoticed."""
 
+import argparse
 import re
 import shlex
 from pathlib import Path
 
-from qalt.cli import main
+from qalt.cli import build_parser, main
 from qalt.qa import Certificate, replay_certificate
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -57,7 +58,10 @@ def test_readme_cli_block(tmp_path, monkeypatch, capsys):
         "# Hopf link\nX[1,4,2,3] X[3,2,4,1]\n")
     monkeypatch.chdir(tmp_path)
     commands = _cli_commands()
-    assert len(commands) == 10
+    assert len(commands) == 11
+    subcommands = next(a.choices for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction))
+    assert {argv[0] for argv in commands} == set(subcommands)
     for argv in commands:
         assert main(argv) == 0, argv
         assert capsys.readouterr().out
