@@ -1,5 +1,6 @@
 """Exact integer determinants, and the integer union-find that the graph
-layer and the bracket's state-sum oracle share."""
+layer, the diagram's connectivity test and the bracket's state-sum oracle
+share."""
 
 from __future__ import annotations
 

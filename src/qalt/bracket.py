@@ -158,7 +158,7 @@ def jones(d: Diagram) -> HalfLaurent:
 
 def determinant(d: Diagram) -> int:
     """|V(-1)| with t^(1/2) = i, exact."""
-    return jones(d).abs_at_minus_one()
+    return bracket_result(d).determinant
 
 
 @dataclass(frozen=True)

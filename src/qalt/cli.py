@@ -25,7 +25,8 @@ from .diagram import parse_pd
 from .laurent import analyze
 from .qa import (INCONCLUSIVE, NOTQA, Budget, Unknown, certify, kanenobu_jones,
                  kanenobu_obstruction, obstruct)
-from .tait import black_graph, dual, gamma, goeritz_det, parse_edgelist
+from .tait import (black_graph, checkerboard, gamma, goeritz_det,
+                   parse_edgelist)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,13 +69,15 @@ def _read_diagram(args):
 
 
 def _read_graph(args):
-    """Checkerboard graph from a PD, or a literal edge list; with --white,
-    its planar dual, which an edge list does not carry."""
+    """Black checkerboard graph from a PD, or a literal edge list; with
+    --white, the white graph, which an edge list does not carry."""
     if args.edgelist is None:
-        g = black_graph(_read_diagram(args))
-    else:
-        g = parse_edgelist(_read(args.edgelist))
-    return dual(g) if args.white else g
+        d = _read_diagram(args)
+        return checkerboard(d)[1] if args.white else black_graph(d)
+    g = parse_edgelist(_read(args.edgelist))
+    if args.white:
+        raise ValueError("graph carries no embedding")
+    return g
 
 
 def _jones_payload(d):

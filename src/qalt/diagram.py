@@ -47,6 +47,8 @@ import json
 import re
 from collections import Counter
 
+from ._util import _join
+
 
 # the slot pairs that the r-smoothing of a crossing joins, r = 0 and 1
 _SMOOTHINGS = (((0, 1), (2, 3)), ((0, 3), (1, 2)))
@@ -203,21 +205,14 @@ class Diagram:
             # one closed strand runs through every crossing
             self._connected = True
         if self._connected is None:
-            # the shadow's pieces, searched on first use only
-            mate = self._mate
-            seen = [False] * len(self.crossings)
-            seen[0] = True
-            stack = [0]
-            reached = 1
-            while stack:
-                p = 4 * stack.pop()
-                for q in (mate[p], mate[p + 1], mate[p + 2], mate[p + 3]):
-                    cj = q >> 2
-                    if not seen[cj]:
-                        seen[cj] = True
-                        reached += 1
-                        stack.append(cj)
-            self._connected = reached == len(self.crossings)
+            # the shadow's pieces, counted on first use only: each arc,
+            # seen from its lower port, joins the crossings at its ends
+            parts = len(self.crossings)
+            parent = list(range(parts))
+            for p, q in enumerate(self._mate):
+                if p < q:
+                    parts -= _join(parent, p >> 2, q >> 2)
+            self._connected = parts == 1
         return self._connected and self.free_loops == 0
 
     def _head_port(self, lab: int) -> int:

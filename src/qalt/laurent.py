@@ -241,10 +241,11 @@ def _exp_str(e2: int) -> str:
 
 _CHUNK = re.compile(
     r"^(?:(\d+)\s*\*?\s*)?"          # optional coefficient
-    r"(?:(?P<var>\w+)"               # optional variable
+    r"(?:(?P<var>[A-Za-z_]\w*)"      # optional variable
     r"(?:\^(?P<exp>.+))?)?$"         # optional exponent
 )
-_EXP = re.compile(r"^\(?\s*(-?\d+)\s*(?:/\s*(\d+)\s*)?\)?$")
+# an exponent has both parentheses or neither
+_EXP = re.compile(r"^(\()?\s*(-?\d+)\s*(?:/\s*(\d+)\s*)?(?(1)\))$")
 
 
 def parse(text: str, var: str = "t") -> HalfLaurent:
@@ -292,8 +293,8 @@ def parse(text: str, var: str = "t") -> HalfLaurent:
                 em = _EXP.match(exp_text.strip())
                 if not em:
                     raise ValueError("cannot parse exponent %r" % exp_text)
-                num = int(em.group(1))
-                den = int(em.group(2)) if em.group(2) else 1
+                num = int(em.group(2))
+                den = int(em.group(3)) if em.group(3) else 1
                 if den == 1:
                     e2 = 2 * num
                 elif den == 2:

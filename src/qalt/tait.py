@@ -5,12 +5,9 @@ vertices and every crossing contributes one signed edge. An edge is
 positive when the black regions occupy the corners between slots 1-2
 and 3-0 of its crossing (the pair swept clockwise from the over-strand),
 negative otherwise; the white graph is the planar dual and carries the
-opposite signs. black_graph() builds the black graph alone, which is
-all the certification search and its replay read; dual() builds the
-white graph from it when first asked, and checkerboard() returns both.
-Graphs read off a diagram skip the edge checks of SignedPlanarGraph,
-and goeritz_det() skips their connectivity check: a connected diagram
-has connected checkerboard graphs.
+opposite signs. black_graph() builds the black graph, which is all the
+certification search and its replay read; checkerboard() builds both
+from one face coloring.
 
 gamma(G) sums, over spanning trees, the product of one weight per edge
 determined by the edge's activity. With the edges totally ordered, an
@@ -21,7 +18,7 @@ active when it is the minimum of the cycle its insertion creates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from ._util import _join, _root, bareiss_det
@@ -81,13 +78,10 @@ class SignedPlanarGraph:
 
     edges[i] = (u, v, sign); the list position is the edge order.
     black_graph() and checkerboard() put crossing i's edge at edges[i]
-    in both graphs and attach the planar dual, which is what dual()
-    returns; black_graph() attaches a function that builds it."""
+    in both graphs of a diagram."""
 
     vertex_count: int
     edges: tuple
-    _dual: "SignedPlanarGraph" = field(
-        default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.vertex_count < 1:
@@ -100,9 +94,6 @@ class SignedPlanarGraph:
                 raise ValueError("edge sign must be +1 or -1")
             clean.append((u, v, s))
         object.__setattr__(self, "edges", tuple(clean))
-
-    def edge_count(self) -> int:
-        return len(self.edges)
 
     def is_connected(self) -> bool:
         return _connected(self.vertex_count, self.edges)
@@ -145,27 +136,14 @@ class SignedPlanarGraph:
             self.vertex_count, tuple(self.edges[i] for i in perm))
 
 
-def _embedded(vertex_count: int, edges: tuple, dual) -> SignedPlanarGraph:
-    """A graph read off a diagram, whose edges need no validation; dual
-    is its planar dual, or a function that builds the dual from it."""
-    g = object.__new__(SignedPlanarGraph)
-    object.__setattr__(g, "vertex_count", vertex_count)
-    object.__setattr__(g, "edges", edges)
-    object.__setattr__(g, "_dual", dual)
-    return g
-
-
-def black_graph(d: Diagram) -> SignedPlanarGraph:
-    """The black graph of a connected diagram; dual() builds the white
-    graph from it on first use.
-
-    The black class is the larger face class; on a tie, the class not
-    containing the face at the least port. The crossing-free unknot
-    yields a single-vertex graph."""
+def _tait_graphs(d: Diagram, both: bool) -> tuple:
+    """(black graph, white graph) of a connected diagram, the white one
+    None unless both are asked for."""
     if not d.is_connected():
         raise DisconnectedDiagram("checkerboard needs a connected diagram")
     if not d.crossings:
-        return _embedded(1, (), lambda g: _embedded(1, (), g))
+        unknot = SignedPlanarGraph(1, ())
+        return unknot, (unknot if both else None)
     nfaces, corners, colors = d.face_incidence()
     if nfaces != len(d.crossings) + 2:
         raise NoEmbedding("face count %d is not crossings+2" % nfaces)
@@ -181,32 +159,28 @@ def black_graph(d: Diagram) -> SignedPlanarGraph:
         index.append(size[c])
         size[c] += 1
 
-    def edges(color):
-        return tuple([
+    def graph(color):
+        return SignedPlanarGraph(size[color], [
             (index[c1], index[c3], 1) if colors[c1] == color
             else (index[c0], index[c2], -1)
             for c0, c1, c2, c3 in corners])
 
-    return _embedded(size[black], edges(black),
-                     lambda g: _embedded(size[1 - black], edges(1 - black), g))
+    return graph(black), (graph(1 - black) if both else None)
 
 
-def checkerboard(d: Diagram):
+def black_graph(d: Diagram) -> SignedPlanarGraph:
+    """The black graph of a connected diagram.
+
+    The black class is the larger face class; on a tie, the class not
+    containing the face at the least port. The crossing-free unknot
+    yields a single-vertex graph."""
+    return _tait_graphs(d, False)[0]
+
+
+def checkerboard(d: Diagram) -> tuple:
     """(black graph, white graph) of a connected diagram, each the
-    other's dual(); see black_graph."""
-    g = black_graph(d)
-    return g, dual(g)
-
-
-def dual(g: SignedPlanarGraph) -> SignedPlanarGraph:
-    """Planar dual with negated signs; known only for diagram-built graphs."""
-    w = g._dual
-    if w is None:
-        raise NoEmbedding("graph carries no embedding")
-    if not isinstance(w, SignedPlanarGraph):
-        w = w(g)
-        object.__setattr__(g, "_dual", w)
-    return w
+    other's planar dual with negated signs; see black_graph."""
+    return _tait_graphs(d, True)
 
 
 def spanning_trees(g: SignedPlanarGraph):
@@ -271,8 +245,6 @@ def activity(g: SignedPlanarGraph, tree: frozenset, e: int) -> str:
 def gamma(g: SignedPlanarGraph) -> HalfLaurent:
     """Spanning-tree expansion over activity weights; 1 for the edgeless
     single vertex."""
-    if not g.is_connected():
-        raise ValueError("graph is not connected")
     terms = {}
     for tree in spanning_trees(g):
         # each tree contributes one monomial: exponents add, signs multiply
@@ -306,9 +278,9 @@ def gamma_skein_check(g: SignedPlanarGraph, e: int) -> bool:
 def goeritz_det(g: SignedPlanarGraph) -> int:
     """|det| of the Goeritz minor: off-diagonal (i,j) is minus the sum of
     signs of i-j edges, diagonals make rows sum to zero, first row and
-    column deleted. Loops are ignored. A graph read off a diagram is
-    connected, so only other graphs are checked."""
-    if g._dual is None and not g.is_connected():
+    column deleted. Loops are ignored. Connectivity is checked first,
+    before the n x n matrix is made."""
+    if not g.is_connected():
         raise ValueError("graph is not connected")
     return _goeritz_minor_det(g.vertex_count, g.edges)
 

@@ -29,7 +29,7 @@ def _reduced(d) -> bool:
     """No nugatory crossing: the Tait graph has no loop and no isthmus."""
     g = black_graph(d)
     return not any(g.is_loop(i) or g.is_isthmus(i)
-                   for i in range(g.edge_count()))
+                   for i in range(len(g.edges)))
 
 
 def _diagrammatically_prime(d) -> bool:

@@ -14,7 +14,7 @@ from qalt.diagram import parse_pd
 from qalt.laurent import analyze, parse
 from qalt.qa import (Certificate, kanenobu_jones, replay_certificate,
                      torus_2n_jones)
-from qalt.tait import black_graph, dual, gamma
+from qalt.tait import checkerboard, gamma
 
 HOPF = "X[1,4,2,3] X[3,2,4,1]"
 TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
@@ -71,10 +71,8 @@ def _gap_fields(rep):
 
 @pytest.mark.parametrize("white", [False, True])
 def test_gamma_json_round_trips(capsys, white):
-    g = black_graph(parse_pd(FIG8))
-    flags = []
-    if white:
-        g, flags = dual(g), ["--white"]
+    g = checkerboard(parse_pd(FIG8))[white]
+    flags = ["--white"] if white else []
     data = _json(capsys, "gamma", "--pd", FIG8, *flags)
     assert parse(data["gamma"], var="A") == gamma(g)
     assert (data["edges"], data["vertices"]) == (len(g.edges),
@@ -125,17 +123,18 @@ def test_edgelist_with_a_huge_vertex_number_exits_at_once(tmp_path, capsys):
     # one edge cannot connect a million vertices; the answer needs no
     # per-vertex table
     edges = tmp_path / "g.edges"
-    edges.write_text("0 1000000 +\n")
-    tracemalloc.start()
-    try:
-        code = main(["goeritz", "--edgelist", str(edges)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    out = capsys.readouterr()
-    assert code == 1 and out.out == ""
-    assert out.err == "error: graph is not connected\n"
-    assert peak < 2 ** 20
+    for text in ("0 1000000 +\n", "vertices 1000000\n0 1 +\n"):
+        edges.write_text(text)
+        tracemalloc.start()
+        try:
+            code = main(["goeritz", "--edgelist", str(edges)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out = capsys.readouterr()
+        assert code == 1 and out.out == ""
+        assert out.err == "error: graph is not connected\n"
+        assert peak < 2 ** 20
 
 
 def test_goeritz(capsys):
@@ -154,6 +153,12 @@ def test_analyze_poly(capsys):
     assert code == 0
     assert "breadth: 2" in out
     assert "alternating: True" in out
+
+
+def test_analyze_half_parenthesized_poly_is_exit_1(capsys):
+    code, out, err = run(capsys, "analyze", "--poly", "2t^(1/2")
+    assert code == 1 and out == ""
+    assert err == "error: cannot parse exponent '(1/2'\n"
 
 
 def test_analyze_pd_json(capsys):

@@ -274,6 +274,14 @@ def test_parse_tolerant_forms():
         parse("t^(1/3)")
     with pytest.raises(ValueError):
         parse("q^2")
+    # an exponent has both parentheses or neither
+    assert parse("t^1/2") == hl((1, 1))
+    for text in ("2t^(1/2", "t^1/2)"):
+        with pytest.raises(ValueError, match="cannot parse exponent"):
+            parse(text)
+    # a variable starts with a letter, so a stray number is a bad term
+    with pytest.raises(ValueError, match="cannot parse term '3 4'"):
+        parse("3 4")
 
 
 def test_monomial_quotient():
