@@ -2,13 +2,30 @@
 
 The bracket is a frontier sweep over the crossings, cross-checked in
 the tests against the 2^n state sum, which counts circles with a
-union-find. The Jones polynomial is the bracket
-times (-A)^(-3w) under the substitution t^(1/2) = A^(-2), and the
-determinant is |V(-1)| evaluated exactly at t^(1/2) = i.
+union-find. The Jones polynomial is the bracket times (-A)^(-3w) under
+the substitution t^(1/2) = A^(-2), and the determinant is |V(-1)|
+evaluated exactly at t^(1/2) = i.
+
+The sweep takes one crossing per step. A label is open once one of its
+two ends has been processed, and each open label holds a slot, so one
+numbering of the slots serves every state of a step. A state is the
+tuple over the slots of each slot's partner: the smoothed part joins
+the open label in a slot by a path to the label in its partner slot,
+and a free slot is its own partner. Each state carries its partial sum
+as one packed integer: digit j, in balanced base 2^W, is the
+coefficient of A^(base + 2j), with base shared by the step's states.
+Packing is evaluation at A^2 = 2^W, so the integers are exact at any
+W, and W only has to hold the bracket's coefficients when the sum is
+unpacked. It does with W = 3n + 2 for n crossings: a step multiplies
+each of the 2^n smoothing paths by A^(+1 or -1) and delta^k, k <= 2,
+whose coefficients sum in absolute value to 2^k, so no coefficient
+exceeds 2^n * 4^n < 2^(W-1). _sweep tightens the bound to the loops
+each step can close, which is about 1.6 n bits on braid closures.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 from collections import Counter
 from dataclasses import dataclass
@@ -31,89 +48,168 @@ def _delta_power(k: int) -> HalfLaurent:
     return _DELTA_POWERS[k]
 
 
-def _sweep_order(crossings) -> list:
-    """Crossing indices in sweep order: each step takes the crossing with
-    the most labels already open (one end processed), lowest index first
-    among ties."""
+# each smoothing's two arcs, as the slot pairs they join
+_ARCS = tuple(i + k for i, k in _SMOOTHINGS)
+# by the set of a crossing's slots whose labels are path ends when its
+# arcs join them (bit i for slot i), the most loops each smoothing can
+# close: an arc closes one only when both its labels are ends
+_KMAX = [tuple((mask >> i & mask >> j & 1) + (mask >> k & mask >> m & 1)
+               for i, j, k, m in _ARCS) for mask in range(16)]
+
+
+def _sweep(d: Diagram):
+    """The sweep: per step, its crossing's slots and their ends mask
+    (see _KMAX); then the number of slots, the frontier width (the most
+    labels open at once), and a bound on the bracket's coefficients.
+
+    Each step takes the crossing with the most labels already open,
+    lowest index first among ties. score[c] counts the slots of crossing
+    c whose label is open: taking a crossing bumps the crossing at the
+    far end of each of its four arcs, which matters only while that one
+    is left. An open label holds a slot from its first end to its
+    second, and a slot is reused once its label has closed. A slot's
+    label is a path end once it is open or met twice at this crossing.
+
+    The bound: a step multiplies each partial sum by A^(+1 or -1) and
+    delta^k, k at most kmax of its smoothing, and delta^k's
+    coefficients sum in absolute value to 2^k. So the absolute
+    coefficients of all states together grow at most
+    2^kmax_0 + 2^kmax_1 times per step, and the last step, whose loops
+    include the circle <O> = 1, half that."""
+    crossings, mate = d.crossings, d._mate
+    score = [0] * len(crossings)
     left = list(range(len(crossings)))
-    seen = set()
-    order = []
+    slot_of = {}
+    free = []
+    size = width = 0
+    bound = 1
+    steps = []
     while left:
-        ci = max(left, key=lambda i: sum(lab in seen for lab in crossings[i]))
+        ci = max(left, key=score.__getitem__)
         left.remove(ci)
-        order.append(ci)
-        seen.update(crossings[ci])
-    return order
+        slots = []
+        done = []
+        mask = 0
+        for bit, lab, p in zip((1, 2, 4, 8), crossings[ci],
+                               mate[4 * ci:4 * ci + 4]):
+            score[p >> 2] += 1
+            if lab in slot_of:
+                s = slot_of.pop(lab)
+                done.append(s)
+                mask |= bit
+            else:
+                if free:
+                    s = free.pop()
+                else:
+                    s = size
+                    size += 1
+                slot_of[lab] = s
+                if p >> 2 == ci:
+                    mask |= bit
+            slots.append(s)
+        free += done
+        width = max(width, len(slot_of))
+        k0, k1 = _KMAX[mask]
+        bound *= (1 << k0) + (1 << k1)
+        steps.append((slots, mask))
+    return steps, size, width, bound >> 1
 
 
-def _chain(edges):
-    """Chain label-to-label edges into paths and loops.
-
-    Each label meets one edge (an end of a path) or two (an inner
-    point). end maps each end of a path built so far to its other end.
-    Returns the paths as sorted pairs of end labels, and the number of
-    closed loops."""
-    end = {}
-    loops = 0
-    for a, b in edges:
-        pa = end.pop(a, a)
-        pb = end.pop(b, b)
-        if pa == b:
-            loops += 1
-        else:
-            end[pa] = pb
-            end[pb] = pa
-    return [(x, y) for x, y in end.items() if x < y], loops
+@functools.lru_cache(maxsize=256)
+def _multipliers(w: int, mask: int, closing: bool) -> tuple:
+    """How a step moves a partial sum on: the drop in base, and for each
+    smoothing, of weight A then A^-1, the packed factor by the number of
+    loops closed. All but the circle <O> that the last step closes are
+    factors delta, at most top = kmax - closing of them, and delta^k =
+    (-1)^k A^(-2k) (1 + A^4)^k, with (1 + A^4)^k packed as
+    (1 + 2^(2w))^k. So the lowest exponent falls by at most
+    drop = max(2 top_0 - 1, 2 top_1 + 1), and each factor is shifted up
+    by the digits left over."""
+    top = [k - closing for k in _KMAX[mask]]
+    drop = max(2 * top[0] - 1, 2 * top[1] + 1)
+    rows = tuple((0,) * closing + tuple(
+        (-1) ** k * (1 + (1 << 2 * w)) ** k << w * ((drop + sign) // 2 - k)
+        for k in range(t + 1)) for t, sign in zip(top, (1, -1)))
+    return drop, rows
 
 
 def kauffman_bracket(d: Diagram) -> HalfLaurent:
     """Bracket polynomial in A, by a frontier sweep over the crossings.
 
-    A label is open once one of its two ends has been processed. A state
-    is the pairing of the open labels that the smoothed part joins by
-    paths, as a sorted tuple of pairs. It maps to its partial sum: the
-    Laurent polynomial {doubled A exponent: coefficient} that the
-    smoothings leading to it contribute, every loop they closed already
-    a factor delta. Each crossing splits every state in two by its
-    smoothings: a smoothing's two arcs join the crossing's labels, and
-    chaining them with the state's paths gives the new pairing and the
-    loops closed, so the partial sum is multiplied by A^(+1 or -1) and
-    by delta^loops. The last crossing closes every path; one of its
-    loops is the circle <O> = 1, with no delta. Equal pairings merge, so
-    the cost is set by the number of open labels."""
+    A state (see the module docstring) maps to its partial sum: the
+    smoothings leading to it contribute it, every loop they closed
+    already a factor delta. Each crossing splits every state in two by
+    its smoothings. A smoothing's two arcs join the crossing's labels,
+    and joining an arc to the pairing either extends a path or closes a
+    loop. The partial sum is multiplied by A^(+1 or -1) and by
+    delta^loops. The last crossing closes every path; one of its loops
+    is the circle <O> = 1, with no delta. Equal pairings merge, so the
+    cost is set by the number of open labels.
+
+    A partial sum is one integer, digit j the coefficient of
+    A^(base + 2j) in balanced base 2^w (the module docstring gives w):
+    a step is one multiply by a factor from _multipliers, merging is one
+    add, and the sum is unpacked once."""
     if d.component_count == 0:
         raise EmptyDiagram("the empty diagram has no bracket")
     crossings = d.crossings
     if not crossings:
         return _delta_power(d.free_loops - 1)
-    order = _sweep_order(crossings)
-    states = {(): {0: 1}}
-    width = peak = 0
-    for ci in order:
-        labs = crossings[ci]
+    steps, size, width, bound = _sweep(d)
+    w = bound.bit_length() + 1
+    states = {tuple(range(size)): 1}
+    base = peak = 0
+    last = len(steps) - 1
+    for t, (slots, mask) in enumerate(steps):
+        drop, rows = _multipliers(w, mask, t == last)
+        base -= drop
         # the 0-smoothing has weight A, the 1-smoothing A^-1
-        smoothings = [(tuple((labs[i], labs[j]) for i, j in pairs), de2)
-                      for pairs, de2 in zip(_SMOOTHINGS, (2, -2))]
-        closing = ci == order[-1]
+        smoothings = [(slots[i], slots[j], slots[k], slots[m], row)
+                      for (i, j, k, m), row in zip(_ARCS, rows)]
         nxt = {}
-        for state, poly in states.items():
-            for arcs, de in smoothings:
-                paths, loops = _chain(state + arcs)
-                key = tuple(sorted(paths))
-                acc = nxt.get(key)
-                if acc is None:
-                    acc = nxt[key] = {}
-                for e2, dc in _delta_power(loops - closing).items2():
-                    e2 += de
-                    for e, c in poly.items():
-                        acc[e + e2] = acc.get(e + e2, 0) + c * dc
+        get = nxt.get
+        for state, q in states.items():
+            for a, b, c, e, mults in smoothings:
+                end = list(state)
+                pa = end[a]
+                end[a] = a
+                pb = end[b]
+                end[b] = b
+                if pa == b:
+                    loops = 1
+                else:
+                    loops = 0
+                    end[pa] = pb
+                    end[pb] = pa
+                pa = end[c]
+                end[c] = c
+                pb = end[e]
+                end[e] = e
+                if pa == e:
+                    loops += 1
+                else:
+                    end[pa] = pb
+                    end[pb] = pa
+                key = tuple(end)
+                nxt[key] = get(key, 0) + q * mults[loops]
         states = nxt
-        # every state pairs up the same open labels
-        width = max(width, 2 * len(next(iter(states))))
-        peak = max(peak, len(states))
+        peak = max(peak, len(nxt))
     log.debug("kauffman_bracket: %d crossings, frontier width %d, "
               "peak states %d", len(crossings), width, peak)
-    return HalfLaurent(states[()]) * _delta_power(d.free_loops)
+    (q,) = states.values()
+    terms = {}
+    digit = (1 << w) - 1
+    e2 = 2 * base
+    while q:
+        c = q & digit
+        if c >> (w - 1):
+            c -= digit + 1
+        if c:
+            terms[e2] = c
+        q = (q - c) >> w
+        e2 += 4
+    b = HalfLaurent(terms)
+    return b * _delta_power(d.free_loops) if d.free_loops else b
 
 
 def bracket_state_sum(d: Diagram) -> HalfLaurent:

@@ -64,8 +64,22 @@ def _read(path: str) -> str:
         raise ValueError("cannot read %s: %s" % (path, exc)) from None
 
 
+def _diagram(text: str):
+    """The diagram of PD text, which must be planar: parse_pd takes a
+    code that fixes no planar embedding, whose bracket and Jones
+    polynomial are not those of any link."""
+    d = parse_pd(text)
+    faces = d.face_count()
+    planar = len(d.crossings) + 2 * d.shadow_pieces()
+    if faces != planar:
+        raise ValueError("face count %d is not %d, crossings + 2 per piece "
+                         "of the shadow: the PD code is not planar"
+                         % (faces, planar))
+    return d
+
+
 def _read_diagram(args):
-    return parse_pd(args.pd if args.file is None else _read(args.file))
+    return _diagram(args.pd if args.file is None else _read(args.file))
 
 
 def _read_graph(args):
@@ -204,7 +218,7 @@ def _batch_line(idx, line, args):
     t0 = time.monotonic()
     record = {"name": name}
     try:
-        d = parse_pd(text)
+        d = _diagram(text)
         payload, poly = _jones_payload(d)
         record.update(payload)
         v = obstruct(poly, record["det"], prime=args.prime)

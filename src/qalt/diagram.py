@@ -201,19 +201,22 @@ class Diagram:
     def is_connected(self) -> bool:
         if not self.crossings:
             return self.free_loops == 1
-        if self._connected is None and len(self._starts) == 1:
-            # one closed strand runs through every crossing
-            self._connected = True
         if self._connected is None:
-            # the shadow's pieces, counted on first use only: each arc,
-            # seen from its lower port, joins the crossings at its ends
-            parts = len(self.crossings)
-            parent = list(range(parts))
-            for p, q in enumerate(self._mate):
-                if p < q:
-                    parts -= _join(parent, p >> 2, q >> 2)
-            self._connected = parts == 1
+            self._connected = self.shadow_pieces() == 1
         return self._connected and self.free_loops == 0
+
+    def shadow_pieces(self) -> int:
+        """Pieces of the shadow that hold crossings: each arc, seen from
+        its lower port, joins the crossings at its ends."""
+        if len(self._starts) == 1:
+            # one closed strand runs through every crossing
+            return 1
+        parts = len(self.crossings)
+        parent = list(range(parts))
+        for p, q in enumerate(self._mate):
+            if p < q:
+                parts -= _join(parent, p >> 2, q >> 2)
+        return parts
 
     def _head_port(self, lab: int) -> int:
         p = self._flat.index(lab)
@@ -268,6 +271,13 @@ class Diagram:
                     break
             faces.append(orbit)
         return faces, face_of
+
+    def face_count(self) -> int:
+        """The number of faces() of the shadow. On a planar diagram each
+        piece of the shadow with c crossings bounds c + 2 faces (Euler's
+        formula), so the count is crossings + 2 * shadow_pieces(); a code
+        that fixes no planar embedding gives fewer."""
+        return len(self._port_faces()[0])
 
     def faces(self):
         """Face orbits of the 4-valent shadow, as tuples of entry ports.

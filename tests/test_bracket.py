@@ -1,6 +1,9 @@
+import hashlib
 import logging
+import random
 
 import pytest
+from conftest import braid_closure
 
 import qalt.bracket
 from qalt import corpus
@@ -106,6 +109,24 @@ def test_bracket_routes_agree_on_braid_closures(d):
     assert kauffman_bracket(d) == bracket_state_sum(d)
 
 
+def test_bracket_matches_state_sum_on_random_codes():
+    # random pairings of the ports, most of them not planar: the sweep's
+    # loop bounds and slots must not assume a planar code
+    rng = random.Random(7)
+    checked = 0
+    while checked < 150:
+        n = rng.randint(1, 7)
+        labels = [k // 2 + 1 for k in range(4 * n)]
+        rng.shuffle(labels)
+        try:
+            d = Diagram([labels[4 * c:4 * c + 4] for c in range(n)],
+                        rng.randint(0, 2))
+        except ValueError:
+            continue
+        assert kauffman_bracket(d) == bracket_state_sum(d), d
+        checked += 1
+
+
 def test_bracket_of_relabelled_and_split_diagrams():
     assert (kauffman_bracket(EDGE_SHAPES["torus-2-7-shuffled"])
             == kauffman_bracket(corpus.torus(7)))
@@ -122,9 +143,66 @@ def test_bracket_of_relabelled_and_split_diagrams():
 def test_bracket_logs_frontier(caplog):
     with caplog.at_level(logging.DEBUG, logger="qalt.bracket"):
         kauffman_bracket(corpus.trefoil())
+        kauffman_bracket(braid_closure([1, -2, 3, -4] * 3, 5))
+        kauffman_bracket(EDGE_SHAPES["split-trefoil-hopf"])
     msgs = [r.getMessage() for r in caplog.records if r.name == "qalt.bracket"]
-    assert msgs == ["kauffman_bracket: 3 crossings, frontier width 4, "
-                    "peak states 2"]
+    assert msgs == [
+        "kauffman_bracket: 3 crossings, frontier width 4, peak states 2",
+        "kauffman_bracket: 12 crossings, frontier width 6, peak states 5",
+        "kauffman_bracket: 5 crossings, frontier width 4, peak states 2"]
+
+
+# golden digest of the sweep, on inputs past the state sum's reach:
+# braid closures of 8-40 crossings, split unions with free loops, and
+# runs of disjoint curls, whose delta^(k-1) carries the largest
+# coefficients a diagram of k crossings can have
+
+CURL_FORMS = ((1, 1, 2, 2), (2, 1, 1, 2))
+
+
+def _relabelled(d: Diagram, shift: int) -> list:
+    return [tuple(lab + shift for lab in t) for t in d.crossings]
+
+
+def _curls(k: int) -> Diagram:
+    return Diagram([tuple(lab + 2 * i for lab in CURL_FORMS[i % 2])
+                    for i in range(k)])
+
+
+def _digest_corpus() -> list:
+    rng = random.Random(20261019)
+    closures = []
+    for family in ("random", "alternating", "near"):
+        for _ in range(16):
+            strands = rng.randint(3, 6)
+            letters = [rng.randint(1, strands - 1)
+                       for _ in range(rng.randint(8, 40))]
+            if family == "random":
+                word = [g * rng.choice((1, -1)) for g in letters]
+            else:
+                word = [g if g % 2 else -g for g in letters]
+            if family == "near":
+                for j in rng.sample(range(len(word)), rng.randint(1, 2)):
+                    word[j] = -word[j]
+            closures.append(braid_closure(word, strands))
+    unions = []
+    for _ in range(12):
+        a, b = rng.sample(closures, 2)
+        shift = max(lab for t in a.crossings for lab in t)
+        unions.append(Diagram(a.crossings + tuple(_relabelled(b, shift)),
+                              rng.randint(0, 3)))
+    return closures + unions + [_curls(k) for k in range(1, 41)]
+
+
+BRACKET_DIGEST = (
+    "dbb2e0cf906425c471041bef495e8a19a99655379371e805b45079d17c7b1d12")
+
+
+def test_bracket_golden_digest():
+    h = hashlib.sha256()
+    for d in _digest_corpus():
+        h.update(kauffman_bracket(d).render("A").encode() + b"\n")
+    assert h.hexdigest() == BRACKET_DIGEST
 
 
 def test_state_sum_cap():

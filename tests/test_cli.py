@@ -326,6 +326,39 @@ def test_batch_error_isolation(tmp_path, capsys):
                                "inconclusive": 2}
 
 
+# PD codes that fix no planar embedding: Diagram takes them, the CLI
+# does not (a planar code has crossings + 2 faces per piece of its
+# shadow; these have 2 of 4 and 1 of 3)
+NON_PLANAR = {"X[1,3,2,4] X[2,4,1,3]": 2, "X[1,2,1,2]": 1}
+
+
+@pytest.mark.parametrize("command", ["jones", "bracket", "det", "obstruct"])
+@pytest.mark.parametrize("pd", list(NON_PLANAR))
+def test_non_planar_code_is_exit_1(capsys, command, pd):
+    code, out, err = run(capsys, command, "--pd", pd)
+    assert code == 1 and out == ""
+    assert err == ("error: face count %d is not %d, crossings + 2 per piece "
+                   "of the shadow: the PD code is not planar\n"
+                   % (NON_PLANAR[pd], len(parse_pd(pd).crossings) + 2))
+
+
+def test_batch_records_non_planar_codes(tmp_path, capsys):
+    path = tmp_path / "links.txt"
+    path.write_text("".join("%s  # bad-%d\n%s  # good-%d\n"
+                            % (pd, k, TREFOIL, k)
+                            for k, pd in enumerate(NON_PLANAR)))
+    code, out, _ = run(capsys, "batch", str(path), "--json")
+    assert code == 0
+    entries = json.loads(out)["entries"]
+    assert [e["name"] for e in entries] == ["bad-0", "good-0", "bad-1",
+                                            "good-1"]
+    for e, faces in zip(entries[0::2], NON_PLANAR.values()):
+        assert e["error"].startswith("ValueError: face count %d is not "
+                                     % faces)
+    assert [e["det"] for e in entries[1::2]] == [3, 3]
+    assert json.loads(out)["summary"]["errors"] == 2
+
+
 def test_batch_det_zero_is_notqa(tmp_path, capsys):
     path = tmp_path / "links.txt"
     path.write_text("%s  # split\n" % SPLIT_HOPFS)

@@ -347,6 +347,20 @@ def test_fresh_diagram_canonicalises_like_its_source():
             assert fresh.canonical() == e.canonical()
 
 
+def test_face_count_is_eulers_on_planar_diagrams():
+    for d in _kernel_corpus():
+        for e in _kernel_family(d):
+            assert e.face_count() == len(e.faces())
+            if e.crossings:
+                assert (e.face_count()
+                        == len(e.crossings) + 2 * e.shadow_pieces())
+                assert e.is_connected() == (e.shadow_pieces() == 1
+                                            and e.free_loops == 0)
+    # codes that fix no planar embedding are still diagrams
+    assert parse_pd("X[1,2,1,2]").face_count() == 1
+    assert parse_pd("X[1,3,2,4] X[2,4,1,3]").face_count() == 2
+
+
 def test_face_incidence_matches_faces():
     for d in _kernel_corpus():
         for e in _kernel_family(d):
