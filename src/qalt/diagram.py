@@ -205,6 +205,16 @@ class Diagram:
             self._connected = self.shadow_pieces() == 1
         return self._connected and self.free_loops == 0
 
+    def is_alternating(self) -> bool:
+        """Whether every arc joins an under slot (even) to an over slot
+        (odd), so that over and under alternate along each component;
+        true when there are no crossings. Slot 0 flows in and slot 2 out,
+        so an arc between two under slots ends at a slot 0; where none
+        does, every even port's mate is odd, and there are as many odd
+        ports as even ones, so no arc joins two over slots either. It is
+        enough that every slot-0 port's mate is odd."""
+        return all(map((1).__and__, self._mate[0::4]))
+
     def shadow_pieces(self) -> int:
         """Pieces of the shadow that hold crossings: each arc, seen from
         its lower port, joins the crossings at its ends."""

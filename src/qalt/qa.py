@@ -13,13 +13,18 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .diagram import Diagram, SplitDiagram, parse_pd
+from .diagram import Diagram, DisconnectedDiagram, SplitDiagram, parse_pd
 from .bracket import determinant as bracket_determinant
 from .laurent import HalfLaurent, ZeroPolynomial, analyze, monomial_quotient
-from .tait import goeritz_det, smoothing_dets
-# certify and replay read only the black graph of each node; the call
-# keeps the name checkerboard, under which perfbench's tait.checkerboard
-# span counts it
+from .tait import NoEmbedding, goeritz_det, smoothing_dets
+# certify and replay build the black graph only at non-alternating
+# nodes. On a connected planar alternating diagram the black graph is
+# one-signed, so |det| is its spanning-tree count (Kirchhoff), and
+# tau(G) = tau(G - e) + tau(G / e) at an edge e that is neither a loop
+# nor an isthmus, that is at a crossing whose two smoothings are both
+# connected: such a node takes its determinant from its children. The
+# call keeps the name checkerboard, under which perfbench's
+# tait.checkerboard span counts it
 from .tait import black_graph as checkerboard
 
 NOTQA = "NotQA"
@@ -161,6 +166,15 @@ class _BudgetExceeded(Exception):
     pass
 
 
+def _check_embedding(s: Diagram):
+    """Raise NoEmbedding, as checkerboard does, unless the connected
+    diagram s fixes a planar embedding. Smoothings and R1/R2 moves keep
+    a planar diagram planar, so checking the root covers its tree."""
+    faces = s.face_count()
+    if faces != len(s.crossings) + 2:
+        raise NoEmbedding("face count %d is not crossings+2" % faces)
+
+
 def certify(d: Diagram, budget: Budget = Budget()):
     """Bounded search for a quasi-alternating certificate.
 
@@ -169,15 +183,34 @@ def certify(d: Diagram, budget: Budget = Budget()):
     qualifies when both smoothings have positive determinants adding up
     to the parent's, and both children certify recursively. Returns the
     first Certificate in this deterministic order, or Unknown("budget")
-    / Unknown("exhausted")."""
+    / Unknown("exhausted").
+
+    A node that is alternating (Diagram.is_alternating) is decided
+    without its black graph. Its graph is one-signed, so its
+    determinant is the graph's spanning-tree count, and deletion and
+    contraction of an edge e give tau(G) = tau(G - e) + tau(G / e)
+    unless e is a loop or an isthmus, a nugatory crossing, one of whose
+    smoothings is split. So a crossing qualifies exactly when both of
+    its smoothings are connected, and the node's det is the sum of its
+    children's. Where no crossing qualifies, every edge is a loop or an
+    isthmus and tau = 1: those are exactly the nodes that the det < 2
+    test of the Goeritz path rejects. The children are searched in the
+    same order and count against the same budget as on that path. The
+    root is checked for a planar embedding, as checkerboard checks every
+    node it reads.
+
+    The search adds one Python frame per level, and each level removes
+    a crossing (simplify never adds one), so the depth never exceeds the
+    root's crossing count, and the default recursion limit of 1000
+    covers roots of several hundred crossings."""
     if d.component_count == 0 or not d.is_connected():
         raise SplitDiagram("certification needs a connected nonempty diagram")
     memo = {}
     counter = [0]
 
     def rec(dd: Diagram, det: int | None, depth: int):
-        # det is the parent's value for this smoothing, None at the root;
-        # R1/R2 moves preserve it
+        # det is the parent's value for this smoothing, None at the root
+        # and below an alternating node; R1/R2 moves preserve it
         counter[0] += 1
         if counter[0] > budget.max_nodes or depth > budget.max_depth:
             raise _BudgetExceeded()
@@ -192,25 +225,39 @@ def certify(d: Diagram, budget: Budget = Budget()):
         core = memo.get(key)
         if core is not None:
             return {"pd": dd.render(), **core}
-        g = checkerboard(s)
-        if det is None:
-            det = goeritz_det(g)
-        if det < 2:
-            # a 1-determinant diagram that does not simplify away is
-            # not provably the unknot; additivity needs det >= 2 anyway
-            return None
+        alternating = s.is_alternating()
+        if alternating:
+            if not depth:
+                _check_embedding(s)
+        else:
+            g = checkerboard(s)
+            if det is None:
+                det = goeritz_det(g)
+            if det < 2:
+                # a 1-determinant diagram that does not simplify away is
+                # not provably the unknot; additivity needs det >= 2 anyway
+                return None
         for c in range(len(s.crossings)):
-            det0, det1 = smoothing_dets(g, c)
-            if det0 < 1 or det1 < 1 or det0 + det1 != det:
-                continue
-            n0 = rec(s.smooth(c, 0), det0, depth + 1)
+            if alternating:
+                s0, s1 = s.smooth(c, 0), s.smooth(c, 1)
+                if not (s0.is_connected() and s1.is_connected()):
+                    continue
+                det0 = det1 = None
+            else:
+                det0, det1 = smoothing_dets(g, c)
+                if det0 < 1 or det1 < 1 or det0 + det1 != det:
+                    continue
+                s0, s1 = s.smooth(c, 0), None
+            n0 = rec(s0, det0, depth + 1)
             if n0 is None:
                 continue
-            n1 = rec(s.smooth(c, 1), det1, depth + 1)
+            n1 = rec(s.smooth(c, 1) if s1 is None else s1, det1, depth + 1)
             if n1 is None:
                 continue
-            core = {"det": det, "reduced_pd": key, "crossing": c,
-                    "children": [n0, n1]}
+            # each child's det is its link's determinant, so where det0
+            # and det1 were solved the sum is det
+            core = {"det": n0["det"] + n1["det"], "reduced_pd": key,
+                    "crossing": c, "children": [n0, n1]}
             memo[key] = core
             return {"pd": dd.render(), **core}
         return None
@@ -275,6 +322,19 @@ def replay_certificate(cert) -> bool:
     the one its tree's "pd" describes, and the root determinant against
     the bracket route. A raw tree is rooted at its parsed "pd".
 
+    A leaf must simplify to the unknot, and its det is 1. An internal
+    node's stored det is checked against the Goeritz determinant of its
+    black graph, unless the node is alternating: such a node must be
+    connected, and its stored det must equal the sum of its children's,
+    which are checked first. That accepts the same trees. By induction
+    from the leaves each child's det is its link's; a child whose det is
+    at least 1 is not split, so the crossing is not nugatory, and on a
+    connected planar alternating diagram the spanning-tree count of the
+    one-signed black graph, its determinant, is then the sum of the
+    counts after deleting and contracting the crossing's edge (see
+    certify). The root is checked for a planar embedding, as
+    checkerboard checks every node it reads.
+
     Each distinct node is verified once. An occurrence equal, own "pd"
     included, to a node that already passed is accepted at once: the
     root's text was parsed to the root diagram, and every child's text
@@ -285,7 +345,12 @@ def replay_certificate(cert) -> bool:
     is accepted without repeating the rest, since the reduced diagram is
     determined by that text. A copy that differs anywhere else is checked
     in full, so the same trees are accepted and rejected, with the same
-    first error, as when every occurrence is checked."""
+    first error, as when every occurrence is checked.
+
+    The walk adds one Python frame per level, and it descends only into
+    children already checked to be smoothings, each with one crossing
+    fewer, so it goes no deeper than the root's crossing count, whatever
+    the tree."""
     tree = cert.tree if isinstance(cert, Certificate) else cert
     _check_node(tree)
     if isinstance(cert, Certificate):
@@ -314,9 +379,16 @@ def replay_certificate(cert) -> bool:
         if verified.get(key) == body:
             passed[node["pd"]] = node
             return node["det"]
-        det = goeritz_det(checkerboard(s))
-        if det != node["det"]:
-            raise ValueError("stored det %r != %r" % (node["det"], det))
+        alternating = s.is_alternating()
+        if alternating:
+            if not s.is_connected():
+                raise DisconnectedDiagram("certificate node is not connected")
+            if d is root:
+                _check_embedding(s)
+        else:
+            det = goeritz_det(checkerboard(s))
+            if det != node["det"]:
+                raise ValueError("stored det %r != %r" % (node["det"], det))
         c = node["crossing"]
         kids = node["children"]
         smoothings = [s.smooth(c, r) for r in (0, 1)]
@@ -330,6 +402,8 @@ def replay_certificate(cert) -> bool:
                 raise ValueError("child %d is not the %d-smoothing" % (r, r))
         d0 = walk(kids[0], smoothings[0])
         d1 = walk(kids[1], smoothings[1])
+        if alternating and d0 + d1 != node["det"]:
+            raise ValueError("stored det %r != %r" % (node["det"], d0 + d1))
         if d0 < 1 or d1 < 1 or d0 + d1 != node["det"]:
             raise ValueError("determinant additivity fails at a node")
         verified[key] = body

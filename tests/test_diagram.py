@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -345,6 +346,61 @@ def test_fresh_diagram_canonicalises_like_its_source():
         for e in _kernel_family(d):
             fresh = Diagram(e.crossings, e.free_loops)
             assert fresh.canonical() == e.canonical()
+
+
+def _alternates_along_components(d) -> bool:
+    """Oracle for is_alternating: walk every component through the label
+    tuples, passing crossing c from slot s to slot s + 2, and check that
+    the passages go over (odd s) and under (even s) in turn, the last
+    passage against the first."""
+    ends = {}
+    for c, t in enumerate(d.crossings):
+        for s, lab in enumerate(t):
+            ends.setdefault(lab, []).append((c, s))
+    seen = set()
+    for start in sorted(p for pair in ends.values() for p in pair):
+        if start in seen:
+            continue
+        overs = []
+        c, s = start
+        while (c, s) not in seen:
+            seen.update(((c, s), (c, s ^ 2)))
+            overs.append(s & 1)
+            out = (c, s ^ 2)
+            a, b = ends[d.crossings[c][s ^ 2]]
+            c, s = b if a == out else a
+        if any(x == y for x, y in zip(overs, overs[1:] + overs[:1])):
+            return False
+    return True
+
+
+def test_is_alternating_matches_a_walk_along_the_components():
+    rng = random.Random(20261019)
+    cases = [e.diagram for e in corpus.entries()]
+    cases += [Diagram((), 1), Diagram((), 3),
+              Diagram(corpus.hopf().crossings, free_loops=2)]
+    for _ in range(30):
+        strands = rng.randint(2, 5)
+        word = [rng.randint(1, strands - 1)
+                for _ in range(rng.randint(1, 12))]
+        word = [g if g % 2 else -g for g in word]
+        # alternating, then one and two letters switched
+        for flips in range(3):
+            w = list(word)
+            for i in rng.sample(range(len(w)), min(flips, len(w))):
+                w[i] = -w[i]
+            d = braid_closure(w, strands)
+            cases += [d, d.mirror()]
+            if d.is_connected():
+                cases += [d.connected_sum(corpus.curl()),
+                          d.connected_sum(rng.choice(CURLS))]
+    verdicts = Counter()
+    for d in cases:
+        for e in _kernel_family(d):
+            want = _alternates_along_components(e)
+            assert e.is_alternating() == want, e
+            verdicts[want] += 1
+    assert verdicts[True] >= 1000 and verdicts[False] >= 1000, verdicts
 
 
 def test_face_count_is_eulers_on_planar_diagrams():

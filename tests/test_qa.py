@@ -14,7 +14,7 @@ from qalt.laurent import HalfLaurent, ZeroPolynomial, analyze, parse
 from qalt.qa import (INCONCLUSIVE, NOTQA, Budget, Certificate, QAVerdict,
                      Unknown, certify, kanenobu_jones, kanenobu_obstruction,
                      obstruct, replay_certificate, torus_2n_jones)
-from qalt.tait import checkerboard, gamma
+from qalt.tait import NoEmbedding, checkerboard, gamma
 
 
 def hl(*pairs):
@@ -197,6 +197,48 @@ def test_certify_rejects_split():
         certify(Diagram((), 2))
     with pytest.raises(SplitDiagram):
         certify(parse_pd("X[1,4,2,3] X[3,2,4,1] X[5,8,6,7] X[7,6,8,5]"))
+
+
+def test_certify_descends_only_into_connected_smoothings(monkeypatch):
+    # a crossing with a split smoothing is skipped before the search
+    # descends into either smoothing, by the det >= 1 test of the
+    # Goeritz rule and by the connectivity test of the alternating rule,
+    # so no node is spent on it. Each of these alternating closures
+    # has such a crossing, one split by its 0-smoothing and the other by
+    # its 1-smoothing, ahead of the one the search takes
+    descents = []
+    simplify = Diagram.simplify
+
+    def spy(d, *args):
+        descents.append(d.is_connected())
+        return simplify(d, *args)
+
+    monkeypatch.setattr(Diagram, "simplify", spy)
+    for word in ([-4, -2, -2, -2, 1, -4, 3, -2],
+                 [-4, 3, 1, -4, -4, 3, -2, 3, 1, 1, -2]):
+        d = braid_closure(word, 5)
+        assert d.is_alternating()
+        assert isinstance(certify(d), Certificate)
+    assert descents and all(descents)
+
+
+def test_non_planar_alternating_code_is_refused():
+    # a code that fixes no planar embedding has no checkerboard graph,
+    # and the alternating rule, which stands in for it, does not hold
+    # there: its two smoothings are curls, yet its bracket determinant
+    # is not 2. certify and replay check the root, as checkerboard does
+    d = parse_pd("X[2,3,4,1] X[1,2,3,4]")
+    assert d.is_alternating() and d.is_connected()
+    assert d.face_count() != len(d.crossings) + 2
+    with pytest.raises(NoEmbedding):
+        certify(d)
+    s = d.simplify().canonical()
+    kids = [{"pd": s.smooth(0, r).render(), "det": 1, "leaf": True}
+            for r in (0, 1)]
+    tree = {"pd": d.render(), "det": 2, "reduced_pd": s.render(),
+            "crossing": 0, "children": kids}
+    with pytest.raises(NoEmbedding):
+        replay_certificate(tree)
 
 
 def test_certify_budget_exhaustion_is_unknown():
@@ -463,20 +505,60 @@ def _internal_nodes(tree):
         yield from _internal_nodes(kid)
 
 
+def _near_shared_closure():
+    # a near-alternating 4-braid closure whose certificate repeats both
+    # alternating and non-alternating subtrees
+    return braid_closure([2, 1, 1, 3, 1, -3, 3, 1, 1, 2, 3], 4)
+
+
+def _spy(monkeypatch, owner, attr):
+    """Record the PD text of the first argument of every call."""
+    calls = []
+    fn = getattr(owner, attr)
+
+    def counting(d, *args):
+        calls.append(d.render())
+        return fn(d, *args)
+
+    monkeypatch.setattr(owner, attr, counting)
+    return calls
+
+
 def test_replay_checks_each_distinct_node_once(monkeypatch):
+    # each distinct node is smoothed both ways at its crossing, once; an
+    # all-alternating tree reads no black graph
     cert = certify(_shared_closure())
     keys = [n["reduced_pd"] for n in _internal_nodes(cert.tree)]
     assert len(keys) > len(set(keys))
-    calls = []
-    black = qalt.qa.checkerboard
-
-    def counting(d):
-        calls.append(d.render())
-        return black(d)
-
-    monkeypatch.setattr("qalt.qa.checkerboard", counting)
+    smoothed = _spy(monkeypatch, Diagram, "smooth")
+    graphs = _spy(monkeypatch, qalt.qa, "checkerboard")
     assert replay_certificate(Certificate.from_json(cert.to_json()))
-    assert sorted(calls) == sorted(set(keys))
+    assert sorted(smoothed) == sorted(2 * list(set(keys)))
+    assert graphs == []
+
+
+def test_replay_reads_each_distinct_non_alternating_black_graph_once(
+        monkeypatch):
+    cert = certify(_near_shared_closure())
+    keys = [n["reduced_pd"] for n in _internal_nodes(cert.tree)]
+    mixed = [k for k in keys if not parse_pd(k).is_alternating()]
+    assert len(mixed) > len(set(mixed))
+    assert len(keys) - len(mixed) > len(set(keys) - set(mixed)) > 0
+    smoothed = _spy(monkeypatch, Diagram, "smooth")
+    graphs = _spy(monkeypatch, qalt.qa, "checkerboard")
+    assert replay_certificate(Certificate.from_json(cert.to_json()))
+    assert sorted(smoothed) == sorted(2 * list(set(keys)))
+    assert sorted(graphs) == sorted(set(mixed))
+
+
+def test_certify_reads_black_graphs_of_non_alternating_nodes_only(
+        monkeypatch):
+    graphs = _spy(monkeypatch, qalt.qa, "checkerboard")
+    assert isinstance(certify(_shared_closure()), Certificate)
+    assert graphs == []
+    assert isinstance(certify(_near_shared_closure()), Certificate)
+    assert graphs
+    assert not any(parse_pd(pd).is_alternating() for pd in graphs)
 
 
 def test_replay_reduces_each_distinct_node_once(monkeypatch):
@@ -511,6 +593,61 @@ def test_replay_rejects_tampering_inside_a_shared_copy():
     with pytest.raises(ValueError) as err:
         replay_certificate(tree)
     assert str(err.value) == "stored det %d != %d" % (det + 1, det)
+
+
+def _nodes_at(tree, path=()):
+    """(path, node) for every node, the path as keys from the root."""
+    yield path, tree
+    if not tree.get("leaf"):
+        for r, kid in enumerate(tree["children"]):
+            yield from _nodes_at(kid, path + ("children", r))
+
+
+def _replay_error(text, path, change):
+    """replay's error message, or None, on the tree of text after
+    change(node) at path."""
+    tree = json.loads(text)
+    node = tree
+    for k in path:
+        node = node[k]
+    change(node)
+    try:
+        replay_certificate(tree)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+def test_replay_rejects_single_edits_of_an_alternating_certificate():
+    # every node of an all-alternating tree, one edit at a time: a det
+    # that is not the sum of the children's, a leaf det, a crossing
+    # whose smoothings are not the children, swapped children
+    text = certify(_shared_closure()).to_json()
+    edits = collections.Counter()
+    for path, node in _nodes_at(json.loads(text)):
+        det = node["det"]
+        if node.get("leaf"):
+            assert (_replay_error(text, path, lambda n: n.update(det=2))
+                    == "leaf with det != 1")
+            edits["leaf"] += 1
+            continue
+        assert (_replay_error(text, path, lambda n: n.update(det=det + 1))
+                == "stored det %d != %d" % (det + 1, det))
+        s = parse_pd(node["reduced_pd"])
+        other = (node["crossing"] + 1) % len(s.crossings)
+        kids = [kid["pd"] for kid in node["children"]]
+        want = next(("child %d is not the %d-smoothing" % (r, r)
+                     for r in (0, 1)
+                     if s.smooth(other, r).render() != kids[r]), None)
+        assert (_replay_error(text, path,
+                              lambda n: n.update(crossing=other)) == want)
+        edits["crossing"] += want is not None
+        if kids[0] != kids[1]:
+            assert (_replay_error(text, path,
+                                  lambda n: n["children"].reverse())
+                    == "child 0 is not the 0-smoothing")
+            edits["swap"] += 1
+    assert min(edits.values()) >= 20, edits
 
 
 def _with_curls(d, n):

@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 from qalt import corpus
-from qalt.bracket import kauffman_bracket
+from qalt.bracket import determinant, kauffman_bracket
 from qalt.diagram import DisconnectedDiagram, parse_pd
 from qalt.laurent import HalfLaurent, analyze, monomial_quotient
 from qalt.tait import (LoopOrIsthmus, SignedPlanarGraph, activity,
@@ -284,6 +284,38 @@ def test_smoothing_dets_match_diagram_smoothings():
                     _split_or_det(d.smooth(c, 1)))
             assert smoothing_dets(g, c) == want, (d, c)
     assert loops and isthmi
+
+
+def test_alternating_determinant_adds_over_connected_smoothings():
+    # the rule certify and replay use at alternating nodes: the black
+    # graph is one-signed, so its determinant is its spanning-tree count
+    # and tau(G) = tau(G - e) + tau(G / e), where a loop or an isthmus,
+    # a nugatory crossing, has one split smoothing, whose det is 0
+    rng = random.Random(20261019)
+    curls = (parse_pd("X[1,1,2,2]"), parse_pd("X[2,1,1,2]"))
+    nugatory = proper = 0
+    for _ in range(40):
+        # each generator at least once, so the closure is connected; a
+        # generator used once is a nugatory crossing
+        strands = rng.randint(2, 4)
+        gens = list(range(1, strands))
+        gens += [rng.randint(1, strands - 1) for _ in range(rng.randint(2, 9))]
+        rng.shuffle(gens)
+        d = braid_closure([g if g % 2 else -g for g in gens], strands)
+        for _ in range(rng.randint(0, 2)):
+            d = d.connected_sum(rng.choice(curls))
+        assert d.is_alternating() and d.is_connected()
+        g = black_graph(d)
+        det = goeritz_det(g)
+        assert det == determinant(d)
+        for c in range(len(d.crossings)):
+            det0, det1 = smoothing_dets(g, c)
+            assert det0 + det1 == det, (d, c)
+            connected = all(d.smooth(c, r).is_connected() for r in (0, 1))
+            assert (min(det0, det1) == 0) == (not connected), (d, c)
+            nugatory += not connected
+            proper += connected
+    assert nugatory >= 40 and proper >= 200, (nugatory, proper)
 
 
 def _reference_checkerboard(d):
