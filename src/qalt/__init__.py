@@ -3,11 +3,9 @@
 from .laurent import (
     GapReport,
     HalfLaurent,
-    Overlap,
     SupportNotOnLattice,
     ZeroPolynomial,
     analyze,
-    gap_between,
     monomial_quotient,
     parse,
 )
@@ -17,36 +15,28 @@ from .diagram import (
     EmptyDiagram,
     InvalidCrossing,
     InvalidStrandLabels,
+    NoEmbedding,
     PDSyntaxError,
-    SameComponent,
     SplitDiagram,
     parse_pd,
 )
 from .tait import (
-    LoopOrIsthmus,
-    NoEmbedding,
     SignedPlanarGraph,
     activity,
     black_graph,
     checkerboard,
     gamma,
-    gamma_skein_check,
     goeritz_det,
-    kirchhoff_count,
     parse_edgelist,
     spanning_trees,
-    tutte,
-    tutte_check,
 )
 from .bracket import (
     BracketResult,
-    bracket_gap_check,
     bracket_result,
     bracket_state_sum,
     determinant,
     jones,
     kauffman_bracket,
-    skein_check,
 )
 from .qa import (
     INCONCLUSIVE,
@@ -64,18 +54,15 @@ from .qa import (
 )
 
 __all__ = [
-    "GapReport", "HalfLaurent", "Overlap", "SupportNotOnLattice",
-    "ZeroPolynomial", "analyze", "gap_between", "monomial_quotient", "parse",
+    "GapReport", "HalfLaurent", "SupportNotOnLattice", "ZeroPolynomial",
+    "analyze", "monomial_quotient", "parse",
     "Diagram", "DisconnectedDiagram", "EmptyDiagram", "InvalidCrossing",
-    "InvalidStrandLabels", "PDSyntaxError", "SameComponent",
-    "SplitDiagram", "parse_pd",
-    "LoopOrIsthmus", "NoEmbedding", "SignedPlanarGraph", "activity",
-    "black_graph", "checkerboard", "gamma", "gamma_skein_check",
-    "goeritz_det", "kirchhoff_count", "parse_edgelist", "spanning_trees",
-    "tutte", "tutte_check",
-    "BracketResult", "bracket_gap_check", "bracket_result",
-    "bracket_state_sum", "determinant", "jones", "kauffman_bracket",
-    "skein_check",
+    "InvalidStrandLabels", "NoEmbedding", "PDSyntaxError", "SplitDiagram",
+    "parse_pd",
+    "SignedPlanarGraph", "activity", "black_graph", "checkerboard", "gamma",
+    "goeritz_det", "parse_edgelist", "spanning_trees",
+    "BracketResult", "bracket_result", "bracket_state_sum", "determinant",
+    "jones", "kauffman_bracket",
     "INCONCLUSIVE", "NOTQA", "Budget", "Certificate", "KanenobuVerdict",
     "QAVerdict", "Unknown", "certify", "kanenobu_jones",
     "kanenobu_obstruction", "obstruct", "replay_certificate",

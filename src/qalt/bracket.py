@@ -31,8 +31,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 from ._util import _join
-from .diagram import _SMOOTHINGS, Diagram, EmptyDiagram, SameComponent
-from .laurent import (HalfLaurent, Overlap, SupportNotOnLattice, gap_between)
+from .diagram import _SMOOTHINGS, Diagram, EmptyDiagram
+from .laurent import HalfLaurent, SupportNotOnLattice
 
 log = logging.getLogger(__name__)
 
@@ -282,55 +282,3 @@ def bracket_result(d: Diagram) -> BracketResult:
     v = HalfLaurent(terms)
     return BracketResult(bracket=b, jones=v, writhe=w,
                          determinant=v.abs_at_minus_one())
-
-
-def _negative_count(d: Diagram) -> int:
-    return sum(1 for c in range(len(d.crossings)) if d.sign(c) < 0)
-
-
-def skein_check(d: Diagram, c: int) -> bool:
-    """Oriented skein identity at crossing c.
-
-    With e the change in negative-crossing count caused by the oriented
-    resolution (under the deterministic reorientation of the other one):
-
-        positive c:  V = -t^(1/2) V_0 - t^((3e+2)/2) V_1
-        negative c:  V = -t^((3e-2)/2) V_0 - t^(-1/2) V_1
-    """
-    sign = d.sign(c)
-    v = jones(d)
-    l0 = d.smooth(c, 0)
-    l1 = d.smooth(c, 1)
-    v0 = jones(l0)
-    v1 = jones(l1)
-    x = _negative_count(d)
-    if sign > 0:
-        e = _negative_count(l1) - x
-        rhs = -(v0.shift2(1)) - v1.shift2(3 * e + 2)
-    else:
-        e = _negative_count(l0) - x + 1
-        rhs = -(v0.shift2(3 * e - 2)) - v1.shift2(-1)
-    return v == rhs
-
-
-def bracket_gap_check(d: Diagram, c: int):
-    """Gap length between A<L_0> and A^(-1)<L_1> in A-lattice steps.
-
-    Requires the two strands at c to belong to different components.
-    Returns None when the supports are adjacent or overlap in either
-    order; otherwise the number of missing integer A-exponents between
-    them. A single-monomial side is logged, not rejected."""
-    d.sign(c)  # InvalidCrossing unless c is a crossing of d
-    t = d.crossings[c]
-    if d.component_map[t[0]] == d.component_map[t[1]]:
-        raise SameComponent(
-            "crossing %d joins arcs of one component" % c)
-    f = kauffman_bracket(d.smooth(c, 0)).shift2(2)
-    g = kauffman_bracket(d.smooth(c, 1)).shift2(-2)
-    if len(f.items2()) == 1 or len(g.items2()) == 1:
-        log.info("bracket_gap_check at crossing %d: a side is a monomial", c)
-    lo, hi = (f, g) if f.min2() <= g.min2() else (g, f)
-    try:
-        return gap_between(lo, hi, step2=2)
-    except Overlap:
-        return None

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import laurent
 from .bracket import bracket_result, kauffman_bracket
-from .diagram import parse_pd
+from .diagram import NoEmbedding, parse_pd
 from .laurent import analyze
 from .qa import (INCONCLUSIVE, NOTQA, Budget, Unknown, certify, kanenobu_jones,
                  kanenobu_obstruction, obstruct)
@@ -66,15 +66,14 @@ def _read(path: str) -> str:
 
 def _diagram(text: str):
     """The diagram of PD text, which must be planar: parse_pd takes a
-    code that fixes no planar embedding, whose bracket and Jones
-    polynomial are not those of any link."""
+    code that fixes no planar embedding (Diagram.check_planar). A batch
+    record names an error by its type, and keeps naming this one
+    ValueError."""
     d = parse_pd(text)
-    faces = d.face_count()
-    planar = len(d.crossings) + 2 * d.shadow_pieces()
-    if faces != planar:
-        raise ValueError("face count %d is not %d, crossings + 2 per piece "
-                         "of the shadow: the PD code is not planar"
-                         % (faces, planar))
+    try:
+        d.check_planar()
+    except NoEmbedding as exc:
+        raise ValueError(str(exc)) from None
     return d
 
 

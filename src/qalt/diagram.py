@@ -78,8 +78,8 @@ class SplitDiagram(ValueError):
     """The operation needs a non-split diagram."""
 
 
-class SameComponent(ValueError):
-    """The crossing joins two arcs of one component."""
+class NoEmbedding(ValueError):
+    """The PD code fixes no planar embedding (Diagram.check_planar)."""
 
 
 class Diagram:
@@ -88,7 +88,7 @@ class Diagram:
     # set by _assemble: labels count up along each component's walk
     _walk_numbered = False
     # worked out on first use
-    _connected = None
+    _pieces = None
     _component_map = None
 
     def __init__(self, crossings=(), free_loops: int = 0):
@@ -201,9 +201,7 @@ class Diagram:
     def is_connected(self) -> bool:
         if not self.crossings:
             return self.free_loops == 1
-        if self._connected is None:
-            self._connected = self.shadow_pieces() == 1
-        return self._connected and self.free_loops == 0
+        return self.shadow_pieces() == 1 and self.free_loops == 0
 
     def is_alternating(self) -> bool:
         """Whether every arc joins an under slot (even) to an over slot
@@ -221,12 +219,14 @@ class Diagram:
         if len(self._starts) == 1:
             # one closed strand runs through every crossing
             return 1
-        parts = len(self.crossings)
-        parent = list(range(parts))
-        for p, q in enumerate(self._mate):
-            if p < q:
-                parts -= _join(parent, p >> 2, q >> 2)
-        return parts
+        if self._pieces is None:
+            parts = len(self.crossings)
+            parent = list(range(parts))
+            for p, q in enumerate(self._mate):
+                if p < q:
+                    parts -= _join(parent, p >> 2, q >> 2)
+            self._pieces = parts
+        return self._pieces
 
     def _head_port(self, lab: int) -> int:
         p = self._flat.index(lab)
@@ -288,6 +288,20 @@ class Diagram:
         formula), so the count is crossings + 2 * shadow_pieces(); a code
         that fixes no planar embedding gives fewer."""
         return len(self._port_faces()[0])
+
+    def check_planar(self, faces: int | None = None):
+        """Raise NoEmbedding unless face_count(), or faces when the caller
+        has counted them, is crossings + 2 * shadow_pieces(). Such a code
+        has no checkerboard graphs, and its bracket and Jones polynomial
+        are not those of any link. Smoothings and R1/R2 moves keep a
+        planar diagram planar."""
+        if faces is None:
+            faces = self.face_count()
+        planar = len(self.crossings) + 2 * self.shadow_pieces()
+        if faces != planar:
+            raise NoEmbedding("face count %d is not %d, crossings + 2 per "
+                              "piece of the shadow: the PD code is not "
+                              "planar" % (faces, planar))
 
     def faces(self):
         """Face orbits of the 4-valent shadow, as tuples of entry ports.

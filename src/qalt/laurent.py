@@ -26,10 +26,6 @@ class SupportNotOnLattice(ValueError):
     """The support does not fit a single arithmetic progression of the step."""
 
 
-class Overlap(ValueError):
-    """gap_between needs the first support strictly below the second."""
-
-
 class HalfLaurent:
     """Immutable Laurent polynomial with doubled-integer exponents."""
 
@@ -184,33 +180,6 @@ class HalfLaurent:
             raise ValueError("|f(-1)| is not an integer")
         return r
 
-    def abs_at_primitive_eighth_root(self) -> int:
-        """|f(zeta)| for zeta = exp(i*pi/4), exact; needs integer exponents.
-
-        Writing f(zeta) = v0 + v1*zeta + v2*zeta^2 + v3*zeta^3 gives
-        |f|^2 = sum(v_i^2) + sqrt(2)*(v0*v1 - v0*v3 + v1*v2 + v2*v3), so the
-        value is an integer exactly when the sqrt(2) part vanishes and the
-        rational part is a perfect square.
-        """
-        v = [0, 0, 0, 0]
-        for e2, c in self._terms.items():
-            if e2 % 2:
-                raise SupportNotOnLattice(
-                    "eighth-root evaluation needs integer exponents")
-            k = (e2 // 2) % 8
-            if k < 4:
-                v[k] += c
-            else:
-                v[k - 4] -= c
-        p = v[0] * v[0] + v[1] * v[1] + v[2] * v[2] + v[3] * v[3]
-        q = v[0] * v[1] - v[0] * v[3] + v[1] * v[2] + v[2] * v[3]
-        if q != 0:
-            raise ValueError("|f(zeta_8)|^2 is irrational")
-        r = isqrt(p)
-        if r * r != p:
-            raise ValueError("|f(zeta_8)| is not an integer")
-        return r
-
     # rendering
 
     def render(self, var: str = "t") -> str:
@@ -361,29 +330,6 @@ def analyze(f: HalfLaurent, step2: int) -> GapReport:
         gaps=tuple(gaps),
         alternating=len(answers) == 1,
     )
-
-
-def gap_between(f: HalfLaurent, g: HalfLaurent, step2: int):
-    """Gap length between the top of f and the bottom of g, in step units.
-
-    Returns None when the supports are adjacent on the lattice; raises
-    Overlap when g does not start strictly above f.
-    """
-    if f.is_zero() or g.is_zero():
-        raise ZeroPolynomial("gap_between needs nonzero polynomials")
-    if step2 <= 0:
-        raise ValueError("step2 must be positive")
-    m2 = f.max2()
-    n2 = g.min2()
-    if n2 <= m2:
-        raise Overlap("supports overlap or touch out of order")
-    if (n2 - m2) % step2:
-        raise SupportNotOnLattice(
-            "distance %s is not a lattice multiple" % Fraction(n2 - m2, 2))
-    d = (n2 - m2) // step2
-    if d == 1:
-        return None
-    return d - 1
 
 
 def monomial_quotient(f: HalfLaurent, g: HalfLaurent):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .diagram import Diagram, DisconnectedDiagram, SplitDiagram, parse_pd
 from .bracket import determinant as bracket_determinant
 from .laurent import HalfLaurent, ZeroPolynomial, analyze, monomial_quotient
-from .tait import NoEmbedding, goeritz_det, smoothing_dets
+from .tait import goeritz_det, smoothing_dets
 # certify and replay build the black graph only at non-alternating
 # nodes. On a connected planar alternating diagram the black graph is
 # one-signed, so |det| is its spanning-tree count (Kirchhoff), and
@@ -166,15 +166,6 @@ class _BudgetExceeded(Exception):
     pass
 
 
-def _check_embedding(s: Diagram):
-    """Raise NoEmbedding, as checkerboard does, unless the connected
-    diagram s fixes a planar embedding. Smoothings and R1/R2 moves keep
-    a planar diagram planar, so checking the root covers its tree."""
-    faces = s.face_count()
-    if faces != len(s.crossings) + 2:
-        raise NoEmbedding("face count %d is not crossings+2" % faces)
-
-
 def certify(d: Diagram, budget: Budget = Budget()):
     """Bounded search for a quasi-alternating certificate.
 
@@ -196,8 +187,8 @@ def certify(d: Diagram, budget: Budget = Budget()):
     isthmus and tau = 1: those are exactly the nodes that the det < 2
     test of the Goeritz path rejects. The children are searched in the
     same order and count against the same budget as on that path. The
-    root is checked for a planar embedding, as checkerboard checks every
-    node it reads.
+    root is checked for a planar embedding (Diagram.check_planar), which
+    its smoothings keep, as checkerboard checks every node it reads.
 
     The search adds one Python frame per level, and each level removes
     a crossing (simplify never adds one), so the depth never exceeds the
@@ -228,7 +219,7 @@ def certify(d: Diagram, budget: Budget = Budget()):
         alternating = s.is_alternating()
         if alternating:
             if not depth:
-                _check_embedding(s)
+                s.check_planar()
         else:
             g = checkerboard(s)
             if det is None:
@@ -332,8 +323,8 @@ def replay_certificate(cert) -> bool:
     connected planar alternating diagram the spanning-tree count of the
     one-signed black graph, its determinant, is then the sum of the
     counts after deleting and contracting the crossing's edge (see
-    certify). The root is checked for a planar embedding, as
-    checkerboard checks every node it reads.
+    certify). The root is checked for a planar embedding, as in
+    certify.
 
     Each distinct node is verified once. An occurrence equal, own "pd"
     included, to a node that already passed is accepted at once: the
@@ -384,7 +375,7 @@ def replay_certificate(cert) -> bool:
             if not s.is_connected():
                 raise DisconnectedDiagram("certificate node is not connected")
             if d is root:
-                _check_embedding(s)
+                s.check_planar()
         else:
             det = goeritz_det(checkerboard(s))
             if det != node["det"]:

@@ -19,19 +19,10 @@ active when it is the minimum of the cycle its insertion creates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from ._util import _join, _root, bareiss_det
 from .diagram import Diagram, DisconnectedDiagram
-from .laurent import HalfLaurent, monomial_quotient
-
-
-class NoEmbedding(ValueError):
-    """The operation needs the planar embedding of a diagram-built graph."""
-
-
-class LoopOrIsthmus(ValueError):
-    """The skein identity needs an edge that is neither."""
+from .laurent import HalfLaurent
 
 
 # weight of each activity state, as (doubled A-exponent, coefficient):
@@ -104,37 +95,6 @@ class SignedPlanarGraph:
             raise ValueError("no edge %r" % (i,))
         return self.edges[i]
 
-    def is_loop(self, i: int) -> bool:
-        u, v, _ = self._edge(i)
-        return u == v
-
-    def is_isthmus(self, i: int) -> bool:
-        u, v, _ = self._edge(i)
-        if u == v:
-            return False
-        parent = _forest(self.vertex_count,
-                         self.edges[:i] + self.edges[i + 1:])
-        return _root(parent, u) != _root(parent, v)
-
-    def delete(self, i: int) -> "SignedPlanarGraph":
-        self._edge(i)
-        edges = self.edges[:i] + self.edges[i + 1:]
-        return SignedPlanarGraph(self.vertex_count, edges)
-
-    def contract(self, i: int) -> "SignedPlanarGraph":
-        if self.is_loop(i):
-            raise LoopOrIsthmus("cannot contract a loop")
-        return SignedPlanarGraph(
-            self.vertex_count - 1,
-            _contracted(self.vertex_count, self.edges, i))
-
-    def reorder(self, perm) -> "SignedPlanarGraph":
-        """Same graph with edges listed in the given permutation order."""
-        if sorted(perm) != list(range(len(self.edges))):
-            raise ValueError("not a permutation of the edge indices")
-        return SignedPlanarGraph(
-            self.vertex_count, tuple(self.edges[i] for i in perm))
-
 
 def _tait_graphs(d: Diagram, both: bool) -> tuple:
     """(black graph, white graph) of a connected diagram, the white one
@@ -145,8 +105,7 @@ def _tait_graphs(d: Diagram, both: bool) -> tuple:
         unknot = SignedPlanarGraph(1, ())
         return unknot, (unknot if both else None)
     nfaces, corners, colors = d.face_incidence()
-    if nfaces != len(d.crossings) + 2:
-        raise NoEmbedding("face count %d is not crossings+2" % nfaces)
+    d.check_planar(nfaces)
     # the face at the least port is colored 0, so a tie goes to class 1
     black = 0 if 2 * sum(colors) < nfaces else 1
 
@@ -211,13 +170,6 @@ def spanning_trees(g: SignedPlanarGraph):
             stack.append((i + 1, child, chosen + [i], parts - 1))
 
 
-def kirchhoff_count(g: SignedPlanarGraph) -> int:
-    """Matrix-tree number of spanning trees (signs ignored): the Goeritz
-    minor of the graph with every edge positive is its Laplacian minor."""
-    return _goeritz_minor_det(g.vertex_count,
-                              [(u, v, 1) for u, v, _ in g.edges])
-
-
 def activity(g: SignedPlanarGraph, tree: frozenset, e: int) -> str:
     """Activity state of edge e for the given spanning tree.
 
@@ -255,24 +207,6 @@ def gamma(g: SignedPlanarGraph) -> HalfLaurent:
             c *= dc
         terms[e2] = terms.get(e2, 0) + c
     return HalfLaurent(terms)
-
-
-def gamma_skein_check(g: SignedPlanarGraph, e: int) -> bool:
-    """Deletion-contraction identity for the last edge in the order:
-
-        gamma(G) == A^(-s) * gamma(G - e) + A^(s) * gamma(G / e)
-
-    where s is the sign of e. Requires e to be last and neither a loop
-    nor an isthmus."""
-    if e != len(g.edges) - 1:
-        raise ValueError("the tested edge must be last in the edge order")
-    if g.is_loop(e) or g.is_isthmus(e):
-        raise LoopOrIsthmus("edge %d is a loop or an isthmus" % e)
-    s = g.edges[e][2]
-    lhs = gamma(g)
-    rhs = (gamma(g.delete(e)).shift2(-2 * s)
-           + gamma(g.contract(e)).shift2(2 * s))
-    return lhs == rhs
 
 
 def goeritz_det(g: SignedPlanarGraph) -> int:
@@ -319,62 +253,6 @@ def smoothing_dets(g: SignedPlanarGraph, e: int) -> tuple:
         merged = _goeritz_minor_det(
             g.vertex_count - 1, _contracted(g.vertex_count, g.edges, e))
     return (merged, separated) if sign > 0 else (separated, merged)
-
-
-def tutte(g: SignedPlanarGraph) -> dict:
-    """Tutte polynomial of the underlying unsigned graph as {(i, j): c},
-    by deletion/contraction of the first edge. The work stack holds
-    (vertex count, edges, i, j): a graph still to expand, whose Tutte
-    polynomial enters the sum times x^i y^j."""
-    out = {}
-    stack = [(g.vertex_count, g.edges, 0, 0)]
-    while stack:
-        n, edges, i, j = stack.pop()
-        if not edges:
-            out[i, j] = out.get((i, j), 0) + 1
-            continue
-        u, v, _ = edges[0]
-        if u == v:
-            stack.append((n, edges[1:], i, j + 1))
-            continue
-        parent = _forest(n, edges[1:])
-        isthmus = _root(parent, u) != _root(parent, v)
-        stack.append((n - 1, _contracted(n, edges, 0), i + isthmus, j))
-        if not isthmus:
-            stack.append((n, edges[1:], i, j))
-    return out
-
-
-@dataclass(frozen=True)
-class TutteCheck:
-    sign: int
-    r2: int  # doubled exponent of the matching monomial t^r
-    mirrored: bool
-
-    @property
-    def r(self) -> Fraction:
-        return Fraction(self.r2, 2)
-
-
-def tutte_check(g: SignedPlanarGraph, jones: HalfLaurent):
-    """Search for sign and t^r with jones == sign * t^r * chi, where chi
-    is the Tutte polynomial at (-t, -1/t); the mirrored substitution
-    (-1/t, -t) is tried second. None means no monomial match."""
-    chi = tutte(g)
-
-    def specialize(flip):
-        terms = {}
-        for (i, j), c in chi.items():
-            e = (i - j) if not flip else (j - i)
-            coeff = c if (i + j) % 2 == 0 else -c
-            terms[2 * e] = terms.get(2 * e, 0) + coeff
-        return HalfLaurent(terms)
-
-    for flip in (False, True):
-        q = monomial_quotient(jones, specialize(flip))
-        if q is not None:
-            return TutteCheck(sign=q[0], r2=q[1], mirrored=flip)
-    return None
 
 
 def parse_edgelist(text: str) -> SignedPlanarGraph:

@@ -8,16 +8,19 @@ import random
 import time
 
 from qalt import corpus
-from qalt.bracket import (bracket_gap_check, bracket_state_sum, determinant,
-                          jones, kauffman_bracket, skein_check)
+from qalt.bracket import (bracket_state_sum, determinant, jones,
+                          kauffman_bracket)
 from qalt.diagram import Diagram
 from qalt.laurent import HalfLaurent, analyze, monomial_quotient
 from qalt.qa import (Certificate, certify, kanenobu_jones,
                      kanenobu_obstruction, replay_certificate, INCONCLUSIVE,
                      NOTQA)
-from qalt.tait import checkerboard, gamma, gamma_skein_check, goeritz_det
+from qalt.tait import checkerboard, gamma, goeritz_det
 
 from conftest import random_alternating_graph
+from oracles import (abs_at_primitive_eighth_root, bracket_gap_check,
+                     gamma_skein_check, is_isthmus, is_loop, reorder,
+                     skein_check)
 
 DELTA = HalfLaurent({-4: -1, 4: -1})
 
@@ -55,7 +58,7 @@ def test_criterion_02_determinant_triple_agreement():
         d = e.diagram
         via_jones = determinant(d)
         g, _ = checkerboard(d)
-        via_gamma = gamma(g).abs_at_primitive_eighth_root()
+        via_gamma = abs_at_primitive_eighth_root(gamma(g))
         via_goeritz = goeritz_det(g)
         assert via_jones == via_gamma == via_goeritz == e.det, (
             e.name, via_jones, via_gamma, via_goeritz)
@@ -80,13 +83,13 @@ def test_criterion_03_gamma_structure():
         # edge-order independence
         perm = list(range(len(g.edges)))
         rng.shuffle(perm)
-        assert gamma(g.reorder(perm)) == poly, name
+        assert gamma(reorder(g, perm)) == poly, name
         # deletion-contraction identity, edge moved last
         for i in range(len(g.edges)):
-            if g.is_loop(i) or g.is_isthmus(i):
+            if is_loop(g, i) or is_isthmus(g, i):
                 continue
             order = [j for j in range(len(g.edges)) if j != i] + [i]
-            assert gamma_skein_check(g.reorder(order), len(g.edges) - 1), (
+            assert gamma_skein_check(reorder(g, order), len(g.edges) - 1), (
                 name, i)
             checked_skein += 1
     assert checked_skein > 0

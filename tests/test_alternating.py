@@ -18,6 +18,7 @@ caller.
 import random
 
 from conftest import braid_closure
+from oracles import is_isthmus, is_loop
 from qalt import corpus
 from qalt.bracket import determinant, jones
 from qalt.laurent import HalfLaurent, analyze, monomial_quotient
@@ -28,7 +29,7 @@ from qalt.tait import black_graph
 def _reduced(d) -> bool:
     """No nugatory crossing: the Tait graph has no loop and no isthmus."""
     g = black_graph(d)
-    return not any(g.is_loop(i) or g.is_isthmus(i)
+    return not any(is_loop(g, i) or is_isthmus(g, i)
                    for i in range(len(g.edges)))
 
 

@@ -4,14 +4,13 @@ import random
 
 import pytest
 from conftest import braid_closure
+from oracles import SameComponent, bracket_gap_check, skein_check
 
 import qalt.bracket
 from qalt import corpus
-from qalt.bracket import (BracketResult, bracket_gap_check, bracket_result,
-                          bracket_state_sum, determinant, jones,
-                          kauffman_bracket, skein_check)
-from qalt.diagram import (Diagram, EmptyDiagram, InvalidCrossing,
-                          SameComponent, parse_pd)
+from qalt.bracket import (BracketResult, bracket_result, bracket_state_sum,
+                          determinant, jones, kauffman_bracket)
+from qalt.diagram import Diagram, EmptyDiagram, InvalidCrossing, parse_pd
 from qalt.laurent import HalfLaurent, analyze
 from qalt.tait import checkerboard, gamma, goeritz_det
 

@@ -8,6 +8,11 @@ the package's re-exports, and so are __future__ imports.
 A private name (one leading underscore, not a dunder) bound at module
 level or in a class body must be read somewhere in src/qalt outside its
 own definition, as a bare name or as an attribute.
+
+A public name, one in qalt.__all__, must be read the same way in
+src/qalt, or in the benchmark's code under perfbench/, which also names
+the functions it wraps as strings. Code that only the tests read
+belongs with them, in tests/oracles.py.
 """
 
 import ast
@@ -16,7 +21,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "qalt"
+import qalt
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "qalt"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -47,26 +55,32 @@ def _reads(node) -> Counter:
         and isinstance(n.ctx, ast.Load))
 
 
+def _bindings(scope):
+    """(name, statement) for each name bound in the body of scope, a
+    module or a class."""
+    for stmt in scope.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, ast.Assign):
+            names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+        elif (isinstance(stmt, ast.AnnAssign)
+              and isinstance(stmt.target, ast.Name)):
+            names = [stmt.target.id]
+        else:
+            continue
+        for name in names:
+            yield name, stmt
+
+
 def _private_bindings(tree):
     """(name, statement) for each private name bound at module level or
     in a top-level class body."""
     scopes = [tree] + [n for n in tree.body if isinstance(n, ast.ClassDef)]
     for scope in scopes:
-        for stmt in scope.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                names = [stmt.name]
-            elif isinstance(stmt, ast.Assign):
-                names = [t.id for t in stmt.targets
-                         if isinstance(t, ast.Name)]
-            elif (isinstance(stmt, ast.AnnAssign)
-                  and isinstance(stmt.target, ast.Name)):
-                names = [stmt.target.id]
-            else:
-                continue
-            for name in names:
-                if name.startswith("_") and not name.endswith("__"):
-                    yield name, stmt
+        for name, stmt in _bindings(scope):
+            if name.startswith("_") and not name.endswith("__"):
+                yield name, stmt
 
 
 def test_every_private_name_is_read():
@@ -76,4 +90,19 @@ def test_every_private_name_is_read():
               for module, tree in sorted(trees.items())
               for name, stmt in _private_bindings(tree)
               if reads[name] == _reads(stmt)[name]]
+    assert unread == []
+
+
+def test_every_public_name_is_read_outside_the_tests():
+    trees = [ast.parse(p.read_text()) for p in SRC.glob("*.py")]
+    reads = sum((_reads(t) for t in trees), Counter())
+    for path in (ROOT / "perfbench").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        reads += _reads(tree)
+        reads.update(n.value for n in ast.walk(tree)
+                     if isinstance(n, ast.Constant)
+                     and isinstance(n.value, str))
+    definitions = dict(b for tree in trees for b in _bindings(tree))
+    unread = [name for name in qalt.__all__
+              if reads[name] == _reads(definitions[name])[name]]
     assert unread == []

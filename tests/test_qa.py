@@ -7,14 +7,15 @@ import pytest
 
 import qalt.qa
 from conftest import braid_closure
+from oracles import contract, delete, is_isthmus, is_loop
 from qalt import cli, corpus
 from qalt.bracket import determinant, jones
-from qalt.diagram import Diagram, SplitDiagram, parse_pd
+from qalt.diagram import Diagram, NoEmbedding, SplitDiagram, parse_pd
 from qalt.laurent import HalfLaurent, ZeroPolynomial, analyze, parse
 from qalt.qa import (INCONCLUSIVE, NOTQA, Budget, Certificate, QAVerdict,
                      Unknown, certify, kanenobu_jones, kanenobu_obstruction,
                      obstruct, replay_certificate, torus_2n_jones)
-from qalt.tait import NoEmbedding, checkerboard, gamma
+from qalt.tait import checkerboard, gamma
 
 
 def hl(*pairs):
@@ -239,6 +240,25 @@ def test_non_planar_alternating_code_is_refused():
             "crossing": 0, "children": kids}
     with pytest.raises(NoEmbedding):
         replay_certificate(tree)
+
+
+@pytest.mark.parametrize("pd", ["X[2,3,4,1] X[1,2,3,4]",
+                                "X[1,3,2,4] X[2,4,1,3]", "X[1,2,1,2]"])
+def test_non_planar_code_gives_one_message_everywhere(capsys, pd):
+    # Diagram.check_planar is the one rule: the checkerboard, the search
+    # (at an alternating root and through the black graph of a
+    # non-alternating one) and the CLI all refuse with its message
+    d = parse_pd(pd)
+    assert d.is_connected()
+    message = ("face count %d is not %d, crossings + 2 per piece of the "
+               "shadow: the PD code is not planar"
+               % (d.face_count(), len(d.crossings) + 2))
+    for call in (checkerboard, certify):
+        with pytest.raises(NoEmbedding) as exc:
+            call(d)
+        assert str(exc.value) == message
+    assert cli.main(["jones", "--pd", pd]) == 1
+    assert capsys.readouterr() == ("", "error: %s\n" % message)
 
 
 def test_certify_budget_exhaustion_is_unknown():
@@ -711,10 +731,10 @@ def test_no_cancellation_at_certified_crossings():
         for node in _internal_nodes(cert.tree):
             d, c = parse_pd(node["reduced_pd"]), node["crossing"]
             g, _ = checkerboard(d)
-            assert not g.is_loop(c) and not g.is_isthmus(c)
+            assert not is_loop(g, c) and not is_isthmus(g, c)
             s = g.edges[c][2]
-            part0 = gamma(g.delete(c)).shift2(-2 * s)
-            part1 = gamma(g.contract(c)).shift2(2 * s)
+            part0 = gamma(delete(g, c)).shift2(-2 * s)
+            part1 = gamma(contract(g, c)).shift2(2 * s)
             whole = gamma(g)
             assert part0 + part1 == whole
             for e2 in set(dict(part0.items2())) | set(dict(part1.items2())):

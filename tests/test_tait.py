@@ -9,13 +9,15 @@ from qalt import corpus
 from qalt.bracket import determinant, kauffman_bracket
 from qalt.diagram import DisconnectedDiagram, parse_pd
 from qalt.laurent import HalfLaurent, analyze, monomial_quotient
-from qalt.tait import (LoopOrIsthmus, SignedPlanarGraph, activity,
-                       black_graph, checkerboard, gamma, gamma_skein_check,
-                       goeritz_det, kirchhoff_count, parse_edgelist,
-                       smoothing_dets, spanning_trees, tutte, tutte_check)
+from qalt.tait import (SignedPlanarGraph, activity, black_graph,
+                       checkerboard, gamma, goeritz_det, parse_edgelist,
+                       smoothing_dets, spanning_trees)
 
 from conftest import (braid_closure, random_alternating_graph,
                       random_connected_graph)
+from oracles import (LoopOrIsthmus, contract, delete, gamma_skein_check,
+                     is_isthmus, is_loop, kirchhoff_count, reorder, tutte,
+                     tutte_check)
 
 
 def hl(*pairs):
@@ -155,7 +157,7 @@ def test_gamma_order_invariant():
         base = gamma(g)
         perm = list(range(len(g.edges)))
         rng.shuffle(perm)
-        assert gamma(g.reorder(perm)) == base
+        assert gamma(reorder(g, perm)) == base
 
 
 def test_tree_count_matches_kirchhoff_random():
@@ -178,7 +180,7 @@ def test_gamma_skein_check_random():
     while done < 25:
         g = random_connected_graph(rng)
         last = len(g.edges) - 1
-        if last < 1 or g.is_loop(last) or g.is_isthmus(last):
+        if last < 1 or is_loop(g, last) or is_isthmus(g, last):
             continue
         assert gamma_skein_check(g, last)
         done += 1
@@ -234,7 +236,7 @@ def test_tutte_evaluations_on_random_multigraphs():
     loops = 0
     for _ in range(60):
         g = random_connected_graph(rng)
-        loops += any(g.is_loop(i) for i in range(len(g.edges)))
+        loops += any(is_loop(g, i) for i in range(len(g.edges)))
         t = tutte(g)
         assert sum(t.values()) == kirchhoff_count(g)
         assert (sum(c * 2 ** (i + j) for (i, j), c in t.items())
@@ -278,8 +280,8 @@ def test_smoothing_dets_match_diagram_smoothings():
     for d in _smoothing_cases():
         g = checkerboard(d)[0]
         for c in range(len(d.crossings)):
-            loops += g.is_loop(c)
-            isthmi += g.is_isthmus(c)
+            loops += is_loop(g, c)
+            isthmi += is_isthmus(g, c)
             want = (_split_or_det(d.smooth(c, 0)),
                     _split_or_det(d.smooth(c, 1)))
             assert smoothing_dets(g, c) == want, (d, c)
@@ -373,8 +375,8 @@ def test_black_graph_matches_a_reference_checkerboard():
 
 def _contract_delete_dets(g, e):
     # smoothing_dets by building both graphs
-    merged = 0 if g.is_loop(e) else goeritz_det(g.contract(e))
-    separated = 0 if g.is_isthmus(e) else goeritz_det(g.delete(e))
+    merged = 0 if is_loop(g, e) else goeritz_det(contract(g, e))
+    separated = 0 if is_isthmus(g, e) else goeritz_det(delete(g, e))
     return (merged, separated) if g.edges[e][2] > 0 else (separated, merged)
 
 
@@ -386,8 +388,8 @@ def test_smoothing_dets_match_contract_and_delete():
     loops = isthmi = 0
     for g in graphs:
         for e in range(len(g.edges)):
-            loops += g.is_loop(e)
-            isthmi += g.is_isthmus(e)
+            loops += is_loop(g, e)
+            isthmi += is_isthmus(g, e)
             assert smoothing_dets(g, e) == _contract_delete_dets(g, e), (g, e)
     assert loops and isthmi
 
@@ -435,13 +437,13 @@ def test_parse_edgelist():
 
 def test_contract_and_delete():
     g = SignedPlanarGraph(3, ((0, 1, 1), (1, 2, -1), (2, 0, 1)))
-    assert g.delete(1).edges == ((0, 1, 1), (2, 0, 1))
-    c = g.contract(1)
+    assert delete(g, 1).edges == ((0, 1, 1), (2, 0, 1))
+    c = contract(g, 1)
     assert c.vertex_count == 2
     assert c.edges == ((0, 1, 1), (1, 0, 1))
     loop = SignedPlanarGraph(1, ((0, 0, 1),))
     with pytest.raises(LoopOrIsthmus):
-        loop.contract(0)
+        contract(loop, 0)
 
 
 def test_connectivity_of_a_huge_sparse_graph_allocates_nothing_per_vertex():
@@ -462,8 +464,8 @@ def test_connectivity_of_a_huge_sparse_graph_allocates_nothing_per_vertex():
 
 def test_isthmus_and_loop_flags():
     g = SignedPlanarGraph(3, ((0, 1, 1), (1, 2, 1), (1, 1, -1)))
-    assert g.is_isthmus(0) and g.is_isthmus(1)
-    assert g.is_loop(2) and not g.is_isthmus(2)
+    assert is_isthmus(g, 0) and is_isthmus(g, 1)
+    assert is_loop(g, 2) and not is_isthmus(g, 2)
 
 
 def test_edge_indices_are_checked():
@@ -473,7 +475,8 @@ def test_edge_indices_are_checked():
     black = black_graph(corpus.trefoil())
     tree = next(spanning_trees(g))
     for bad in (-1, 3, 9, 1.0, None):
-        for call in (g.is_loop, g.is_isthmus, g.delete, g.contract,
+        for call in (lambda i: is_loop(g, i), lambda i: is_isthmus(g, i),
+                     lambda i: delete(g, i), lambda i: contract(g, i),
                      lambda i: activity(g, tree, i),
                      lambda i: smoothing_dets(g, i),
                      lambda i: smoothing_dets(black, i)):
