@@ -17,7 +17,6 @@ from .diagram import (
     InvalidStrandLabels,
     NoEmbedding,
     PDSyntaxError,
-    SplitDiagram,
     parse_pd,
 )
 from .tait import (
@@ -57,8 +56,7 @@ __all__ = [
     "GapReport", "HalfLaurent", "SupportNotOnLattice", "ZeroPolynomial",
     "analyze", "monomial_quotient", "parse",
     "Diagram", "DisconnectedDiagram", "EmptyDiagram", "InvalidCrossing",
-    "InvalidStrandLabels", "NoEmbedding", "PDSyntaxError", "SplitDiagram",
-    "parse_pd",
+    "InvalidStrandLabels", "NoEmbedding", "PDSyntaxError", "parse_pd",
     "SignedPlanarGraph", "activity", "black_graph", "checkerboard", "gamma",
     "goeritz_det", "parse_edgelist", "spanning_trees",
     "BracketResult", "bracket_result", "bracket_state_sum", "determinant",

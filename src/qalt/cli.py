@@ -137,12 +137,16 @@ def _cmd_det(args):
 
 def _cmd_analyze(args):
     if args.poly is None:
-        f = bracket_result(_read_diagram(args)).jones
+        if args.var is not None:
+            raise ValueError("--var goes with --poly; a diagram gives "
+                             "its Jones polynomial in t")
+        f, var = bracket_result(_read_diagram(args)).jones, "t"
     else:
-        f = laurent.parse(args.poly, var=args.var)
+        var = "t" if args.var is None else args.var
+        f = laurent.parse(args.poly, var=var)
     rep = analyze(f, step2=args.step2)
     p = {
-        "poly": f.render(args.var),
+        "poly": f.render(var),
         "breadth": _frac(rep.breadth2),
         "step": _frac(rep.step2),
         **_gap_fields(rep),
@@ -303,7 +307,7 @@ _COMMANDS = (
     ("det", "link determinant |V(-1)|", _cmd_det, _DIAGRAM, ()),
     ("analyze", "breadth/gap/alternation report", _cmd_analyze,
      ("--poly",) + _DIAGRAM,
-     (("--var", {"default": "t"}),
+     (("--var", {"help": "variable of --poly (default t)"}),
       ("--step2", {"type": int, "default": 2,
                    "help": "lattice step in half-exponent units "
                            "(default 2)"}))),

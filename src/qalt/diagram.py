@@ -19,9 +19,9 @@ Ports are numbered flat: port p = 4*c + s is slot s of crossing c, so
 integer order is the lexicographic order of the (c, s) pairs and "least
 port" means the same in either form. The opposite slot is p ^ 2. A
 diagram keeps, per port, the other port of its arc (_mate) and whether
-the strand flows into the crossing there (_fin); faces(),
-face_incidence(), component_map and arc_head are derived from these,
-so the port layout is known to this module alone.
+the strand flows into the crossing there (_fin); crossing signs,
+faces() and face_incidence() are derived from these, so the port
+layout is known to this module alone.
 
 Smoothings and Reidemeister reductions splice ports and renumber on one
 engine, as canonical() does, so the rules stay consistent: a fused arc
@@ -74,10 +74,6 @@ class DisconnectedDiagram(ValueError):
     """The operation needs a connected diagram."""
 
 
-class SplitDiagram(ValueError):
-    """The operation needs a non-split diagram."""
-
-
 class NoEmbedding(ValueError):
     """The PD code fixes no planar embedding (Diagram.check_planar)."""
 
@@ -89,7 +85,6 @@ class Diagram:
     _walk_numbered = False
     # worked out on first use
     _pieces = None
-    _component_map = None
 
     def __init__(self, crossings=(), free_loops: int = 0):
         tuples = [tuple(t) for t in crossings]
@@ -160,8 +155,6 @@ class Diagram:
         self._mate = mate
         self._fin = fin
         self._starts = starts
-        self._signs = tuple([1 if f else -1 for f in fin[3::4]])
-        self.strand_count = len(flat) >> 1
         self.component_count = len(starts) + free_loops
         self._over_only = over_only
 
@@ -180,23 +173,6 @@ class Diagram:
             return "Diagram(%r)" % self.render()
         return "Diagram(%r, free_loops=%d)" % (
             [list(t) for t in self.crossings], self.free_loops)
-
-    @property
-    def component_map(self) -> dict:
-        """Arc label -> component number, components numbered in order
-        of their lowest labels."""
-        if self._component_map is None:
-            flat, mate = self._flat, self._mate
-            cmap = {}
-            for cid, start in enumerate(self._starts):
-                cur = start
-                while True:
-                    cmap[flat[cur ^ 2]] = cid
-                    cur = mate[cur ^ 2]
-                    if cur == start:
-                        break
-            self._component_map = cmap
-        return self._component_map
 
     def is_connected(self) -> bool:
         if not self.crossings:
@@ -232,17 +208,13 @@ class Diagram:
         p = self._flat.index(lab)
         return p if self._fin[p] else self._mate[p]
 
-    def arc_head(self, lab: int):
-        """The port the arc flows into."""
-        p = self._head_port(lab)
-        return (p >> 2, p & 3)
-
     def sign(self, c: int) -> int:
+        """+1 when the over-strand runs from slot 3 to slot 1, else -1."""
         self._check_crossing(c)
-        return self._signs[c]
+        return 1 if self._fin[4 * c + 3] else -1
 
     def writhe(self) -> int:
-        return sum(self._signs)
+        return 2 * sum(self._fin[3::4]) - len(self.crossings)
 
     def _check_crossing(self, c: int):
         if not isinstance(c, int) or not 0 <= c < len(self.crossings):
@@ -455,8 +427,8 @@ class Diagram:
     def mirror(self) -> "Diagram":
         """Switch every crossing; tuples re-rooted at the new under-entry."""
         out = []
-        for ci, t in enumerate(self.crossings):
-            if self._signs[ci] > 0:
+        for t, positive in zip(self.crossings, self._fin[3::4]):
+            if positive:
                 # over ran d -> b; mirrored, it dives under entering at d
                 out.append((t[3], t[0], t[1], t[2]))
             else:

@@ -61,9 +61,6 @@ class HalfLaurent:
         """Sorted (doubled exponent, coefficient) pairs."""
         return tuple(sorted(self._terms.items()))
 
-    def coeff2(self, e2: int) -> int:
-        return self._terms.get(e2, 0)
-
     def support2(self) -> tuple:
         return tuple(sorted(self._terms))
 

@@ -11,9 +11,9 @@ from the search is never evidence against membership.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .diagram import Diagram, DisconnectedDiagram, SplitDiagram, parse_pd
+from .diagram import Diagram, DisconnectedDiagram, parse_pd
 from .bracket import determinant as bracket_determinant
 from .laurent import HalfLaurent, ZeroPolynomial, analyze, monomial_quotient
 from .tait import goeritz_det, smoothing_dets
@@ -40,9 +40,6 @@ class QAVerdict:
     status: str
     reasons: tuple
     assumptions: dict
-
-    def rule_ids(self):
-        return tuple(r[0] for r in self.reasons)
 
 
 def torus_2n_jones(n: int) -> HalfLaurent:
@@ -140,7 +137,8 @@ class Budget:
 
 @dataclass(frozen=True)
 class Certificate:
-    root: Diagram
+    """A certificate is its tree; the root diagram is the tree's "pd"."""
+
     tree: dict
 
     def to_json(self) -> str:
@@ -154,7 +152,7 @@ class Certificate:
         except RecursionError:
             raise ValueError("certificate JSON is nested too deeply") from None
         _check_node(tree)
-        return cls(root=parse_pd(tree["pd"]), tree=tree)
+        return cls(tree)
 
 
 @dataclass(frozen=True)
@@ -186,16 +184,23 @@ def certify(d: Diagram, budget: Budget = Budget()):
     children's. Where no crossing qualifies, every edge is a loop or an
     isthmus and tau = 1: those are exactly the nodes that the det < 2
     test of the Goeritz path rejects. The children are searched in the
-    same order and count against the same budget as on that path. The
-    root is checked for a planar embedding (Diagram.check_planar), which
-    its smoothings keep, as checkerboard checks every node it reads.
+    same order and count against the same budget as on that path.
+
+    The root is checked once, before the search: it must be connected
+    (DisconnectedDiagram) and have a planar embedding (NoEmbedding, from
+    Diagram.check_planar). Smoothings and R1/R2 moves keep a planar
+    diagram planar, so no node below is checked again; checkerboard
+    makes its own check at the non-alternating nodes it reads. The
+    certificate's root is the tree's "pd", d.render().
 
     The search adds one Python frame per level, and each level removes
     a crossing (simplify never adds one), so the depth never exceeds the
     root's crossing count, and the default recursion limit of 1000
     covers roots of several hundred crossings."""
-    if d.component_count == 0 or not d.is_connected():
-        raise SplitDiagram("certification needs a connected nonempty diagram")
+    if not d.is_connected():
+        raise DisconnectedDiagram(
+            "certification needs a connected nonempty diagram")
+    d.check_planar()
     memo = {}
     counter = [0]
 
@@ -217,10 +222,7 @@ def certify(d: Diagram, budget: Budget = Budget()):
         if core is not None:
             return {"pd": dd.render(), **core}
         alternating = s.is_alternating()
-        if alternating:
-            if not depth:
-                s.check_planar()
-        else:
+        if not alternating:
             g = checkerboard(s)
             if det is None:
                 det = goeritz_det(g)
@@ -263,7 +265,7 @@ def certify(d: Diagram, budget: Budget = Budget()):
         rec = None
     if tree is None:
         return Unknown("exhausted")
-    return Certificate(root=d, tree=tree)
+    return Certificate(tree)
 
 
 def _reduced(d: Diagram, want: str) -> Diagram:
@@ -308,10 +310,11 @@ def _check_node(node):
 
 
 def replay_certificate(cert) -> bool:
-    """Re-verify a certificate from scratch; raises ValueError on any
-    broken condition, including a Certificate whose root diagram is not
-    the one its tree's "pd" describes, and the root determinant against
-    the bracket route. A raw tree is rooted at its parsed "pd".
+    """Re-verify a certificate, or a bare tree, from scratch; raises
+    ValueError on any broken condition, including the root determinant
+    against the bracket route. The root diagram is the tree's "pd",
+    parsed once and checked once for a planar embedding (NoEmbedding),
+    which its smoothings keep.
 
     A leaf must simplify to the unknot, and its det is 1. An internal
     node's stored det is checked against the Goeritz determinant of its
@@ -323,8 +326,7 @@ def replay_certificate(cert) -> bool:
     connected planar alternating diagram the spanning-tree count of the
     one-signed black graph, its determinant, is then the sum of the
     counts after deleting and contracting the crossing's edge (see
-    certify). The root is checked for a planar embedding, as in
-    certify.
+    certify).
 
     Each distinct node is verified once. An occurrence equal, own "pd"
     included, to a node that already passed is accepted at once: the
@@ -344,12 +346,8 @@ def replay_certificate(cert) -> bool:
     the tree."""
     tree = cert.tree if isinstance(cert, Certificate) else cert
     _check_node(tree)
-    if isinstance(cert, Certificate):
-        root = cert.root
-        if parse_pd(tree["pd"]) != root:
-            raise ValueError("root \"pd\" is not the certificate's root")
-    else:
-        root = parse_pd(tree["pd"])
+    root = parse_pd(tree["pd"])
+    root.check_planar()
     passed = {}  # "pd" -> a node that passed
     verified = {}  # reduced_pd -> a node that passed, without its "pd"
 
@@ -374,8 +372,6 @@ def replay_certificate(cert) -> bool:
         if alternating:
             if not s.is_connected():
                 raise DisconnectedDiagram("certificate node is not connected")
-            if d is root:
-                s.check_planar()
         else:
             det = goeritz_det(checkerboard(s))
             if det != node["det"]:
@@ -431,7 +427,6 @@ def kanenobu_jones(p: int, q: int) -> HalfLaurent:
 class KanenobuVerdict:
     status: str
     agrees: bool
-    obstruction: QAVerdict = field(compare=False)
 
 
 def kanenobu_obstruction(p: int, q: int) -> KanenobuVerdict:
@@ -441,6 +436,4 @@ def kanenobu_obstruction(p: int, q: int) -> KanenobuVerdict:
     status = NOTQA if (abs(p) + abs(q) >= 19 or abs(p + q) > 6) \
         else INCONCLUSIVE
     verdict = obstruct(kanenobu_jones(p, q), 25, prime=True)
-    return KanenobuVerdict(status=status,
-                           agrees=(verdict.status == status),
-                           obstruction=verdict)
+    return KanenobuVerdict(status=status, agrees=(verdict.status == status))

@@ -7,7 +7,9 @@ hold the library against:
   of the two smoothings at an inter-component crossing (bracket);
 - the deletion-contraction identity for Gamma, the Tutte polynomial and
   the matrix-tree count of a signed graph (tait);
-- |f(zeta_8)|, the evaluation that gives det from Gamma (laurent).
+- |f(zeta_8)|, the evaluation that gives det from Gamma (laurent);
+- the readings that only the tests make: each arc's component and head
+  (diagram), and a verdict's rule ids (qa).
 
 The graph operations the identities need take the graph as their first
 argument: is_loop, is_isthmus, delete, contract and reorder.
@@ -89,6 +91,30 @@ def gap_between(f: HalfLaurent, g: HalfLaurent, step2: int):
     return d - 1
 
 
+# diagram
+
+
+def component_map(d: Diagram) -> dict:
+    """Arc label -> component number, components numbered in order of
+    their lowest labels."""
+    flat, mate = d._flat, d._mate
+    cmap = {}
+    for cid, start in enumerate(d._starts):
+        cur = start
+        while True:
+            cmap[flat[cur ^ 2]] = cid
+            cur = mate[cur ^ 2]
+            if cur == start:
+                break
+    return cmap
+
+
+def arc_head(d: Diagram, lab: int):
+    """The port the arc flows into, as (crossing, slot)."""
+    p = d._head_port(lab)
+    return (p >> 2, p & 3)
+
+
 # bracket
 
 
@@ -134,7 +160,8 @@ def bracket_gap_check(d: Diagram, c: int):
     them. A single-monomial side is logged, not rejected."""
     d.sign(c)  # InvalidCrossing unless c is a crossing of d
     t = d.crossings[c]
-    if d.component_map[t[0]] == d.component_map[t[1]]:
+    cmap = component_map(d)
+    if cmap[t[0]] == cmap[t[1]]:
         raise SameComponent(
             "crossing %d joins arcs of one component" % c)
     f = kauffman_bracket(d.smooth(c, 0)).shift2(2)
@@ -267,3 +294,11 @@ def tutte_check(g: SignedPlanarGraph, jones: HalfLaurent):
         if q is not None:
             return TutteCheck(sign=q[0], r2=q[1], mirrored=flip)
     return None
+
+
+# qa
+
+
+def rule_ids(verdict) -> tuple:
+    """The ids of the rules that fired, in order."""
+    return tuple(r[0] for r in verdict.reasons)

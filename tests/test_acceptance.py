@@ -13,14 +13,14 @@ from qalt.bracket import (bracket_state_sum, determinant, jones,
 from qalt.diagram import Diagram
 from qalt.laurent import HalfLaurent, analyze, monomial_quotient
 from qalt.qa import (Certificate, certify, kanenobu_jones,
-                     kanenobu_obstruction, replay_certificate, INCONCLUSIVE,
-                     NOTQA)
+                     kanenobu_obstruction, obstruct, replay_certificate,
+                     INCONCLUSIVE, NOTQA)
 from qalt.tait import checkerboard, gamma, goeritz_det
 
 from conftest import random_alternating_graph
 from oracles import (abs_at_primitive_eighth_root, bracket_gap_check,
-                     gamma_skein_check, is_isthmus, is_loop, reorder,
-                     skein_check)
+                     component_map, gamma_skein_check, is_isthmus, is_loop,
+                     reorder, skein_check)
 
 DELTA = HalfLaurent({-4: -1, 4: -1})
 
@@ -177,7 +177,7 @@ def test_criterion_09_kanenobu():
     edge = kanenobu_obstruction(3, 3)
     assert edge.status == INCONCLUSIVE
     assert edge.agrees is False
-    assert edge.obstruction.status == NOTQA
+    assert obstruct(kanenobu_jones(3, 3), 25, prime=True).status == NOTQA
     assert kanenobu_obstruction(0, 0).agrees is True
     elapsed = time.monotonic() - t0
     assert elapsed < 1.0
@@ -192,9 +192,9 @@ def test_criterion_10_two_component_gap_values():
         if d.component_count != 2:
             continue
         breadth2 = analyze(jones(d), step2=2).breadth2
+        cmap = component_map(d)
         inter = [c for c in range(len(d.crossings))
-                 if d.component_map[d.crossings[c][0]]
-                 != d.component_map[d.crossings[c][1]]]
+                 if cmap[d.crossings[c][0]] != cmap[d.crossings[c][1]]]
         assert inter, e.name
         for c in inter:
             val = bracket_gap_check(d, c)

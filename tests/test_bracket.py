@@ -4,7 +4,8 @@ import random
 
 import pytest
 from conftest import braid_closure
-from oracles import SameComponent, bracket_gap_check, skein_check
+from oracles import (SameComponent, bracket_gap_check, component_map,
+                     skein_check)
 
 import qalt.bracket
 from qalt import corpus
@@ -384,8 +385,8 @@ def test_bracket_gap_check_overlap_is_none():
     # crossing leaves wide polynomials whose supports overlap
     d = corpus.hopf_hopf()
     t = d.crossings
-    inter = [c for c in range(len(t))
-             if d.component_map[t[c][0]] != d.component_map[t[c][1]]]
+    cmap = component_map(d)
+    inter = [c for c in range(len(t)) if cmap[t[c][0]] != cmap[t[c][1]]]
     assert inter
     vals = {bracket_gap_check(d, c) for c in inter}
     assert vals <= {None, 3, 7}

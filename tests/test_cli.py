@@ -178,6 +178,18 @@ def test_analyze_pd_json(capsys):
                     **_gap_fields(analyze(f, step2=8))}
 
 
+@pytest.mark.parametrize("var", ["A", "t"])
+def test_analyze_var_goes_with_poly(capsys, var):
+    # a diagram's polynomial is its Jones polynomial in t, so a --var
+    # there is refused, whatever it names, rather than relabelling it
+    code, out, err = run(capsys, "analyze", "--pd", TREFOIL, "--var", var)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "--poly" in err
+    data = _json(capsys, "analyze", "--poly", "1 + %s^2" % var,
+                 "--var", var)
+    assert data["poly"] == "1 + %s^2" % var
+
+
 def test_obstruct_poly_needs_det(capsys):
     code, _, err = run(capsys, "obstruct", "--poly", "1 + t^2")
     assert code == 1 and "--det" in err
@@ -386,8 +398,7 @@ def test_batch_certify_flag(tmp_path, capsys):
     data = json.loads(out)
     entry = data["entries"][0]
     assert entry["certify_status"] == "Certified"
-    assert replay_certificate(Certificate(
-        root=corpus.hopf(), tree=entry["certificate"]))
+    assert replay_certificate(Certificate(entry["certificate"]))
 
 
 def test_batch_budget_without_certify_is_exit_1(tmp_path, capsys):

@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from conftest import braid_closure
+from oracles import arc_head, component_map
 from qalt import corpus
 from qalt.diagram import (
     Diagram,
@@ -22,7 +23,7 @@ def test_parse_trefoil():
     d = parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]")
     assert len(d.crossings) == 3
     assert d.component_count == 1
-    assert d.strand_count == 6
+    assert len({x for t in d.crossings for x in t}) == 6
     assert d.is_connected()
 
 
@@ -160,11 +161,12 @@ def test_smooth_component_counts():
     # crossing between two components: both resolutions merge them
     for entry in corpus.entries():
         d = entry.diagram
+        cmap = component_map(d)
         for c, t in enumerate(d.crossings):
             deltas = sorted(
                 d.smooth(c, r).component_count - d.component_count
                 for r in (0, 1))
-            if d.component_map[t[0]] == d.component_map[t[1]]:
+            if cmap[t[0]] == cmap[t[1]]:
                 assert deltas == [0, 1], (entry.name, c)
             else:
                 assert deltas == [-1, -1], (entry.name, c)
@@ -321,11 +323,12 @@ def _kernel_family(d):
 
 
 def _kernel_facts(d) -> str:
-    labels = sorted(d.component_map)
+    cmap = component_map(d)
+    labels = sorted(cmap)
     return repr((d.crossings, d.free_loops,
                  tuple(d.sign(c) for c in range(len(d.crossings))),
-                 sorted(d.component_map.items()),
-                 tuple(d.arc_head(lab) for lab in labels),
+                 sorted(cmap.items()),
+                 tuple(arc_head(d, lab) for lab in labels),
                  d.faces(), d.is_connected()))
 
 
@@ -454,11 +457,10 @@ def _fields(d) -> dict:
     diagrams numbered by a splice carry."""
     return {"crossings": d.crossings, "free_loops": d.free_loops,
             "flat": d._flat, "mate": d._mate, "fin": d._fin,
-            "starts": d._starts, "signs": d._signs,
-            "strand_count": d.strand_count,
+            "starts": d._starts,
             "component_count": d.component_count,
             "over_only": d._over_only,
-            "component_map": d.component_map,
+            "component_map": component_map(d),
             "connected": d.is_connected()}
 
 

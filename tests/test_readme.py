@@ -8,6 +8,7 @@ import shlex
 from pathlib import Path
 
 from qalt.cli import build_parser, main
+from qalt.diagram import parse_pd
 from qalt.qa import Certificate, replay_certificate
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -46,7 +47,7 @@ def test_readme_library_example(capsys):
     # one line of compact JSON that replays to the example's diagram
     assert _comment(code, "print(certify(") == "compact, replayable JSON"
     cert = Certificate.from_json(cert_text)
-    assert cert.root == ns["d"]
+    assert parse_pd(cert.tree["pd"]) == ns["d"]
     assert replay_certificate(cert)
 
 
