@@ -343,8 +343,9 @@ class Diagram:
 
         joins maps crossing id -> pairs of slots that fuse into a strand
         passing straight through. A slot of a removed crossing that no
-        pair names must share its arc with another such slot: that arc
-        simply vanishes (the Reidemeister-1 loop). Chains of fused arcs
+        pair names must reach another such slot along its arc, through
+        fused slots or none: that chain of fragments is a curl's loop,
+        and it vanishes (the Reidemeister-1 loop). Chains of fused arcs
         that close up with no live endpoint become free loops.
         """
         flat, mate, fin = self._flat, self._mate, self._fin
@@ -393,19 +394,22 @@ class Diagram:
             heads = [p for p, f in enumerate(fin) if f]
         arcs = [(flat[p], p) for p in heads if other[p] == mate[p]]
 
-        # wired ports no open chain passed lie on circles of fused arcs
+        # wired ports no open chain passed lie on circles of fused arcs,
+        # or on a curl's loop, which ends at an unnamed slot
         loops = self.free_loops
         for w in wire:
             if w in passed:
                 continue
-            loops += 1
             cur = w
             while True:
                 out = mate[cur]
-                cur = wire[out]
+                cur = wire.get(out)
                 passed.add(out)
+                if cur is None:
+                    break
                 passed.add(cur)
                 if cur == w:
+                    loops += 1
                     break
 
         return _assemble(other, arcs + fused, loops)
@@ -419,10 +423,58 @@ class Diagram:
         r = 1 joins (0,3) and (1,2). The 0-resolution is the one whose
         coefficient in the bracket expansion is A.
         """
+        self._check_smoothing(c, r)
+        return self._splice({c: _SMOOTHINGS[r]})
+
+    def smooth_untwisted(self, c: int, r: int) -> "Diagram":
+        """smooth(c, r) with the curls it makes removed in the same splice.
+
+        A closed corner of c whose face is a bigon with crossing d turns
+        d into a curl. Removing that curl closes the face beyond d's
+        fused slots, which may be a bigon in turn, and so on along the
+        twist region. A curl's loop is then a chain of fused arcs whose
+        two live ends are adjacent slots of one crossing, so each chain
+        that a removal changes is walked to its ends. The result is
+        isotopic to smooth(c, r); curls and bigons that the splice did
+        not make are left to simplify().
+        """
+        self._check_smoothing(c, r)
+        mate = self._mate
+        joins = {c: _SMOOTHINGS[r]}
+        wire = {}
+        for s1, s2 in _SMOOTHINGS[r]:
+            wire[4 * c + s1] = 4 * c + s2
+            wire[4 * c + s2] = 4 * c + s1
+        # one wired port of each pair whose chain has changed
+        todo = [4 * c + s1 for s1, _ in _SMOOTHINGS[r]]
+        while todo:
+            w = todo.pop()
+            # the live ends of the chain through w and its wired partner,
+            # unless it closes up into a circle or is a curl's loop
+            ends = []
+            for v in (w, wire[w]):
+                q = mate[v]
+                while q in wire and q != wire[v]:
+                    q = mate[wire[q]]
+                ends.append(q)
+            p, q = ends
+            e = p >> 2
+            # a chain between two adjacent slots of a live crossing e is
+            # a curl's loop; e's other two slots then fuse
+            if e in joins or q >> 2 != e or not (p ^ q) & 1:
+                continue
+            s = q & 3 if (q - p) & 3 == 1 else p & 3
+            a, b = (s + 1) & 3, (s + 2) & 3
+            joins[e] = ((a, b),)
+            wire[4 * e + a] = 4 * e + b
+            wire[4 * e + b] = 4 * e + a
+            todo.append(4 * e + a)
+        return self._splice(joins)
+
+    def _check_smoothing(self, c: int, r: int):
         self._check_crossing(c)
         if r not in (0, 1):
             raise InvalidCrossing("smoothing selector must be 0 or 1, got %r" % (r,))
-        return self._splice({c: _SMOOTHINGS[r]})
 
     def mirror(self) -> "Diagram":
         """Switch every crossing; tuples re-rooted at the new under-entry."""

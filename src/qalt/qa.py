@@ -137,12 +137,27 @@ class Budget:
 
 @dataclass(frozen=True)
 class Certificate:
-    """A certificate is its tree; the root diagram is the tree's "pd"."""
+    """A certificate is its tree, format version 2: the root is
+    {"version": 2, "pd": <root PD text>, "det": <its determinant>, ...}
+    and otherwise a node. An internal node is {"reduced_pd", "det",
+    "crossing", "children": [c0, c1]}: its diagram reduced by simplify,
+    as canonical PD text, the determinant of its link, and the crossing
+    of the reduced diagram whose r-smoothing, untwisted
+    (Diagram.smooth_untwisted), child r is. Each child is one of:
+
+    - the full internal node, where its "reduced_pd" first occurs in
+      preorder;
+    - {"ref": i}, the i-th full internal node in preorder, the root
+      being 0, written before it;
+    - {"leaf": true}, the unknot, of det 1.
+
+    No child stores PD text of its own. A root that is a leaf is
+    {"version": 2, "pd": ..., "det": 1, "leaf": true}."""
 
     tree: dict
 
     def to_json(self) -> str:
-        """The tree as compact JSON; from_json reads any JSON layout."""
+        """The tree as compact JSON; from_json reads it compact or indented."""
         return json.dumps(self.tree)
 
     @classmethod
@@ -151,7 +166,7 @@ class Certificate:
             tree = json.loads(text)
         except RecursionError:
             raise ValueError("certificate JSON is nested too deeply") from None
-        _check_node(tree)
+        _check_root(tree)
         return cls(tree)
 
 
@@ -170,9 +185,11 @@ def certify(d: Diagram, budget: Budget = Budget()):
     At each node the diagram is simplified; a 0-crossing unknot is a
     leaf. Otherwise crossings are tried in ascending order: a crossing
     qualifies when both smoothings have positive determinants adding up
-    to the parent's, and both children certify recursively. Returns the
-    first Certificate in this deterministic order, or Unknown("budget")
-    / Unknown("exhausted").
+    to the parent's, and both children certify recursively. Each child
+    is the smoothing with the curls it makes removed in the same splice
+    (Diagram.smooth_untwisted); simplify, under the budget's pass count,
+    does the rest. Returns the first Certificate in this deterministic
+    order, or Unknown("budget") / Unknown("exhausted").
 
     A node that is alternating (Diagram.is_alternating) is decided
     without its black graph. Its graph is one-signed, so its
@@ -190,8 +207,12 @@ def certify(d: Diagram, budget: Budget = Budget()):
     (DisconnectedDiagram) and have a planar embedding (NoEmbedding, from
     Diagram.check_planar). Smoothings and R1/R2 moves keep a planar
     diagram planar, so no node below is checked again; checkerboard
-    makes its own check at the non-alternating nodes it reads. The
-    certificate's root is the tree's "pd", d.render().
+    makes its own check at the non-alternating nodes it reads.
+
+    The search memoises each certified reduced diagram by its text, and
+    the certificate is written from that memo once the search is done,
+    in the version 2 layout (see Certificate): each distinct node in
+    full once, with "pd" = d.render() at the root.
 
     The search adds one Python frame per level, and each level removes
     a crossing (simplify never adds one), so the depth never exceeds the
@@ -201,26 +222,26 @@ def certify(d: Diagram, budget: Budget = Budget()):
         raise DisconnectedDiagram(
             "certification needs a connected nonempty diagram")
     d.check_planar()
-    memo = {}
+    # reduced PD text -> (det, crossing, child 0 key, child 1 key); the
+    # unknot leaf's key is its PD text, "", and its det is 1
+    memo = {"": (1,)}
     counter = [0]
 
     def rec(dd: Diagram, det: int | None, depth: int):
         # det is the parent's value for this smoothing, None at the root
-        # and below an alternating node; R1/R2 moves preserve it
+        # and below an alternating node; R1/R2 moves preserve it. The
+        # node's key is returned, None when it does not certify
         counter[0] += 1
         if counter[0] > budget.max_nodes or depth > budget.max_depth:
             raise _BudgetExceeded()
         s = dd.simplify(budget.simplify_passes).canonical()
         if not s.crossings:
-            if s.component_count == 1:
-                return {"pd": dd.render(), "det": 1, "leaf": True}
-            return None
+            return "" if s.component_count == 1 else None
         if not s.is_connected():
             return None
         key = s.render()
-        core = memo.get(key)
-        if core is not None:
-            return {"pd": dd.render(), **core}
+        if key in memo:
+            return key
         alternating = s.is_alternating()
         if not alternating:
             g = checkerboard(s)
@@ -232,7 +253,8 @@ def certify(d: Diagram, budget: Budget = Budget()):
                 return None
         for c in range(len(s.crossings)):
             if alternating:
-                s0, s1 = s.smooth(c, 0), s.smooth(c, 1)
+                s0 = s.smooth_untwisted(c, 0)
+                s1 = s.smooth_untwisted(c, 1)
                 if not (s0.is_connected() and s1.is_connected()):
                     continue
                 det0 = det1 = None
@@ -240,66 +262,97 @@ def certify(d: Diagram, budget: Budget = Budget()):
                 det0, det1 = smoothing_dets(g, c)
                 if det0 < 1 or det1 < 1 or det0 + det1 != det:
                     continue
-                s0, s1 = s.smooth(c, 0), None
-            n0 = rec(s0, det0, depth + 1)
-            if n0 is None:
+                s0, s1 = s.smooth_untwisted(c, 0), None
+            k0 = rec(s0, det0, depth + 1)
+            if k0 is None:
                 continue
-            n1 = rec(s.smooth(c, 1) if s1 is None else s1, det1, depth + 1)
-            if n1 is None:
+            k1 = rec(s.smooth_untwisted(c, 1) if s1 is None else s1, det1,
+                     depth + 1)
+            if k1 is None:
                 continue
             # each child's det is its link's determinant, so where det0
             # and det1 were solved the sum is det
-            core = {"det": n0["det"] + n1["det"], "reduced_pd": key,
-                    "crossing": c, "children": [n0, n1]}
-            memo[key] = core
-            return {"pd": dd.render(), **core}
+            memo[key] = (memo[k0][0] + memo[k1][0], c, k0, k1)
+            return key
         return None
 
     try:
-        tree = rec(d, None, 0)
+        top = rec(d, None, 0)
     except _BudgetExceeded:
         return Unknown("budget")
     finally:
         # rec reaches itself through its closure; unbinding it frees the
         # memo now instead of at the next cyclic collection
         rec = None
-    if tree is None:
+    if top is None:
         return Unknown("exhausted")
-    return Certificate(tree)
+    root = {"version": 2, "pd": d.render()}
+    if not top:
+        return Certificate({**root, "det": 1, "leaf": True})
+    return Certificate({**root, **_entry(memo, {}, top)})
 
 
-def _reduced(d: Diagram, want: str) -> Diagram:
-    """The reduction of d that a search stored as want.
+def _entry(memo, ids, key: str) -> dict:
+    """The certificate entry of the memo's node key: in full, numbered
+    in ids by preorder, the first time; a ref to that number after."""
+    if not key:
+        return {"leaf": True}
+    if key in ids:
+        return {"ref": ids[key]}
+    ids[key] = len(ids)
+    det, c, k0, k1 = memo[key]
+    return {"reduced_pd": key, "det": det, "crossing": c,
+            "children": [_entry(memo, ids, k0), _entry(memo, ids, k1)]}
+
+
+def _reduced(d: Diagram, want: str) -> Diagram | None:
+    """The reduction of d that a search stored as want, or None.
 
     The fixpoint of simplify() comes first. A search with a pass budget
     may stop earlier; simplify is greedy and deterministic, so its
     partial reductions are the prefixes of one move sequence, and each
-    of them is isotopic to d."""
+    of them is isotopic to d. A search stores only connected diagrams
+    with crossings, and moves never remove a free loop, so the sequence
+    is read only up to its first free loop."""
     s = d.simplify().canonical()
-    if s.render() == want:
+    if not s.free_loops and s.render() == want:
         return s
     step = d
-    while True:
+    while not step.free_loops:
         s = step.canonical()
         if s.render() == want:
             return s
         nxt = step.simplify(1)
         if nxt is step:
-            raise ValueError("reduced diagram mismatch")
+            break
         step = nxt
+    return None
+
+
+def _check_root(tree):
+    """Raise ValueError unless tree is shaped like a version 2 root: an
+    object with "version" 2, a string "pd" and an int "det", and unless
+    it is a leaf, shaped like an internal node."""
+    if not isinstance(tree, dict) or tree.get("version") != 2 \
+            or type(tree["version"]) is not int:
+        raise ValueError("certificate needs \"version\": 2")
+    if not isinstance(tree.get("pd"), str):
+        raise ValueError("certificate root needs a string \"pd\"")
+    if tree.get("leaf") is not True:
+        _check_node(tree)
+    elif type(tree.get("det")) is not int:
+        raise ValueError("certificate node needs an integer \"det\"")
 
 
 def _check_node(node):
-    """Raise ValueError unless node is shaped like a certificate node:
-    an object with a string "pd" and an int "det"; unless it is a leaf,
-    also a string "reduced_pd", an int "crossing" and a list of two
-    children. JSON true and 3.0 are not ints here, as in parse_pd."""
-    if not isinstance(node, dict) or not isinstance(node.get("pd"), str):
-        raise ValueError("certificate node needs a string \"pd\"")
+    """Raise ValueError unless node is shaped like an internal node: an
+    object with a string "reduced_pd", an int "det", an int "crossing"
+    and a list of two children. JSON true and 3.0 are not ints here, as
+    in parse_pd."""
+    if not isinstance(node, dict):
+        raise ValueError("certificate node must be an object")
     if type(node.get("det")) is not int:
         raise ValueError("certificate node needs an integer \"det\"")
-    if node.get("leaf"):
-        return
     if (not isinstance(node.get("reduced_pd"), str)
             or type(node.get("crossing")) is not int):
         raise ValueError("internal node needs a string \"reduced_pd\" "
@@ -309,65 +362,80 @@ def _check_node(node):
         raise ValueError("internal node needs two children")
 
 
+def _check_leaf(d: Diagram):
+    s = d.simplify()
+    if s.crossings or s.component_count != 1:
+        raise ValueError("leaf does not simplify to the unknot")
+
+
 def replay_certificate(cert) -> bool:
-    """Re-verify a certificate, or a bare tree, from scratch; raises
-    ValueError on any broken condition, including the root determinant
-    against the bracket route. The root diagram is the tree's "pd",
-    parsed once and checked once for a planar embedding (NoEmbedding),
-    which its smoothings keep.
+    """Re-verify a version 2 certificate, or a bare tree, from scratch;
+    raises ValueError on any broken condition, including the root
+    determinant against the bracket route. The root diagram is the
+    tree's "pd", parsed once and checked once for a planar embedding
+    (NoEmbedding), which its smoothings keep, and reduced to its
+    "reduced_pd" (or, at a leaf root, to the unknot, with det 1).
 
-    A leaf must simplify to the unknot, and its det is 1. An internal
-    node's stored det is checked against the Goeritz determinant of its
-    black graph, unless the node is alternating: such a node must be
-    connected, and its stored det must equal the sum of its children's,
-    which are checked first. That accepts the same trees. By induction
-    from the leaves each child's det is its link's; a child whose det is
-    at least 1 is not split, so the crossing is not nugatory, and on a
-    connected planar alternating diagram the spanning-tree count of the
-    one-signed black graph, its determinant, is then the sum of the
-    counts after deleting and contracting the crossing's edge (see
-    certify).
+    Each full node is checked once. Its stored det is checked against
+    the Goeritz determinant of its black graph, unless the node is
+    alternating: such a node must be connected, and its stored det must
+    equal the sum of its children's, which are checked first. By
+    induction from the leaves each child's det is its link's; a child
+    whose det is at least 1 is not split, so the crossing is not
+    nugatory, and on a connected planar alternating diagram the
+    spanning-tree count of the one-signed black graph, its determinant,
+    is then the sum of the counts after deleting and contracting the
+    crossing's edge (see certify).
 
-    Each distinct node is verified once. An occurrence equal, own "pd"
-    included, to a node that already passed is accepted at once: the
-    root's text was parsed to the root diagram, and every child's text
-    checked against its smoothing, so that text fixes the diagram, and the
-    diagram and the node fix every check. Any other occurrence is
-    reduced and compared with its "reduced_pd"; one equal, apart from
-    its "pd", to a node that already passed under the same "reduced_pd"
-    is accepted without repeating the rest, since the reduced diagram is
-    determined by that text. A copy that differs anywhere else is checked
-    in full, so the same trees are accepted and rejected, with the same
-    first error, as when every occurrence is checked.
+    Child r of a node is derived as s.smooth_untwisted(c, r) from the
+    node's reduced diagram s, and must reduce (as the search reduced it,
+    see _reduced) to the child's reduced_pd, or simplify to the unknot
+    at a leaf. A ref names a full node written before it in preorder
+    whose check is done, so its det is known; an ancestor, a node after
+    it, an index out of range and a key written in full twice are
+    refused.
 
     The walk adds one Python frame per level, and it descends only into
     children already checked to be smoothings, each with one crossing
     fewer, so it goes no deeper than the root's crossing count, whatever
     the tree."""
     tree = cert.tree if isinstance(cert, Certificate) else cert
-    _check_node(tree)
+    _check_root(tree)
     root = parse_pd(tree["pd"])
     root.check_planar()
-    passed = {}  # "pd" -> a node that passed
-    verified = {}  # reduced_pd -> a node that passed, without its "pd"
+    table = []  # [reduced_pd, det once checked], by preorder index
+    written = set()
 
-    def walk(node, d):
-        if passed.get(node["pd"]) == node:
-            return node["det"]
-        if node.get("leaf"):
-            if node["det"] != 1:
-                raise ValueError("leaf with det != 1")
-            s = d.simplify()
-            if s.crossings or s.component_count != 1:
-                raise ValueError("leaf does not simplify to the unknot")
-            passed[node["pd"]] = node
+    def child_det(s, c, r, kid):
+        # check kid as child r of the node s at crossing c; its det
+        sm = s.smooth_untwisted(c, r)
+        if not isinstance(kid, dict):
+            raise ValueError("certificate node must be an object")
+        ref = kid.get("ref")
+        if ref is not None:
+            if (type(ref) is not int or not 0 <= ref < len(table)
+                    or table[ref][1] is None):
+                raise ValueError("child %d refers to no node checked "
+                                 "before it: %r" % (r, ref))
+            key = table[ref][0]
+        elif kid.get("leaf") is True:
+            _check_leaf(sm)
             return 1
+        else:
+            _check_node(kid)
+            key = kid["reduced_pd"]
+        reduced = _reduced(sm, key)
+        if reduced is None:
+            raise ValueError("child %d is not the %d-smoothing" % (r, r))
+        return walk(kid, reduced) if ref is None else table[ref][1]
+
+    def walk(node, s):
         key = node["reduced_pd"]
-        s = _reduced(d, key)
-        body = {k: v for k, v in node.items() if k != "pd"}
-        if verified.get(key) == body:
-            passed[node["pd"]] = node
-            return node["det"]
+        if key in written:
+            raise ValueError("node %r is written in full twice" % key)
+        written.add(key)
+        entry = [key, None]
+        table.append(entry)
         alternating = s.is_alternating()
         if alternating:
             if not s.is_connected():
@@ -378,30 +446,29 @@ def replay_certificate(cert) -> bool:
                 raise ValueError("stored det %r != %r" % (node["det"], det))
         c = node["crossing"]
         kids = node["children"]
-        smoothings = [s.smooth(c, r) for r in (0, 1)]
-        for r, kid in enumerate(kids):
-            _check_node(kid)
-            sm = smoothings[r]
-            # parse_pd(sm.render()) == sm when sm has no free loops, so
-            # matching text needs no parse
-            if ((sm.free_loops or kid["pd"] != sm.render())
-                    and parse_pd(kid["pd"]) != sm):
-                raise ValueError("child %d is not the %d-smoothing" % (r, r))
-        d0 = walk(kids[0], smoothings[0])
-        d1 = walk(kids[1], smoothings[1])
+        d0 = child_det(s, c, 0, kids[0])
+        d1 = child_det(s, c, 1, kids[1])
         if alternating and d0 + d1 != node["det"]:
             raise ValueError("stored det %r != %r" % (node["det"], d0 + d1))
         if d0 < 1 or d1 < 1 or d0 + d1 != node["det"]:
             raise ValueError("determinant additivity fails at a node")
-        verified[key] = body
-        passed[node["pd"]] = node
+        entry[1] = node["det"]
         return node["det"]
 
     try:
-        root_det = walk(tree, root)
+        if tree.get("leaf") is True:
+            if tree["det"] != 1:
+                raise ValueError("leaf with det != 1")
+            _check_leaf(root)
+            root_det = 1
+        else:
+            s = _reduced(root, tree["reduced_pd"])
+            if s is None:
+                raise ValueError("reduced diagram mismatch")
+            root_det = walk(tree, s)
     finally:
         # as in certify: free what walk's closure holds now
-        walk = None
+        walk = child_det = None
     if root_det != bracket_determinant(root):
         raise ValueError("root determinant disagrees with the bracket route")
     return True

@@ -271,7 +271,8 @@ def test_torus2n_flag_is_gone(capsys):
 def test_certify_json_replayable(capsys):
     code, out, _ = run(capsys, "certify", "--pd", TREFOIL)
     assert code == 0
-    assert out.startswith('{\n  "pd": ')  # pretty-printed for the terminal
+    # pretty-printed for the terminal
+    assert out.startswith('{\n  "version": 2,\n  "pd": ')
     cert = Certificate.from_json(out)
     assert replay_certificate(cert)
     assert cert.tree["det"] == 3

@@ -8,6 +8,7 @@ import pytest
 from conftest import braid_closure
 from oracles import arc_head, component_map
 from qalt import corpus
+from qalt.bracket import kauffman_bracket
 from qalt.diagram import (
     Diagram,
     DisconnectedDiagram,
@@ -465,11 +466,13 @@ def _fields(d) -> dict:
 
 
 def _assembled(d):
-    """The diagrams that splices of d number: its smoothings, each step
+    """The diagrams that splices of d number: its smoothings, plain and
+    untwisted, each step
     of its simplification and its canonical form."""
     for c in range(len(d.crossings)):
         for r in (0, 1):
             yield d.smooth(c, r)
+            yield d.smooth_untwisted(c, r)
     step = d
     while step.crossings:
         nxt = step.simplify(1)
@@ -499,3 +502,74 @@ def test_spliced_over_only_component_equals_its_parse():
     assert _fields(s) == _fields(Diagram(s.crossings, s.free_loops))
     for e in _assembled(s):
         assert _fields(e) == _fields(Diagram(e.crossings, e.free_loops))
+
+
+def _untwisting_inputs():
+    """The kernel corpus, simplified and not; the bundled corpus; T(2,n)
+    and its mirror for n <= 12; and seeded braid closures of 6-14
+    crossings, alternating, random and near-alternating (one or two
+    letters of an alternating word switched)."""
+    out = []
+    for d in _kernel_corpus():
+        out += [d, d.simplify()]
+    out += [e.diagram for e in corpus.entries()]
+    for n in range(2, 13):
+        out += [corpus.torus(n), corpus.torus(n).mirror()]
+    rng = random.Random(20261019)
+    for family in ("alternating", "random", "near"):
+        for _ in range(30):
+            strands = rng.randint(2, 5)
+            word = [rng.randint(1, strands - 1)
+                    for _ in range(rng.randint(6, 14))]
+            if family == "random":
+                word = [g * rng.choice((1, -1)) for g in word]
+            else:
+                word = [g if g % 2 else -g for g in word]
+            if family == "near":
+                for k in rng.sample(range(len(word)), rng.randint(1, 2)):
+                    word[k] = -word[k]
+            out.append(braid_closure(word, strands))
+    return out
+
+
+def _has_curl(d) -> bool:
+    return any(p == q for p, q in enumerate(d._face_step()))
+
+
+def test_smooth_untwisted_matches_smooth_then_simplify():
+    # the untwisted smoothing, simplified, against the plain smoothing,
+    # simplified: the same crossing count, free loops, component count
+    # and Kauffman bracket, at every crossing and both smoothings. On a
+    # diagram without curls the untwisted smoothing has none left, and
+    # on a twist region it removes crossings
+    cases = untwisted = 0
+    for d in _untwisting_inputs():
+        curled = _has_curl(d)
+        for c in range(len(d.crossings)):
+            for r in (0, 1):
+                u = d.smooth_untwisted(c, r)
+                s = d.smooth(c, r)
+                assert curled or not _has_curl(u), (d, c, r)
+                untwisted += len(u.crossings) < len(s.crossings)
+                u, s = u.simplify(), s.simplify()
+                assert ((len(u.crossings), u.free_loops, u.component_count)
+                        == (len(s.crossings), s.free_loops,
+                            s.component_count)), (d, c, r)
+                assert kauffman_bracket(u) == kauffman_bracket(s), (d, c, r)
+                cases += 1
+    assert cases > 3000 and untwisted > 1000, (cases, untwisted)
+
+
+def test_smooth_untwisted_undoes_a_twist_region():
+    # the vertical smoothing of T(2,n) leaves n - 1 curls in a chain,
+    # all undone in the one splice; from n = 3 on, the other smoothing
+    # makes none
+    for n in range(2, 9):
+        d = corpus.torus(n)
+        assert d.smooth_untwisted(0, 0) == Diagram((), 1)
+        if n > 2:
+            assert d.smooth_untwisted(0, 1) == d.smooth(0, 1)
+    with pytest.raises(InvalidCrossing):
+        corpus.trefoil().smooth_untwisted(0, 2)
+    with pytest.raises(InvalidCrossing):
+        corpus.trefoil().smooth_untwisted(3, 0)

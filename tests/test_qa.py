@@ -151,7 +151,7 @@ def test_obstruct_collects_multiple_reasons():
 
 def test_certify_unknot_leaf():
     cert = certify(corpus.unknot())
-    assert cert.tree == {"pd": "", "det": 1, "leaf": True}
+    assert cert.tree == {"version": 2, "pd": "", "det": 1, "leaf": True}
     assert replay_certificate(cert)
 
 
@@ -172,7 +172,8 @@ def test_certify_trefoil_children():
     cert = certify(corpus.trefoil())
     t = cert.tree
     assert t["det"] == 3
-    dets = sorted(kid["det"] for kid in t["children"])
+    dets = sorted(1 if kid.get("leaf") else kid["det"]
+                  for kid in t["children"])
     assert dets == [1, 2]
     assert replay_certificate(cert)
 
@@ -233,10 +234,9 @@ def test_non_planar_alternating_code_is_refused():
     with pytest.raises(NoEmbedding):
         certify(d)
     s = d.simplify().canonical()
-    kids = [{"pd": s.smooth(0, r).render(), "det": 1, "leaf": True}
-            for r in (0, 1)]
-    tree = {"pd": d.render(), "det": 2, "reduced_pd": s.render(),
-            "crossing": 0, "children": kids}
+    tree = {"version": 2, "pd": d.render(), "reduced_pd": s.render(),
+            "det": 2, "crossing": 0,
+            "children": [{"leaf": True}, {"leaf": True}]}
     with pytest.raises(NoEmbedding):
         replay_certificate(tree)
 
@@ -255,7 +255,7 @@ def test_non_planar_code_gives_one_message_everywhere(capsys, pd):
     message = ("face count %d is not %d, crossings + 2 per piece of the "
                "shadow: the PD code is not planar"
                % (d.face_count(), len(d.crossings) + 2))
-    leaf = {"pd": pd, "det": 1, "leaf": True}
+    leaf = {"version": 2, "pd": pd, "det": 1, "leaf": True}
     for call, arg in ((checkerboard, d), (certify, d),
                       (replay_certificate, leaf)):
         with pytest.raises(NoEmbedding) as exc:
@@ -271,6 +271,10 @@ def test_certify_budget_exhaustion_is_unknown():
     assert out.reason == "budget"
 
 
+# the keys of an internal node below the root
+_NODE_KEYS = ("reduced_pd", "det", "crossing", "children")
+
+
 def test_replay_rejects_tampering():
     cert = certify(corpus.trefoil())
     bad = json.loads(cert.to_json())
@@ -278,7 +282,8 @@ def test_replay_rejects_tampering():
     with pytest.raises(ValueError):
         replay_certificate(Certificate(bad))
     bad2 = json.loads(cert.to_json())
-    bad2["children"][0]["pd"] = corpus.hopf().render()
+    hopf = certify(corpus.hopf()).tree
+    bad2["children"][0] = {k: hopf[k] for k in _NODE_KEYS}
     with pytest.raises(ValueError):
         replay_certificate(Certificate(bad2))
 
@@ -299,30 +304,24 @@ def test_replay_refuses_a_root_pd_swapped_for_another_link():
 
 
 TREFOIL_CERTIFICATE = """{
+  "version": 2,
   "pd": "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]",
-  "det": 3,
   "reduced_pd": "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]",
+  "det": 3,
   "crossing": 0,
   "children": [
     {
-      "pd": "X[1,1,2,4] X[3,3,4,2]",
-      "det": 1,
       "leaf": true
     },
     {
-      "pd": "X[1,3,2,4] X[4,2,3,1]",
-      "det": 2,
       "reduced_pd": "X[1,3,2,4] X[4,2,3,1]",
+      "det": 2,
       "crossing": 0,
       "children": [
         {
-          "pd": "X[1,1,2,2]",
-          "det": 1,
           "leaf": true
         },
         {
-          "pd": "X[1,2,2,1]",
-          "det": 1,
           "leaf": true
         }
       ]
@@ -332,9 +331,10 @@ TREFOIL_CERTIFICATE = """{
 
 
 def test_trefoil_certificate_is_pinned(capsys):
-    # the children's PD text depends on how a smoothing orients its
-    # fused arcs (each takes the direction of its lowest fragment);
-    # qalt certify prints the tree indented, to_json writes it compact
+    # a child's reduced_pd depends on how the untwisted smoothing
+    # orients its fused arcs (each takes the direction of its lowest
+    # fragment); qalt certify prints the tree indented, to_json writes
+    # it compact
     assert cli.main(["certify", "--pd", corpus.trefoil().render()]) == 0
     assert capsys.readouterr().out == TREFOIL_CERTIFICATE + "\n"
     text = certify(corpus.trefoil()).to_json()
@@ -347,7 +347,7 @@ def test_trefoil_certificate_is_pinned(capsys):
 # JSON. The search must not depend on set or dict order, so CI runs this
 # under two PYTHONHASHSEED values.
 SEEDED_CERTIFICATES_DIGEST = (
-    "bae531173f66591001b4eba9436c1a8f0107f53f1b62e16c6dca6eecf3cfc95d")
+    "fce2669b0514f0600106b7c915fef7f90a3bfe273ec786d65fe2143e71781741")
 
 
 def _near_alternating_closures(count, seed):
@@ -452,57 +452,86 @@ def test_to_json_rejects_what_json_rejects():
 
 def test_replay_names_a_wrong_child_of_a_free_loop_smoothing():
     # a node stored unreduced, at a curl: one smoothing of the curl's
-    # crossing splits off a free loop, and a child showing only the
-    # crossings that remain is not that smoothing
+    # crossing splits off a free loop, and a child naming only the
+    # crossings that remain is not that smoothing, though its other
+    # child, certified, reduces to the same text
     d = corpus.trefoil().connected_sum(corpus.curl()).canonical()
     c, r = next((c, r) for c in range(len(d.crossings)) for r in (0, 1)
-                if d.smooth(c, r).free_loops)
-    sm = d.smooth(c, r)
+                if d.smooth_untwisted(c, r).free_loops)
+    sm = d.smooth_untwisted(c, r)
     assert sm.crossings
-    kids = [{"pd": d.smooth(c, k).render() if k != r
-             else Diagram(sm.crossings).render(), "det": 1, "leaf": True}
-            for k in (0, 1)]
-    tree = {"pd": d.render(), "det": 3, "reduced_pd": d.render(),
-            "crossing": c, "children": kids}
+    right = certify(d.smooth_untwisted(c, 1 - r)).tree
+    assert not _refs(right)
+    assert Diagram(sm.crossings).canonical().render() == right["reduced_pd"]
+    # child r names the text child 1 - r reduces to: by a ref when child
+    # 1 - r comes first, in full otherwise
+    kids = [None, None]
+    kids[1 - r] = {k: right[k] for k in _NODE_KEYS}
+    kids[r] = {"ref": 1} if r else dict(kids[1])
+    tree = {"version": 2, "pd": d.render(), "reduced_pd": d.render(),
+            "det": 3, "crossing": c, "children": kids}
     with pytest.raises(ValueError) as err:
         replay_certificate(tree)
     assert str(err.value) == "child %d is not the %d-smoothing" % (r, r)
 
 
-def test_replay_parses_a_child_that_differs_only_in_spacing():
-    tree = json.loads(TREFOIL_CERTIFICATE)
-    tree["children"][1]["pd"] = " X[1, 3,2,4]   X[4,2,3,1] "
-    assert replay_certificate(tree)
-
-
 def test_replay_names_a_wrong_child():
     tree = json.loads(TREFOIL_CERTIFICATE)
-    tree["children"][0]["pd"] = tree["children"][1]["pd"]
+    tree["children"][0] = tree["children"][1]
     with pytest.raises(ValueError) as err:
         replay_certificate(tree)
     assert str(err.value) == "child 0 is not the 0-smoothing"
 
 
-@pytest.mark.parametrize("path, value", [
-    (("det",), None), (("children",), None), (("reduced_pd",), None),
-    (("crossing",), None), (("pd",), None), (("children", 1, "pd"), None),
-    (("children", 0, "det"), None), (("children",), 5),
-    (("children",), [1, 2]), (("children",), []),
-    (("reduced_pd",), ["X[1,4,2,5]"]), (("pd",), 7),
-    ((), [1, 2]), ((), "X[1,4,2,5]"),
-    (("children", 0, "det"), True), (("det",), 3.0), (("crossing",), True),
-    (None, "[" * 100000 + "]" * 100000),
+# the Hopf link's certificate in the version 1 layout, which wrote every
+# child in full with its own PD text
+V1_HOPF_CERTIFICATE = {
+    "pd": "X[1,4,2,3] X[3,2,4,1]", "det": 2,
+    "reduced_pd": "X[1,4,2,3] X[3,2,4,1]", "crossing": 0,
+    "children": [{"pd": "X[1,1,2,2]", "det": 1, "leaf": True},
+                 {"pd": "X[1,2,2,1]", "det": 1, "leaf": True}]}
+
+
+@pytest.mark.parametrize("base, path, value", [
+    ("trefoil", ("det",), None), ("trefoil", ("children",), None),
+    ("trefoil", ("reduced_pd",), None), ("trefoil", ("crossing",), None),
+    ("trefoil", ("pd",), None), ("leaf", ("det",), None),
+    ("trefoil", ("children",), 5), ("trefoil", ("children",), [1, 2]),
+    ("trefoil", ("children",), []),
+    ("trefoil", ("reduced_pd",), ["X[1,4,2,5]"]), ("trefoil", ("pd",), 7),
+    ("trefoil", (), [1, 2]), ("trefoil", (), "X[1,4,2,5]"),
+    ("leaf", ("det",), True), ("trefoil", ("det",), 3.0),
+    ("trefoil", ("crossing",), True),
+    (None, None, "[" * 100000 + "]" * 100000),
+    ("trefoil", ("children", 0, "leaf"), None),
+    ("trefoil", ("children", 1, "det"), None),
+    ("trefoil", ("children", 0), 5),
+    ("trefoil", ("children", 0), {"ref": 7}),
+    ("trefoil", ("children", 0), {"ref": 1}),
+    ("trefoil", ("children", 0), {"ref": 0}),
+    ("trefoil", ("children", 0), {"ref": -1}),
+    ("trefoil", ("children", 0), {"ref": True}),
+    ("trefoil", ("children", 0), {"ref": "0"}),
+    ("trefoil", ("version",), None), ("trefoil", ("version",), 1),
+    ("trefoil", ("version",), 2.0), ("trefoil", ("version",), "2"),
+    ("leaf", ("version",), None), ("trefoil", (), V1_HOPF_CERTIFICATE),
 ], ids=["no-det", "no-children", "no-reduced-pd", "no-crossing", "no-pd",
-        "no-child-pd", "no-leaf-det", "children-int", "children-ints",
-        "children-empty", "reduced-pd-list", "pd-int", "array", "string",
-        "leaf-det-true", "det-float", "crossing-true", "nested-too-deep"])
-def test_malformed_certificate_is_value_error(path, value):
+        "no-leaf-det", "children-int", "children-ints", "children-empty",
+        "reduced-pd-list", "pd-int", "array", "string", "leaf-det-true",
+        "det-float", "crossing-true", "nested-too-deep", "no-child-leaf",
+        "no-child-det", "child-int", "ref-out-of-range", "ref-forward",
+        "ref-ancestor", "ref-negative", "ref-true", "ref-string",
+        "no-version", "version-1", "version-float", "version-string",
+        "leaf-no-version", "v1-tree"])
+def test_malformed_certificate_is_value_error(base, path, value):
     # value None deletes the key at path; an empty path replaces the
-    # tree; path None makes value the JSON text, which only from_json reads
+    # tree; path None makes value the JSON text, which only from_json
+    # reads. The "leaf" base is the curl's certificate, a leaf root
     if path is None:
         text = value
     else:
-        tree = json.loads(TREFOIL_CERTIFICATE)
+        tree = (json.loads(TREFOIL_CERTIFICATE) if base == "trefoil"
+                else certify(corpus.curl()).tree)
         if not path:
             tree = value
         else:
@@ -520,23 +549,43 @@ def test_malformed_certificate_is_value_error(path, value):
         replay_certificate(Certificate.from_json(text))
 
 
+def test_ref_errors_name_the_child():
+    tree = json.loads(TREFOIL_CERTIFICATE)
+    for ref in (7, 1, 0, -1, True):
+        tree["children"][1] = {"ref": ref}
+        with pytest.raises(ValueError) as err:
+            replay_certificate(tree)
+        assert str(err.value) == ("child 1 refers to no node checked "
+                                  "before it: %r" % ref)
+
+
 def _shared_closure():
-    # an alternating 3-braid closure whose certificate repeats subtrees
+    # an alternating 3-braid closure whose certificate shares nodes
     return braid_closure([1, -2] * 4, 3)
 
 
+def _entries(tree, path=()):
+    """(path, entry) for every entry of a certificate tree in preorder,
+    the path as keys from the root: full nodes, refs and leaves."""
+    yield path, tree
+    if "reduced_pd" in tree:
+        for r, kid in enumerate(tree["children"]):
+            yield from _entries(kid, path + ("children", r))
+
+
 def _internal_nodes(tree):
-    if tree.get("leaf"):
-        return
-    yield tree
-    for kid in tree["children"]:
-        yield from _internal_nodes(kid)
+    """The full internal nodes in preorder: {"ref": i} names the i-th."""
+    return [node for _, node in _entries(tree) if "reduced_pd" in node]
+
+
+def _refs(tree):
+    return [node["ref"] for _, node in _entries(tree) if "ref" in node]
 
 
 def _near_shared_closure():
-    # a near-alternating 4-braid closure whose certificate repeats both
-    # alternating and non-alternating subtrees
-    return braid_closure([2, 1, 1, 3, 1, -3, 3, 1, 1, 2, 3], 4)
+    # a non-alternating 4-braid closure whose certificate shares both
+    # alternating and non-alternating nodes
+    return braid_closure([3, -3, 3, 2, 2, 2, -3, -3, 2, 3, 3, 3], 4)
 
 
 def _spy(monkeypatch, owner, attr):
@@ -553,15 +602,16 @@ def _spy(monkeypatch, owner, attr):
 
 
 def test_replay_checks_each_distinct_node_once(monkeypatch):
-    # each distinct node is smoothed both ways at its crossing, once; an
-    # all-alternating tree reads no black graph
+    # each distinct node is smoothed both ways at its crossing, once,
+    # however many refs name it; an all-alternating tree reads no black
+    # graph
     cert = certify(_shared_closure())
     keys = [n["reduced_pd"] for n in _internal_nodes(cert.tree)]
-    assert len(keys) > len(set(keys))
-    smoothed = _spy(monkeypatch, Diagram, "smooth")
+    assert len(keys) == len(set(keys)) and _refs(cert.tree)
+    smoothed = _spy(monkeypatch, Diagram, "smooth_untwisted")
     graphs = _spy(monkeypatch, qalt.qa, "checkerboard")
     assert replay_certificate(Certificate.from_json(cert.to_json()))
-    assert sorted(smoothed) == sorted(2 * list(set(keys)))
+    assert sorted(smoothed) == sorted(2 * keys)
     assert graphs == []
 
 
@@ -570,13 +620,13 @@ def test_replay_reads_each_distinct_non_alternating_black_graph_once(
     cert = certify(_near_shared_closure())
     keys = [n["reduced_pd"] for n in _internal_nodes(cert.tree)]
     mixed = [k for k in keys if not parse_pd(k).is_alternating()]
-    assert len(mixed) > len(set(mixed))
-    assert len(keys) - len(mixed) > len(set(keys) - set(mixed)) > 0
-    smoothed = _spy(monkeypatch, Diagram, "smooth")
+    shared = {keys[i] for i in _refs(cert.tree)}
+    assert shared & set(mixed) and shared - set(mixed)
+    smoothed = _spy(monkeypatch, Diagram, "smooth_untwisted")
     graphs = _spy(monkeypatch, qalt.qa, "checkerboard")
     assert replay_certificate(Certificate.from_json(cert.to_json()))
-    assert sorted(smoothed) == sorted(2 * list(set(keys)))
-    assert sorted(graphs) == sorted(set(mixed))
+    assert sorted(smoothed) == sorted(2 * keys)
+    assert sorted(graphs) == sorted(mixed)
 
 
 def test_certify_reads_black_graphs_of_non_alternating_nodes_only(
@@ -589,10 +639,14 @@ def test_certify_reads_black_graphs_of_non_alternating_nodes_only(
     assert not any(parse_pd(pd).is_alternating() for pd in graphs)
 
 
-def test_replay_reduces_each_distinct_node_once(monkeypatch):
+def test_replay_reduces_each_edge_once(monkeypatch):
+    # the root and each child that is not a leaf are reduced once, in
+    # preorder: a ref's smoothing is reduced to the text it names
     tree = json.loads(certify(_shared_closure()).to_json())
-    texts = {n["pd"] for n in _internal_nodes(tree)}
-    assert len(list(_internal_nodes(tree))) > len(texts)
+    keys = [n["reduced_pd"] for n in _internal_nodes(tree)]
+    want = [n["reduced_pd"] if "ref" not in n else keys[n["ref"]]
+            for _, n in _entries(tree) if not n.get("leaf")]
+    assert len(want) == len(keys) + len(_refs(tree)) > len(keys)
     wanted = []
     reduced = qalt.qa._reduced
 
@@ -602,20 +656,14 @@ def test_replay_reduces_each_distinct_node_once(monkeypatch):
 
     monkeypatch.setattr("qalt.qa._reduced", counting)
     assert replay_certificate(tree)
-    assert len(wanted) == len(texts)
+    assert wanted == want
 
 
 def test_replay_rejects_tampering_inside_a_shared_copy():
+    # a node that refs share is checked once, where it is written in
+    # full, and a det changed there is refused there
     tree = json.loads(certify(_shared_closure()).to_json())
-    seen = set()
-    for node in _internal_nodes(tree):
-        inner = list(_internal_nodes(node))[1:]
-        if node["reduced_pd"] in seen and inner:
-            target = inner[-1]
-            break
-        seen.add(node["reduced_pd"])
-    else:
-        pytest.fail("no repeated subtree with an internal node below it")
+    target = _internal_nodes(tree)[max(_refs(tree))]
     det = target["det"]
     target["det"] = det + 1
     with pytest.raises(ValueError) as err:
@@ -623,12 +671,20 @@ def test_replay_rejects_tampering_inside_a_shared_copy():
     assert str(err.value) == "stored det %d != %d" % (det + 1, det)
 
 
-def _nodes_at(tree, path=()):
-    """(path, node) for every node, the path as keys from the root."""
-    yield path, tree
-    if not tree.get("leaf"):
-        for r, kid in enumerate(tree["children"]):
-            yield from _nodes_at(kid, path + ("children", r))
+def test_replay_refuses_a_key_written_in_full_twice():
+    tree = certify(_shared_closure()).tree
+    full = _internal_nodes(tree)
+    path = next(p for p, n in _entries(tree) if "ref" in n)
+    node = tree
+    for k in path[:-1]:
+        node = node[k]
+    copy = json.loads(json.dumps(full[node[path[-1]]["ref"]]))
+    node[path[-1]] = copy
+    cert = Certificate.from_json(json.dumps(tree))
+    with pytest.raises(ValueError) as err:
+        replay_certificate(cert)
+    assert str(err.value) == ("node %r is written in full twice"
+                              % copy["reduced_pd"])
 
 
 def _replay_error(text, path, change):
@@ -646,36 +702,92 @@ def _replay_error(text, path, change):
     return None
 
 
+def _child_error(s, c, r, kid, keys):
+    """The error replay gives for kid as child r of the node s at
+    crossing c, or None; a ref is taken to name a node checked before."""
+    sm = s.smooth_untwisted(c, r).simplify().canonical()
+    if kid.get("leaf"):
+        if sm.crossings or sm.component_count != 1:
+            return "leaf does not simplify to the unknot"
+        return None
+    key = keys[kid["ref"]] if "ref" in kid else kid["reduced_pd"]
+    if sm.free_loops or sm.render() != key:
+        return "child %d is not the %d-smoothing" % (r, r)
+    return None
+
+
 def test_replay_rejects_single_edits_of_an_alternating_certificate():
-    # every node of an all-alternating tree, one edit at a time: a det
-    # that is not the sum of the children's, a leaf det, a crossing
-    # whose smoothings are not the children, swapped children
+    # every entry of an all-alternating tree, one edit at a time: a det
+    # that is not the sum of the children's, a crossing whose untwisted
+    # smoothings do not reduce to the children, swapped children, a ref
+    # to another node checked before it
     text = certify(_shared_closure()).to_json()
+    tree = json.loads(text)
+    keys = [n["reduced_pd"] for n in _internal_nodes(tree)]
+    paths = [p for p, n in _entries(tree) if "reduced_pd" in n]
     edits = collections.Counter()
-    for path, node in _nodes_at(json.loads(text)):
-        det = node["det"]
-        if node.get("leaf"):
-            assert (_replay_error(text, path, lambda n: n.update(det=2))
-                    == "leaf with det != 1")
-            edits["leaf"] += 1
+    written = 0
+    for path, node in _entries(tree):
+        if "ref" in node:
+            # the latest node written before it that is not its ancestor
+            other = next((j for j in reversed(range(written))
+                          if paths[j] != path[:len(paths[j])]
+                          and j != node["ref"]), None)
+            if other is not None:
+                r = path[-1]
+                assert (_replay_error(text, path,
+                                      lambda n: n.update(ref=other))
+                        == "child %d is not the %d-smoothing" % (r, r))
+                edits["ref"] += 1
             continue
+        if node.get("leaf"):
+            continue
+        written += 1
+        det = node["det"]
         assert (_replay_error(text, path, lambda n: n.update(det=det + 1))
                 == "stored det %d != %d" % (det + 1, det))
         s = parse_pd(node["reduced_pd"])
         other = (node["crossing"] + 1) % len(s.crossings)
-        kids = [kid["pd"] for kid in node["children"]]
-        want = next(("child %d is not the %d-smoothing" % (r, r)
-                     for r in (0, 1)
-                     if s.smooth(other, r).render() != kids[r]), None)
+        kids = node["children"]
+        want = next(filter(None, (_child_error(s, other, r, kids[r], keys)
+                                  for r in (0, 1))), None)
         assert (_replay_error(text, path,
                               lambda n: n.update(crossing=other)) == want)
         edits["crossing"] += want is not None
-        if kids[0] != kids[1]:
+        if not any("ref" in kid for kid in kids) and kids[0] != kids[1]:
+            want = ("leaf does not simplify to the unknot"
+                    if kids[1].get("leaf") else
+                    "child 0 is not the 0-smoothing")
             assert (_replay_error(text, path,
                                   lambda n: n["children"].reverse())
-                    == "child 0 is not the 0-smoothing")
+                    == want)
             edits["swap"] += 1
-    assert min(edits.values()) >= 20, edits
+    assert min(edits.values()) >= 8, edits
+
+
+def test_certificates_of_alternating_closures_stay_small():
+    # seeded alternating closures of 20 and 26 crossings certify with
+    # the depth bound raised to the crossing count (the default, 24,
+    # binds above 24 crossings) and replay; each distinct node is
+    # written once, so the JSON stays far below the size of the tree
+    # with every shared subtree copied out
+    rng = random.Random(7)
+    for n in (20, 26):
+        done = 0
+        while done < 3:
+            strands = rng.randint(3, 5)
+            word = [i if i % 2 else -i
+                    for i in (rng.randint(1, strands - 1) for _ in range(n))]
+            if not all(sum(abs(g) == i for g in word) >= 2
+                       for i in range(1, strands)):
+                continue
+            d = braid_closure(word, strands)
+            cert = certify(d, Budget(max_depth=n))
+            assert isinstance(cert, Certificate), word
+            text = cert.to_json()
+            assert len(text) < 1 << 20, (word, len(text))
+            assert replay_certificate(Certificate.from_json(text))
+            done += 1
 
 
 def _with_curls(d, n):
