@@ -416,31 +416,30 @@ class Diagram:
 
     # operations
 
-    def smooth(self, c: int, r: int) -> "Diagram":
+    def smooth(self, c: int, r: int, *, untwist: bool = False) -> "Diagram":
         """Replace crossing c by the r-resolution.
 
         The slots joined are _SMOOTHINGS[r]: r = 0 joins (0,1) and (2,3),
         r = 1 joins (0,3) and (1,2). The 0-resolution is the one whose
         coefficient in the bracket expansion is A.
-        """
-        self._check_smoothing(c, r)
-        return self._splice({c: _SMOOTHINGS[r]})
 
-    def smooth_untwisted(self, c: int, r: int) -> "Diagram":
-        """smooth(c, r) with the curls it makes removed in the same splice.
-
-        A closed corner of c whose face is a bigon with crossing d turns
-        d into a curl. Removing that curl closes the face beyond d's
-        fused slots, which may be a bigon in turn, and so on along the
-        twist region. A curl's loop is then a chain of fused arcs whose
-        two live ends are adjacent slots of one crossing, so each chain
-        that a removal changes is walked to its ends. The result is
-        isotopic to smooth(c, r); curls and bigons that the splice did
-        not make are left to simplify().
+        With untwist, the curls the smoothing makes are removed in the
+        same splice. A closed corner of c whose face is a bigon with
+        crossing d turns d into a curl. Removing that curl closes the
+        face beyond d's fused slots, which may be a bigon in turn, and
+        so on along the twist region. A curl's loop is then a chain of
+        fused arcs whose two live ends are adjacent slots of one
+        crossing, so each chain that a removal changes is walked to its
+        ends. The result is isotopic to the plain smoothing; curls and
+        bigons that the splice did not make are left to simplify().
         """
-        self._check_smoothing(c, r)
-        mate = self._mate
+        self._check_crossing(c)
+        if r not in (0, 1):
+            raise InvalidCrossing("smoothing selector must be 0 or 1, got %r" % (r,))
         joins = {c: _SMOOTHINGS[r]}
+        if not untwist:
+            return self._splice(joins)
+        mate = self._mate
         wire = {}
         for s1, s2 in _SMOOTHINGS[r]:
             wire[4 * c + s1] = 4 * c + s2
@@ -470,11 +469,6 @@ class Diagram:
             wire[4 * e + b] = 4 * e + a
             todo.append(4 * e + a)
         return self._splice(joins)
-
-    def _check_smoothing(self, c: int, r: int):
-        self._check_crossing(c)
-        if r not in (0, 1):
-            raise InvalidCrossing("smoothing selector must be 0 or 1, got %r" % (r,))
 
     def mirror(self) -> "Diagram":
         """Switch every crossing; tuples re-rooted at the new under-entry."""

@@ -143,7 +143,7 @@ class Certificate:
     "crossing", "children": [c0, c1]}: its diagram reduced by simplify,
     as canonical PD text, the determinant of its link, and the crossing
     of the reduced diagram whose r-smoothing, untwisted
-    (Diagram.smooth_untwisted), child r is. Each child is one of:
+    (Diagram.smooth with untwist), child r is. Each child is one of:
 
     - the full internal node, where its "reduced_pd" first occurs in
       preorder;
@@ -187,8 +187,8 @@ def certify(d: Diagram, budget: Budget = Budget()):
     qualifies when both smoothings have positive determinants adding up
     to the parent's, and both children certify recursively. Each child
     is the smoothing with the curls it makes removed in the same splice
-    (Diagram.smooth_untwisted); simplify, under the budget's pass count,
-    does the rest. Returns the first Certificate in this deterministic
+    (Diagram.smooth with untwist); simplify, under the budget's pass
+    count, does the rest. Returns the first Certificate in this deterministic
     order, or Unknown("budget") / Unknown("exhausted").
 
     A node that is alternating (Diagram.is_alternating) is decided
@@ -253,8 +253,8 @@ def certify(d: Diagram, budget: Budget = Budget()):
                 return None
         for c in range(len(s.crossings)):
             if alternating:
-                s0 = s.smooth_untwisted(c, 0)
-                s1 = s.smooth_untwisted(c, 1)
+                s0 = s.smooth(c, 0, untwist=True)
+                s1 = s.smooth(c, 1, untwist=True)
                 if not (s0.is_connected() and s1.is_connected()):
                     continue
                 det0 = det1 = None
@@ -262,12 +262,13 @@ def certify(d: Diagram, budget: Budget = Budget()):
                 det0, det1 = smoothing_dets(g, c)
                 if det0 < 1 or det1 < 1 or det0 + det1 != det:
                     continue
-                s0, s1 = s.smooth_untwisted(c, 0), None
+                s0, s1 = s.smooth(c, 0, untwist=True), None
             k0 = rec(s0, det0, depth + 1)
             if k0 is None:
                 continue
-            k1 = rec(s.smooth_untwisted(c, 1) if s1 is None else s1, det1,
-                     depth + 1)
+            if s1 is None:
+                s1 = s.smooth(c, 1, untwist=True)
+            k1 = rec(s1, det1, depth + 1)
             if k1 is None:
                 continue
             # each child's det is its link's determinant, so where det0
@@ -387,13 +388,13 @@ def replay_certificate(cert) -> bool:
     is then the sum of the counts after deleting and contracting the
     crossing's edge (see certify).
 
-    Child r of a node is derived as s.smooth_untwisted(c, r) from the
-    node's reduced diagram s, and must reduce (as the search reduced it,
-    see _reduced) to the child's reduced_pd, or simplify to the unknot
-    at a leaf. A ref names a full node written before it in preorder
-    whose check is done, so its det is known; an ancestor, a node after
-    it, an index out of range and a key written in full twice are
-    refused.
+    Child r of a node is derived as s.smooth(c, r, untwist=True) from
+    the node's reduced diagram s, and must reduce (as the search
+    reduced it, see _reduced) to the child's reduced_pd, or simplify to
+    the unknot at a leaf. A ref names a full node written before it in
+    preorder whose check is done, so its det is known; an ancestor, a
+    node after it, an index out of range and a key written in full
+    twice are refused.
 
     The walk adds one Python frame per level, and it descends only into
     children already checked to be smoothings, each with one crossing
@@ -403,21 +404,21 @@ def replay_certificate(cert) -> bool:
     _check_root(tree)
     root = parse_pd(tree["pd"])
     root.check_planar()
-    table = []  # [reduced_pd, det once checked], by preorder index
-    written = set()
+    keys = []  # reduced_pd of each full node, by preorder index
+    dets = {}  # reduced_pd -> det of a full node, None until checked
 
     def child_det(s, c, r, kid):
         # check kid as child r of the node s at crossing c; its det
-        sm = s.smooth_untwisted(c, r)
+        sm = s.smooth(c, r, untwist=True)
         if not isinstance(kid, dict):
             raise ValueError("certificate node must be an object")
         ref = kid.get("ref")
         if ref is not None:
-            if (type(ref) is not int or not 0 <= ref < len(table)
-                    or table[ref][1] is None):
+            if (type(ref) is not int or not 0 <= ref < len(keys)
+                    or dets[keys[ref]] is None):
                 raise ValueError("child %d refers to no node checked "
                                  "before it: %r" % (r, ref))
-            key = table[ref][0]
+            key = keys[ref]
         elif kid.get("leaf") is True:
             _check_leaf(sm)
             return 1
@@ -427,15 +428,14 @@ def replay_certificate(cert) -> bool:
         reduced = _reduced(sm, key)
         if reduced is None:
             raise ValueError("child %d is not the %d-smoothing" % (r, r))
-        return walk(kid, reduced) if ref is None else table[ref][1]
+        return walk(kid, reduced) if ref is None else dets[key]
 
     def walk(node, s):
         key = node["reduced_pd"]
-        if key in written:
+        if key in dets:
             raise ValueError("node %r is written in full twice" % key)
-        written.add(key)
-        entry = [key, None]
-        table.append(entry)
+        dets[key] = None
+        keys.append(key)
         alternating = s.is_alternating()
         if alternating:
             if not s.is_connected():
@@ -452,7 +452,7 @@ def replay_certificate(cert) -> bool:
             raise ValueError("stored det %r != %r" % (node["det"], d0 + d1))
         if d0 < 1 or d1 < 1 or d0 + d1 != node["det"]:
             raise ValueError("determinant additivity fails at a node")
-        entry[1] = node["det"]
+        dets[key] = node["det"]
         return node["det"]
 
     try:

@@ -467,12 +467,11 @@ def _fields(d) -> dict:
 
 def _assembled(d):
     """The diagrams that splices of d number: its smoothings, plain and
-    untwisted, each step
-    of its simplification and its canonical form."""
+    untwisted, each step of its simplification and its canonical form."""
     for c in range(len(d.crossings)):
         for r in (0, 1):
             yield d.smooth(c, r)
-            yield d.smooth_untwisted(c, r)
+            yield d.smooth(c, r, untwist=True)
     step = d
     while step.crossings:
         nxt = step.simplify(1)
@@ -547,7 +546,7 @@ def test_smooth_untwisted_matches_smooth_then_simplify():
         curled = _has_curl(d)
         for c in range(len(d.crossings)):
             for r in (0, 1):
-                u = d.smooth_untwisted(c, r)
+                u = d.smooth(c, r, untwist=True)
                 s = d.smooth(c, r)
                 assert curled or not _has_curl(u), (d, c, r)
                 untwisted += len(u.crossings) < len(s.crossings)
@@ -566,10 +565,10 @@ def test_smooth_untwisted_undoes_a_twist_region():
     # makes none
     for n in range(2, 9):
         d = corpus.torus(n)
-        assert d.smooth_untwisted(0, 0) == Diagram((), 1)
+        assert d.smooth(0, 0, untwist=True) == Diagram((), 1)
         if n > 2:
-            assert d.smooth_untwisted(0, 1) == d.smooth(0, 1)
+            assert d.smooth(0, 1, untwist=True) == d.smooth(0, 1)
     with pytest.raises(InvalidCrossing):
-        corpus.trefoil().smooth_untwisted(0, 2)
+        corpus.trefoil().smooth(0, 2, untwist=True)
     with pytest.raises(InvalidCrossing):
-        corpus.trefoil().smooth_untwisted(3, 0)
+        corpus.trefoil().smooth(3, 0, untwist=True)

@@ -457,10 +457,10 @@ def test_replay_names_a_wrong_child_of_a_free_loop_smoothing():
     # child, certified, reduces to the same text
     d = corpus.trefoil().connected_sum(corpus.curl()).canonical()
     c, r = next((c, r) for c in range(len(d.crossings)) for r in (0, 1)
-                if d.smooth_untwisted(c, r).free_loops)
-    sm = d.smooth_untwisted(c, r)
+                if d.smooth(c, r, untwist=True).free_loops)
+    sm = d.smooth(c, r, untwist=True)
     assert sm.crossings
-    right = certify(d.smooth_untwisted(c, 1 - r)).tree
+    right = certify(d.smooth(c, 1 - r, untwist=True)).tree
     assert not _refs(right)
     assert Diagram(sm.crossings).canonical().render() == right["reduced_pd"]
     # child r names the text child 1 - r reduces to: by a ref when child
@@ -515,6 +515,7 @@ V1_HOPF_CERTIFICATE = {
     ("trefoil", ("version",), None), ("trefoil", ("version",), 1),
     ("trefoil", ("version",), 2.0), ("trefoil", ("version",), "2"),
     ("leaf", ("version",), None), ("trefoil", (), V1_HOPF_CERTIFICATE),
+    ("leaf", ("det",), 2),
 ], ids=["no-det", "no-children", "no-reduced-pd", "no-crossing", "no-pd",
         "no-leaf-det", "children-int", "children-ints", "children-empty",
         "reduced-pd-list", "pd-int", "array", "string", "leaf-det-true",
@@ -522,7 +523,7 @@ V1_HOPF_CERTIFICATE = {
         "no-child-det", "child-int", "ref-out-of-range", "ref-forward",
         "ref-ancestor", "ref-negative", "ref-true", "ref-string",
         "no-version", "version-1", "version-float", "version-string",
-        "leaf-no-version", "v1-tree"])
+        "leaf-no-version", "v1-tree", "leaf-det-2"])
 def test_malformed_certificate_is_value_error(base, path, value):
     # value None deletes the key at path; an empty path replaces the
     # tree; path None makes value the JSON text, which only from_json
@@ -593,9 +594,9 @@ def _spy(monkeypatch, owner, attr):
     calls = []
     fn = getattr(owner, attr)
 
-    def counting(d, *args):
+    def counting(d, *args, **kwargs):
         calls.append(d.render())
-        return fn(d, *args)
+        return fn(d, *args, **kwargs)
 
     monkeypatch.setattr(owner, attr, counting)
     return calls
@@ -608,7 +609,7 @@ def test_replay_checks_each_distinct_node_once(monkeypatch):
     cert = certify(_shared_closure())
     keys = [n["reduced_pd"] for n in _internal_nodes(cert.tree)]
     assert len(keys) == len(set(keys)) and _refs(cert.tree)
-    smoothed = _spy(monkeypatch, Diagram, "smooth_untwisted")
+    smoothed = _spy(monkeypatch, Diagram, "smooth")
     graphs = _spy(monkeypatch, qalt.qa, "checkerboard")
     assert replay_certificate(Certificate.from_json(cert.to_json()))
     assert sorted(smoothed) == sorted(2 * keys)
@@ -622,7 +623,7 @@ def test_replay_reads_each_distinct_non_alternating_black_graph_once(
     mixed = [k for k in keys if not parse_pd(k).is_alternating()]
     shared = {keys[i] for i in _refs(cert.tree)}
     assert shared & set(mixed) and shared - set(mixed)
-    smoothed = _spy(monkeypatch, Diagram, "smooth_untwisted")
+    smoothed = _spy(monkeypatch, Diagram, "smooth")
     graphs = _spy(monkeypatch, qalt.qa, "checkerboard")
     assert replay_certificate(Certificate.from_json(cert.to_json()))
     assert sorted(smoothed) == sorted(2 * keys)
@@ -705,7 +706,7 @@ def _replay_error(text, path, change):
 def _child_error(s, c, r, kid, keys):
     """The error replay gives for kid as child r of the node s at
     crossing c, or None; a ref is taken to name a node checked before."""
-    sm = s.smooth_untwisted(c, r).simplify().canonical()
+    sm = s.smooth(c, r, untwist=True).simplify().canonical()
     if kid.get("leaf"):
         if sm.crossings or sm.component_count != 1:
             return "leaf does not simplify to the unknot"
