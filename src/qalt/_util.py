@@ -1,6 +1,6 @@
-"""Exact integer determinants, and the integer union-find that the graph
-layer, the diagram's connectivity test and the bracket's state-sum oracle
-share."""
+"""Exact integer determinants, the integer union-find that the graph
+layer and the bracket's state-sum oracle share, and the base of qalt's
+immutable records."""
 
 from __future__ import annotations
 
@@ -52,3 +52,40 @@ def _join(parent: list, u: int, v: int) -> bool:
         return False
     parent[ru] = rv
     return True
+
+
+class _Record:
+    """Base of qalt's immutable records. A record lists its fields in
+    __slots__, in constructor order, and its __init__ sets each with
+    object.__setattr__. Records of one type are equal when their fields
+    are, and hash alike; a record never equals another type, a tuple
+    included. The repr is Name(field=value, ...), assignment and
+    deletion raise AttributeError, and copy and pickle rebuild a record
+    through its constructor."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (name, getattr(self, name))
+            for name in self.__slots__))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __delattr__(self, name):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __reduce__(self):
+        return type(self), self._values()

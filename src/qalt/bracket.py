@@ -26,15 +26,12 @@ each step can close, which is about 1.6 n bits on braid closures.
 from __future__ import annotations
 
 import functools
-import logging
+import sys
 from collections import Counter
-from dataclasses import dataclass
 
-from ._util import _join
+from ._util import _Record, _join
 from .diagram import _SMOOTHINGS, Diagram, EmptyDiagram
 from .laurent import HalfLaurent, SupportNotOnLattice
-
-log = logging.getLogger(__name__)
 
 # an extra closed circle multiplies the bracket by -A^(-2) - A^2
 _DELTA = HalfLaurent({-4: -1, 4: -1})
@@ -194,8 +191,13 @@ def kauffman_bracket(d: Diagram) -> HalfLaurent:
                 nxt[key] = get(key, 0) + q * mults[loops]
         states = nxt
         peak = max(peak, len(nxt))
-    log.debug("kauffman_bracket: %d crossings, frontier width %d, "
-              "peak states %d", len(crossings), width, peak)
+    # a log record reaches a handler only once the application has imported
+    # and configured logging, so qalt looks it up instead of importing it
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger(__name__).debug(
+            "kauffman_bracket: %d crossings, frontier width %d, "
+            "peak states %d", len(crossings), width, peak)
     (q,) = states.values()
     terms = {}
     digit = (1 << w) - 1
@@ -257,12 +259,15 @@ def determinant(d: Diagram) -> int:
     return bracket_result(d).determinant
 
 
-@dataclass(frozen=True)
-class BracketResult:
-    bracket: HalfLaurent
-    jones: HalfLaurent
-    writhe: int
-    determinant: int
+class BracketResult(_Record):
+    __slots__ = ("bracket", "jones", "writhe", "determinant")
+
+    def __init__(self, bracket: HalfLaurent, jones: HalfLaurent, writhe: int,
+                 determinant: int):
+        object.__setattr__(self, "bracket", bracket)
+        object.__setattr__(self, "jones", jones)
+        object.__setattr__(self, "writhe", writhe)
+        object.__setattr__(self, "determinant", determinant)
 
 
 def bracket_result(d: Diagram) -> BracketResult:

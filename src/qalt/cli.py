@@ -16,13 +16,11 @@ import functools
 import json
 import sys
 import time
-from dataclasses import fields
-from fractions import Fraction
 
 from . import laurent
 from .bracket import bracket_result, kauffman_bracket
 from .diagram import NoEmbedding, parse_pd
-from .laurent import analyze
+from .laurent import _half, analyze
 from .qa import (INCONCLUSIVE, NOTQA, Budget, Unknown, certify, kanenobu_jones,
                  kanenobu_obstruction, obstruct)
 from .tait import (black_graph, checkerboard, gamma, goeritz_det,
@@ -38,14 +36,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _frac(e2: int) -> str:
-    return str(Fraction(e2, 2))
-
-
 def _gap_fields(rep) -> dict:
     return {
         "gap_count": rep.gap_count(),
-        "gaps": [{"start": _frac(start2), "length": length}
+        "gaps": [{"start": _half(start2), "length": length}
                  for start2, length in rep.gaps],
         "alternating": rep.alternating,
     }
@@ -100,7 +94,7 @@ def _jones_payload(d):
         "jones": r.jones.render("t"),
         "det": r.determinant,
         "writhe": r.writhe,
-        "breadth": _frac(rep.breadth2),
+        "breadth": _half(rep.breadth2),
         **_gap_fields(rep),
     }
     return payload, r.jones
@@ -147,8 +141,8 @@ def _cmd_analyze(args):
     rep = analyze(f, step2=args.step2)
     p = {
         "poly": f.render(var),
-        "breadth": _frac(rep.breadth2),
-        "step": _frac(rep.step2),
+        "breadth": _half(rep.breadth2),
+        "step": _half(rep.step2),
         **_gap_fields(rep),
     }
     return p, ["poly: %s" % p["poly"],
@@ -181,8 +175,8 @@ def _cmd_obstruct(args):
 
 def _budget_flags(args) -> dict:
     """The budget flags given, by Budget field."""
-    return {f.name: getattr(args, f.name) for f in fields(Budget)
-            if getattr(args, f.name) is not None}
+    return {name: getattr(args, name) for name in Budget.__slots__
+            if getattr(args, name) is not None}
 
 
 def _cmd_certify(args):
@@ -210,7 +204,7 @@ def _cmd_kanenobu(args):
              "status: %s (battery agrees: %s)" % (kv.status, kv.agrees)]
     if args.analyze:
         rep = analyze(v, step2=2)
-        p.update(breadth=_frac(rep.breadth2), **_gap_fields(rep))
+        p.update(breadth=_half(rep.breadth2), **_gap_fields(rep))
         lines += ["breadth: %s" % p["breadth"], _gaps_line(p)]
     return p, lines
 

@@ -6,8 +6,7 @@ negative), matching the bundled Hopf and trefoil codes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._util import _Record
 from .diagram import Diagram, parse_pd
 
 UNKNOT_PD = ""
@@ -80,12 +79,14 @@ def hopf_trefoil() -> Diagram:
     return hopf().connected_sum(trefoil())
 
 
-@dataclass(frozen=True)
-class Entry:
-    name: str
-    diagram: Diagram
-    prime: bool
-    det: int
+class Entry(_Record):
+    __slots__ = ("name", "diagram", "prime", "det")
+
+    def __init__(self, name: str, diagram: Diagram, prime: bool, det: int):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "diagram", diagram)
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "det", det)
 
 
 def entries() -> tuple:

@@ -47,8 +47,6 @@ import json
 import re
 from collections import Counter
 
-from ._util import _join
-
 
 # the slot pairs that the r-smoothing of a crossing joins, r = 0 and 1
 _SMOOTHINGS = (((0, 1), (2, 3)), ((0, 3), (1, 2)))
@@ -190,17 +188,29 @@ class Diagram:
         return all(map((1).__and__, self._mate[0::4]))
 
     def shadow_pieces(self) -> int:
-        """Pieces of the shadow that hold crossings: each arc, seen from
-        its lower port, joins the crossings at its ends."""
+        """Pieces of the shadow that hold crossings: the four arcs of a
+        crossing join it to the crossings at their far ends, and a walk
+        from each crossing not yet reached covers one piece."""
         if len(self._starts) == 1:
             # one closed strand runs through every crossing
             return 1
         if self._pieces is None:
-            parts = len(self.crossings)
-            parent = list(range(parts))
-            for p, q in enumerate(self._mate):
-                if p < q:
-                    parts -= _join(parent, p >> 2, q >> 2)
+            mate = self._mate
+            seen = [False] * len(self.crossings)
+            parts = 0
+            for first in range(len(seen)):
+                if seen[first]:
+                    continue
+                parts += 1
+                seen[first] = True
+                stack = [first]
+                while stack:
+                    c = stack.pop()
+                    for p in mate[4 * c:4 * c + 4]:
+                        p >>= 2
+                        if not seen[p]:
+                            seen[p] = True
+                            stack.append(p)
             self._pieces = parts
         return self._pieces
 

@@ -13,9 +13,9 @@ is in play.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
+
+from ._util import _Record
 
 
 class ZeroPolynomial(ValueError):
@@ -44,6 +44,10 @@ class HalfLaurent:
 
     def __setattr__(self, name, value):
         raise AttributeError("HalfLaurent is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, since assignment raises
+        return HalfLaurent, (self._terms,)
 
     # construction helpers
 
@@ -198,11 +202,13 @@ class HalfLaurent:
         return "".join(parts)
 
 
+def _half(e2: int) -> str:
+    """e2 / 2 as str(Fraction(e2, 2)) writes it: "3", "-2", "5/2"."""
+    return "%d/2" % e2 if e2 % 2 else str(e2 // 2)
+
+
 def _exp_str(e2: int) -> str:
-    if e2 % 2 == 0:
-        k = e2 // 2
-        return str(k) if k > 0 else "(%d)" % k
-    return "(%d/2)" % e2
+    return _half(e2) if e2 > 0 and e2 % 2 == 0 else "(%s)" % _half(e2)
 
 
 _CHUNK = re.compile(
@@ -271,8 +277,7 @@ def parse(text: str, var: str = "t") -> HalfLaurent:
     return HalfLaurent(terms)
 
 
-@dataclass(frozen=True)
-class GapReport:
+class GapReport(_Record):
     """Support structure of a polynomial on an arithmetic lattice.
 
     breadth2/step2 are in doubled-exponent units; gaps is a tuple of
@@ -284,10 +289,14 @@ class GapReport:
     share a sign and adjacent classes oppose.
     """
 
-    breadth2: int
-    step2: int
-    gaps: tuple
-    alternating: bool
+    __slots__ = ("breadth2", "step2", "gaps", "alternating")
+
+    def __init__(self, breadth2: int, step2: int, gaps: tuple,
+                 alternating: bool):
+        object.__setattr__(self, "breadth2", breadth2)
+        object.__setattr__(self, "step2", step2)
+        object.__setattr__(self, "gaps", gaps)
+        object.__setattr__(self, "alternating", alternating)
 
     def gap_count(self) -> int:
         return len(self.gaps)
@@ -309,7 +318,7 @@ def analyze(f: HalfLaurent, step2: int) -> GapReport:
         if (e2 - lo) % step2:
             raise SupportNotOnLattice(
                 "support %r does not lie on a step-%s lattice"
-                % (support, Fraction(step2, 2)))
+                % (support, _half(step2)))
     # one pass over the terms: a gap is a run of missing positions
     # between neighbours, and the signs alternate when every term gives
     # one answer to "positive exactly on an even lattice index?"

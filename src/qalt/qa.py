@@ -11,8 +11,8 @@ from the search is never evidence against membership.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
+from ._util import _Record
 from .diagram import Diagram, DisconnectedDiagram, parse_pd
 from .bracket import determinant as bracket_determinant
 from .laurent import HalfLaurent, ZeroPolynomial, analyze, monomial_quotient
@@ -35,11 +35,13 @@ INCONCLUSIVE = "Inconclusive"
 HOPF_JONES = HalfLaurent({-5: -1, -1: -1})
 
 
-@dataclass(frozen=True)
-class QAVerdict:
-    status: str
-    reasons: tuple
-    assumptions: dict
+class QAVerdict(_Record):
+    __slots__ = ("status", "reasons", "assumptions")
+
+    def __init__(self, status: str, reasons: tuple, assumptions: dict):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "reasons", reasons)
+        object.__setattr__(self, "assumptions", assumptions)
 
 
 def torus_2n_jones(n: int) -> HalfLaurent:
@@ -128,15 +130,18 @@ def obstruct(v: HalfLaurent, det: int, prime: bool = False) -> QAVerdict:
 # certification search
 
 
-@dataclass(frozen=True)
-class Budget:
-    max_depth: int = 24
-    max_nodes: int = 100000
-    simplify_passes: int | None = None  # None: simplify to the fixpoint
+class Budget(_Record):
+    __slots__ = ("max_depth", "max_nodes", "simplify_passes")
+
+    def __init__(self, max_depth: int = 24, max_nodes: int = 100000,
+                 simplify_passes: int | None = None):
+        # simplify_passes None: simplify to the fixpoint
+        object.__setattr__(self, "max_depth", max_depth)
+        object.__setattr__(self, "max_nodes", max_nodes)
+        object.__setattr__(self, "simplify_passes", simplify_passes)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(_Record):
     """A certificate is its tree, format version 2: the root is
     {"version": 2, "pd": <root PD text>, "det": <its determinant>, ...}
     and otherwise a node. An internal node is {"reduced_pd", "det",
@@ -154,7 +159,10 @@ class Certificate:
     No child stores PD text of its own. A root that is a leaf is
     {"version": 2, "pd": ..., "det": 1, "leaf": true}."""
 
-    tree: dict
+    __slots__ = ("tree",)
+
+    def __init__(self, tree: dict):
+        object.__setattr__(self, "tree", tree)
 
     def to_json(self) -> str:
         """The tree as compact JSON; from_json reads it compact or indented."""
@@ -170,9 +178,12 @@ class Certificate:
         return cls(tree)
 
 
-@dataclass(frozen=True)
-class Unknown:
-    reason: str  # "budget" or "exhausted"
+class Unknown(_Record):
+    __slots__ = ("reason",)
+
+    def __init__(self, reason: str):
+        # "budget" or "exhausted"
+        object.__setattr__(self, "reason", reason)
 
 
 class _BudgetExceeded(Exception):
@@ -490,10 +501,12 @@ def kanenobu_jones(p: int, q: int) -> HalfLaurent:
     return HalfLaurent(terms)
 
 
-@dataclass(frozen=True)
-class KanenobuVerdict:
-    status: str
-    agrees: bool
+class KanenobuVerdict(_Record):
+    __slots__ = ("status", "agrees")
+
+    def __init__(self, status: str, agrees: bool):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "agrees", agrees)
 
 
 def kanenobu_obstruction(p: int, q: int) -> KanenobuVerdict:

@@ -18,9 +18,7 @@ active when it is the minimum of the cycle its insertion creates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from ._util import _join, _root, bareiss_det
+from ._util import _Record, _join, _root, bareiss_det
 from .diagram import Diagram, DisconnectedDiagram
 from .laurent import HalfLaurent
 
@@ -63,27 +61,26 @@ def _contracted(n: int, edges, i: int) -> list:
             for j, (a, b, s) in enumerate(edges) if j != i]
 
 
-@dataclass(frozen=True)
-class SignedPlanarGraph:
+class SignedPlanarGraph(_Record):
     """Connected multigraph with signed, totally ordered edges.
 
     edges[i] = (u, v, sign); the list position is the edge order.
     black_graph() and checkerboard() put crossing i's edge at edges[i]
     in both graphs of a diagram."""
 
-    vertex_count: int
-    edges: tuple
+    __slots__ = ("vertex_count", "edges")
 
-    def __post_init__(self):
-        if self.vertex_count < 1:
+    def __init__(self, vertex_count: int, edges):
+        if vertex_count < 1:
             raise ValueError("need at least one vertex")
         clean = []
-        for u, v, s in self.edges:
-            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
+        for u, v, s in edges:
+            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise ValueError("edge endpoint out of range: %r" % ((u, v, s),))
             if s not in (1, -1):
                 raise ValueError("edge sign must be +1 or -1")
             clean.append((u, v, s))
+        object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "edges", tuple(clean))
 
     def is_connected(self) -> bool:
