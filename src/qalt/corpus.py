@@ -1,4 +1,6 @@
-"""Bundled small diagrams used by the tests and the batch CLI.
+"""Bundled small diagrams. No other module of qalt, the CLI included,
+imports this one: its readers are the tests and the benchmark, whose
+table inputs start with the corpus codes (perfbench/run.py).
 
 All torus diagrams use the left-handed convention (every crossing
 negative), matching the bundled Hopf and trefoil codes.

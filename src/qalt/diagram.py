@@ -20,8 +20,10 @@ integer order is the lexicographic order of the (c, s) pairs and "least
 port" means the same in either form. The opposite slot is p ^ 2. A
 diagram keeps, per port, the other port of its arc (_mate) and whether
 the strand flows into the crossing there (_fin); crossing signs,
-faces() and face_incidence() are derived from these, so the port
-layout is known to this module alone.
+faces() and face_incidence() are derived from these. The port layout
+is known to this module, and to one reader outside it: bracket's
+frontier sweep reads the four ports of each crossing from _mate and
+takes the crossing at the far end of each arc as p >> 2.
 
 Smoothings and Reidemeister reductions splice ports and renumber on one
 engine, as canonical() does, so the rules stay consistent: a fused arc
@@ -29,15 +31,15 @@ takes the label and direction of its lowest-labeled fragment, each
 component is renumbered by traversal from its lowest arc, crossings
 are rotated so the under-strand enters at slot 0, and sorted by that
 label. The renumbering writes the port arrays of the new diagram
-directly; __init__, which validates and orients its input, runs only
-on diagrams built from outside (parse_pd, Diagram(...), mirror and
-connected_sum). A spliced diagram is born canonical, its own
-canonical() form, unless one of its components is over-only: such a
-component is numbered from its lowest fragment but oriented by the
-rule above, where canonical() would number it from that direction.
-Either way its labels count up along each component, so its own
+directly, and the result is born canonical: it is its own canonical()
+form, and its labels count up along each component, so its own
 splices start their walks from the lowest arc of each component and
-the fused arcs only.
+the fused arcs only. The one exception is a result with an over-only
+component: the walk numbers it from its lowest fragment, but the rule
+above orients it by its labels, so canonical() would renumber it. That
+result is built by __init__, which validates and orients its input and
+otherwise runs only on diagrams built from outside (parse_pd,
+Diagram(...), mirror and connected_sum).
 """
 
 from __future__ import annotations
@@ -79,7 +81,8 @@ class NoEmbedding(ValueError):
 class Diagram:
     """Immutable PD-code diagram plus explicit crossing-free circles."""
 
-    # set by _assemble: labels count up along each component's walk
+    # set by _assemble: labels count up along each component's walk, and
+    # the diagram is its own canonical form
     _walk_numbered = False
     # worked out on first use
     _pieces = None
@@ -118,7 +121,6 @@ class Diagram:
         # arc's later occurrence and leaving by the opposite slot
         fin = [None] * m
         starts = []
-        over_only = False
         for lab, low in zip(labels, lows):
             if fin[low] is not None:
                 continue
@@ -135,18 +137,15 @@ class Diagram:
                 raise InvalidStrandLabels(
                     "labels force conflicting orientations on the "
                     "component of arc %d" % lab)
-            over_only = over_only or not (under0 or under2)
             forward = not under2
             back = not forward
             for p in entries:
                 fin[p] = forward
                 fin[p ^ 2] = back
             starts.append(start)
-        self._set_ports(tuple(tuples), flat, mate, fin, starts, free_loops,
-                        over_only)
+        self._set_ports(tuple(tuples), flat, mate, fin, starts, free_loops)
 
-    def _set_ports(self, crossings, flat, mate, fin, starts, free_loops,
-                   over_only):
+    def _set_ports(self, crossings, flat, mate, fin, starts, free_loops):
         self.crossings = crossings
         self.free_loops = free_loops
         self._flat = flat
@@ -154,7 +153,6 @@ class Diagram:
         self._fin = fin
         self._starts = starts
         self.component_count = len(starts) + free_loops
-        self._over_only = over_only
 
     # basic queries
 
@@ -339,10 +337,9 @@ class Diagram:
         """Deterministically renumbered copy: components ordered by lowest
         label, labels increasing along the traversal, tuples rotated so
         slot 0 is the under-entry, crossings sorted by slot-0 label.
-        A diagram numbered by a splice without an over-only component,
-        and one without crossings, is its own canonical form."""
-        if not self.crossings or (self._walk_numbered
-                                  and not self._over_only):
+        A diagram without crossings, and one whose port arrays a splice
+        wrote, is its own canonical form."""
+        if not self.crossings or self._walk_numbered:
             return self
         flat = self._flat
         arcs = [(flat[p], p) for p, f in enumerate(self._fin) if f]
@@ -571,10 +568,9 @@ def _assemble(other, arcs, free_loops: int) -> Diagram:
     them by slot-0 label. Port s of new crossing k so comes from old port
     u ^ s, where u is the port the walk entered it under by, and the
     port arrays are written from the walk without a pass through
-    __init__. An over-only component keeps the direction __init__ gives
-    it: the head of its lowest arc is that arc's later port. Unless
-    there is such a component, the result is born canonical: it is its
-    own canonical form.
+    __init__; the result is its own canonical form. A component that
+    the walks never enter under is over-only: __init__ orients it by its
+    labels, not by the walk, so such a result is built by __init__.
     """
     if not arcs:
         return Diagram((), free_loops)
@@ -582,13 +578,15 @@ def _assemble(other, arcs, free_loops: int) -> Diagram:
     label = [0] * len(other)
     head = [False] * len(other)
     unders = []  # the old under-entry port of each new crossing, in order
-    comps = []  # (old head of the lowest arc, its label, len(unders))
+    firsts = []  # the old head of each component's lowest arc
+    over_only = False
     counter = 1
     for _, cur in arcs:
         if label[cur]:
             continue
         # the lowest arc of a component not yet numbered
-        comps.append((cur, counter, len(unders)))
+        firsts.append(cur)
+        entered = len(unders)
         while True:
             label[cur] = label[other[cur]] = counter
             head[cur] = True
@@ -598,7 +596,7 @@ def _assemble(other, arcs, free_loops: int) -> Diagram:
             cur = other[cur ^ 2]
             if label[cur]:
                 break
-    comps.append((None, counter, len(unders)))
+        over_only = over_only or len(unders) == entered
 
     # new port 4 * k + s is old port u ^ s, u = unders[k] = 4 * c + rot
     old = []
@@ -612,24 +610,16 @@ def _assemble(other, arcs, free_loops: int) -> Diagram:
         j += 4
         old += (u, u ^ 1, u ^ 2, u ^ 3)
     flat = [label[p] for p in old]
+    labels = iter(flat)
+    crossings = tuple(zip(labels, labels, labels, labels))
+    if over_only:
+        return Diagram(crossings, free_loops)
     mate = [new[other[p]] for p in old]
     fin = [head[p] for p in old]
-    starts = []
-    over_only = False
-    for (h, lo, k), (_, hi, k1) in zip(comps, comps[1:]):
-        p, q = new[h], new[other[h]]
-        starts.append(max(p, q))
-        if k == k1:
-            # no under-entry: the head of the lowest arc is its later port
-            over_only = True
-            if p < q:
-                for j, lab in enumerate(flat):
-                    if lo <= lab < hi:
-                        fin[j] = not fin[j]
+    # __init__ starts each walk at the later port of the lowest arc
+    starts = [max(new[h], new[other[h]]) for h in firsts]
     d = Diagram.__new__(Diagram)
-    labels = iter(flat)
-    d._set_ports(tuple(zip(labels, labels, labels, labels)), flat, mate, fin,
-                 starts, free_loops, over_only)
+    d._set_ports(crossings, flat, mate, fin, starts, free_loops)
     d._walk_numbered = True
     return d
 

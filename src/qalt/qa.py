@@ -94,16 +94,20 @@ def obstruct(v: HalfLaurent, det: int, prime: bool = False) -> QAVerdict:
     if prime and det >= 1 and rep.gap_count() >= 1:
         # T(2,n) has determinant n; reversing one component of a link
         # multiplies V by a power of t (Jones's reversal formula), so one
-        # orientation of T(2,det) and its mirror cover every candidate
-        ref = torus_2n_jones(det)
-        mirror = HalfLaurent({-e2: c for e2, c in ref.items2()})
-        if (monomial_quotient(v, ref) is None
-                and monomial_quotient(v, mirror) is None):
+        # orientation of T(2,det) and its mirror cover every candidate.
+        # For n >= 2 both have n terms and breadth n, so a V of any other
+        # length or breadth is neither, and V(T(2,det)) is not built
+        torus = False
+        if len(v.items2()) == det and rep.breadth2 == 2 * det:
+            ref = torus_2n_jones(det)
+            mirror = HalfLaurent({-e2: c for e2, c in ref.items2()})
+            torus = (monomial_quotient(v, ref) is not None
+                     or monomial_quotient(v, mirror) is not None)
+        if not torus:
             reasons.append(("gap",
                             "gap in the Jones polynomial of a prime link "
                             "that is not a (2,n) torus link",
-                            {"gaps": rep.gaps,
-                             "torus_2n": {"n": det, "jones": ref.render()}}))
+                            {"gaps": rep.gaps, "torus_2n": {"n": det}}))
     if rep.gap_count() >= 2:
         k = rep.breadth2 // 4
         # (-t^(-5/2) (1 + t^2))^k has k + 1 terms, so a V of any other

@@ -7,13 +7,13 @@ from fractions import Fraction
 
 import pytest
 
+import qalt.qa
 from qalt import corpus
 from qalt.bracket import jones, kauffman_bracket
 from qalt.cli import main
 from qalt.diagram import parse_pd
 from qalt.laurent import analyze, parse
-from qalt.qa import (Certificate, kanenobu_jones, replay_certificate,
-                     torus_2n_jones)
+from qalt.qa import Certificate, kanenobu_jones, replay_certificate
 from qalt.tait import checkerboard, gamma
 
 HOPF = "X[1,4,2,3] X[3,2,4,1]"
@@ -238,9 +238,23 @@ def test_obstruct_gap_witness_names_the_torus_link(capsys):
     data = json.loads(out)
     assert code == 0 and data["status"] == "NotQA"
     gap = next(r for r in data["reasons"] if r["rule"] == "gap")
-    assert gap["witness"]["torus_2n"] == {
-        "n": 5, "jones": "t^2 + t^4 - t^5 + t^6 - t^7"}
-    assert parse(gap["witness"]["torus_2n"]["jones"]) == torus_2n_jones(5)
+    assert gap["witness"]["torus_2n"] == {"n": 5}
+
+
+def test_obstruct_gap_rule_on_a_large_det_builds_no_torus_v(capsys,
+                                                          monkeypatch):
+    # a 3-term V is no shift of V(T(2,n)) for n > 3; building that
+    # polynomial for a 20-digit det would never finish
+    def no_torus(n):
+        raise AssertionError("V(T(2,%d)) was built" % n)
+
+    monkeypatch.setattr(qalt.qa, "torus_2n_jones", no_torus)
+    code, out, _ = run(capsys, "obstruct", "--poly", "1 + t^2 + t^4",
+                       "--det", "99999999999999999999", "--prime", "--json")
+    data = json.loads(out)
+    assert code == 0 and data["status"] == "NotQA"
+    gap = next(r for r in data["reasons"] if r["rule"] == "gap")
+    assert gap["witness"]["torus_2n"] == {"n": 99999999999999999999}
 
 
 def test_obstruct_det_zero_is_notqa(capsys):

@@ -453,6 +453,19 @@ def test_spliced_over_only_component_is_renumbered_by_canonical():
     assert c.canonical() == c
 
 
+def _has_over_only_component(d) -> bool:
+    """Whether some component of d meets every crossing it passes over:
+    every port of its walk, from each start along the opposite slots,
+    is odd."""
+    for start in d._starts:
+        cur = start
+        while cur & 1:
+            cur = d._mate[cur ^ 2]
+            if cur == start:
+                return True
+    return False
+
+
 def _fields(d) -> dict:
     """Everything a Diagram holds or works out, but the flag that only
     diagrams numbered by a splice carry."""
@@ -460,7 +473,7 @@ def _fields(d) -> dict:
             "flat": d._flat, "mate": d._mate, "fin": d._fin,
             "starts": d._starts,
             "component_count": d.component_count,
-            "over_only": d._over_only,
+            "over_only": _has_over_only_component(d),
             "component_map": component_map(d),
             "connected": d.is_connected()}
 
@@ -488,7 +501,12 @@ def test_assembled_diagrams_equal_their_parse():
         for e in _assembled(d):
             fresh = Diagram(e.crossings, e.free_loops)
             assert _fields(e) == _fields(fresh)
-            over += e._over_only
+            over_only = _has_over_only_component(e)
+            # born canonical, unless __init__ oriented an over-only
+            # component by its labels
+            if e.crossings:
+                assert (e.canonical() is e) == (not over_only), e
+            over += over_only
             loops += bool(e.crossings and e.free_loops)
     assert over and loops
 
@@ -497,7 +515,7 @@ def test_spliced_over_only_component_equals_its_parse():
     # the smoothing orients its over-only circle as __init__ does
     d = parse_pd("X[9,5,10,1] X[6,7,2,6] X[10,5,9,4] X[3,4,7,8] X[2,1,3,8]")
     s = d.smooth(1, 0)
-    assert s._over_only and s.canonical() is not s
+    assert _has_over_only_component(s) and s.canonical() is not s
     assert _fields(s) == _fields(Diagram(s.crossings, s.free_loops))
     for e in _assembled(s):
         assert _fields(e) == _fields(Diagram(e.crossings, e.free_loops))

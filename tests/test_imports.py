@@ -13,6 +13,9 @@ A public name, one in qalt.__all__, must be read the same way in
 src/qalt, or in the benchmark's code under perfbench/, which also names
 the functions it wraps as strings. Code that only the tests read
 belongs with them, in tests/oracles.py.
+
+A Diagram's port arrays are read in diagram.py, and outside it only
+where its module docstring says: bracket.py reads _mate.
 """
 
 import ast
@@ -106,3 +109,14 @@ def test_every_public_name_is_read_outside_the_tests():
     unread = [name for name in qalt.__all__
               if reads[name] == _reads(definitions[name])[name]]
     assert unread == []
+
+
+PORT_FIELDS = ("_mate", "_fin", "_flat", "_starts", "_walk_numbered")
+
+
+def test_port_layout_is_read_where_diagram_says():
+    reads = {(path.name, node.attr)
+             for path in SRC.glob("*.py") if path.name != "diagram.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr in PORT_FIELDS}
+    assert reads == {("bracket.py", "_mate")}

@@ -67,6 +67,32 @@ def test_obstruct_gap_rule_spares_torus_2n_links():
     assert "gap" in rule_ids(obstruct(jones(corpus.torus(5)), 7, prime=True))
 
 
+def test_obstruct_gap_rule_on_a_large_det_builds_no_torus_v(monkeypatch):
+    # V(T(2,n)) has n terms, so a V with fewer is decided without
+    # building V(T(2,det)), whose det terms would take seconds to write
+    built = []
+    real = qalt.qa.torus_2n_jones
+
+    def guarded(n):
+        if n > len(v.items2()):
+            raise AssertionError("V(T(2,%d)) was built" % n)
+        built.append(n)
+        return real(n)
+
+    monkeypatch.setattr(qalt.qa, "torus_2n_jones", guarded)
+    v = parse("1 + t^2")
+    out = obstruct(v, 4_000_000, prime=True)
+    assert out.status == NOTQA
+    reason = {r[0]: r[2] for r in out.reasons}["gap"]
+    assert reason["torus_2n"] == {"n": 4_000_000}
+    assert built == []
+    # a torus link's V still meets the rule, and is spared
+    for n in range(2, 9):
+        v = jones(corpus.torus(n))
+        assert obstruct(v, n, prime=True).status == INCONCLUSIVE
+    assert built == list(range(2, 9))
+
+
 def test_obstruct_multi_gap_rule():
     v = hl((0, 1), (2, 1), (5, 1))  # gaps at 1 and 3..4
     out = obstruct(v, 9, prime=False)
