@@ -6,7 +6,8 @@ declared once, in ``_COMMANDS``, and its handler returns the JSON
 payload, the text lines and, when not 0, the exit code; ``main`` alone
 writes output and errors. Diagrams come in as PD text or a JSON array of
 4-tuples; gamma and goeritz also accept a signed edge list. Exit codes:
-0 success, 1 input error, 2 certification budget exhausted.
+0 success, 1 input error, 2 no certificate found: certify's search ran
+out of budget or tried every crossing in vain ("Unknown").
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from .tait import (black_graph, checkerboard, gamma, goeritz_det,
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on usage errors; 2 is reserved for budget
-    # exhaustion here, so usage problems become exit 1
+    # argparse exits with 2 on usage errors; 2 is reserved for a search
+    # that finds no certificate here, so usage problems become exit 1
     def error(self, message):
         self.print_usage(sys.stderr)
         print("%s: error: %s" % (self.prog, message), file=sys.stderr)

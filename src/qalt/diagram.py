@@ -40,6 +40,26 @@ above orients it by its labels, so canonical() would renumber it. That
 result is built by __init__, which validates and orients its input and
 otherwise runs only on diagrams built from outside (parse_pd,
 Diagram(...), mirror and connected_sum).
+
+A diagram that simplify() has seen at its fixpoint, where _move() finds
+no Reidemeister move, carries the mark _fixpoint, and simplify returns
+it at once. canonical() passes the mark to its copy, and the untwisted
+smoothing (smooth with untwist) of a marked alternating diagram is
+marked too, without a scan, because it is reduced:
+
+- It is alternating. Each arc the splice fuses runs from the far ends
+  of two arcs that met adjacent slots, one even and one odd, of a
+  removed crossing; in an alternating diagram those far ends are one
+  odd and one even.
+- It has no removable bigon. Along a face of an alternating diagram
+  the entry slots keep their parity: leaving by slot s - 1 flips it,
+  and the arc to the next entry flips it back. So a bigon's two entry
+  slots have the same parity, and _move removes a bigon only where
+  they differ.
+- It has no curl. A curl is an arc between adjacent slots of one
+  crossing. The arcs that the splice leaves alone were arcs of the
+  marked diagram, which has none, and untwist walks every arc that it
+  changes and removes each curl among them.
 """
 
 from __future__ import annotations
@@ -86,6 +106,9 @@ class Diagram:
     _walk_numbered = False
     # worked out on first use
     _pieces = None
+    _alternating = None
+    # set where _move() is known to find nothing (see the module notes)
+    _fixpoint = False
 
     def __init__(self, crossings=(), free_loops: int = 0):
         tuples = [tuple(t) for t in crossings]
@@ -183,7 +206,9 @@ class Diagram:
         does, every even port's mate is odd, and there are as many odd
         ports as even ones, so no arc joins two over slots either. It is
         enough that every slot-0 port's mate is odd."""
-        return all(map((1).__and__, self._mate[0::4]))
+        if self._alternating is None:
+            self._alternating = all(map((1).__and__, self._mate[0::4]))
+        return self._alternating
 
     def shadow_pieces(self) -> int:
         """Pieces of the shadow that hold crossings: the four arcs of a
@@ -338,14 +363,17 @@ class Diagram:
         label, labels increasing along the traversal, tuples rotated so
         slot 0 is the under-entry, crossings sorted by slot-0 label.
         A diagram without crossings, and one whose port arrays a splice
-        wrote, is its own canonical form."""
+        wrote, is its own canonical form. The copy keeps the _fixpoint
+        mark."""
         if not self.crossings or self._walk_numbered:
             return self
         flat = self._flat
         arcs = [(flat[p], p) for p, f in enumerate(self._fin) if f]
-        return _assemble(self._mate, arcs, self.free_loops)
+        d = _assemble(self._mate, arcs, self.free_loops)
+        d._fixpoint = self._fixpoint
+        return d
 
-    def _splice(self, joins) -> "Diagram":
+    def _splice(self, joins, wire=None) -> "Diagram":
         """Remove crossings, rewiring their ports.
 
         joins maps crossing id -> pairs of slots that fuse into a strand
@@ -353,14 +381,17 @@ class Diagram:
         pair names must reach another such slot along its arc, through
         fused slots or none: that chain of fragments is a curl's loop,
         and it vanishes (the Reidemeister-1 loop). Chains of fused arcs
-        that close up with no live endpoint become free loops.
+        that close up with no live endpoint become free loops. wire, when
+        the caller has built it, maps each port that a pair names to the
+        other port of its pair.
         """
         flat, mate, fin = self._flat, self._mate, self._fin
-        wire = {}
-        for ci, pairs in joins.items():
-            for s1, s2 in pairs:
-                wire[4 * ci + s1] = 4 * ci + s2
-                wire[4 * ci + s2] = 4 * ci + s1
+        if wire is None:
+            wire = {}
+            for ci, pairs in joins.items():
+                for s1, s2 in pairs:
+                    wire[4 * ci + s1] = 4 * ci + s2
+                    wire[4 * ci + s2] = 4 * ci + s1
 
         # other maps each live port to the far live end of its arc. Only
         # arcs through a removed crossing change: each such chain of
@@ -438,19 +469,21 @@ class Diagram:
         fused arcs whose two live ends are adjacent slots of one
         crossing, so each chain that a removal changes is walked to its
         ends. The result is isotopic to the plain smoothing; curls and
-        bigons that the splice did not make are left to simplify().
+        bigons that the splice did not make are left to simplify(). When
+        self is alternating and marked as reduced, the result is reduced
+        and marked too (see the module notes).
         """
         self._check_crossing(c)
         if r not in (0, 1):
             raise InvalidCrossing("smoothing selector must be 0 or 1, got %r" % (r,))
         joins = {c: _SMOOTHINGS[r]}
-        if not untwist:
-            return self._splice(joins)
-        mate = self._mate
         wire = {}
         for s1, s2 in _SMOOTHINGS[r]:
             wire[4 * c + s1] = 4 * c + s2
             wire[4 * c + s2] = 4 * c + s1
+        if not untwist:
+            return self._splice(joins, wire)
+        mate = self._mate
         # one wired port of each pair whose chain has changed
         todo = [4 * c + s1 for s1, _ in _SMOOTHINGS[r]]
         while todo:
@@ -475,7 +508,10 @@ class Diagram:
             wire[4 * e + a] = 4 * e + b
             wire[4 * e + b] = 4 * e + a
             todo.append(4 * e + a)
-        return self._splice(joins)
+        d = self._splice(joins, wire)
+        if self._fixpoint and self.is_alternating():
+            d._fixpoint = True
+        return d
 
     def mirror(self) -> "Diagram":
         """Switch every crossing; tuples re-rooted at the new under-entry."""
@@ -545,12 +581,16 @@ class Diagram:
     def simplify(self, max_passes: int | None = None) -> "Diagram":
         """Greedy Reidemeister-1/2 reduction: to the fixpoint, or for at
         most max_passes moves. Each move removes crossings, so the
-        fixpoint is reached."""
+        fixpoint is reached. A diagram where _move() finds nothing is
+        marked so, and a marked diagram is returned at once."""
         d = self
+        if d._fixpoint:
+            return d
         passes = itertools.count() if max_passes is None else range(max_passes)
         for _ in passes:
             joins = d._move()
             if joins is None:
+                d._fixpoint = True
                 break
             d = d._splice(joins)
         return d
@@ -573,7 +613,9 @@ def _assemble(other, arcs, free_loops: int) -> Diagram:
     labels, not by the walk, so such a result is built by __init__.
     """
     if not arcs:
-        return Diagram((), free_loops)
+        d = Diagram.__new__(Diagram)
+        d._set_ports((), [], [], [], [], free_loops)
+        return d
     arcs.sort()
     label = [0] * len(other)
     head = [False] * len(other)

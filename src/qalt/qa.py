@@ -203,8 +203,11 @@ def certify(d: Diagram, budget: Budget = Budget()):
     to the parent's, and both children certify recursively. Each child
     is the smoothing with the curls it makes removed in the same splice
     (Diagram.smooth with untwist); simplify, under the budget's pass
-    count, does the rest. Returns the first Certificate in this deterministic
-    order, or Unknown("budget") / Unknown("exhausted").
+    count, does the rest. Below an alternating node that simplify
+    reduced, that rest is nothing: the child is reduced and born marked
+    so, and simplify returns it without a scan (see the diagram module).
+    Returns the first Certificate in this deterministic order, or
+    Unknown("budget") / Unknown("exhausted").
 
     A node that is alternating (Diagram.is_alternating) is decided
     without its black graph. Its graph is one-signed, so its
@@ -225,9 +228,14 @@ def certify(d: Diagram, budget: Budget = Budget()):
     makes its own check at the non-alternating nodes it reads.
 
     The search memoises each certified reduced diagram by its text, and
-    the certificate is written from that memo once the search is done,
-    in the version 2 layout (see Certificate): each distinct node in
-    full once, with "pd" = d.render() at the root.
+    each one whose search failed. The search below a node depends on its
+    text alone, and a node that fails was searched in full, since a node
+    or depth overrun ends the whole search. So no reduced diagram is
+    expanded twice; the order of the search is kept, and only subtrees
+    known to fail are skipped, so a certificate comes out the same, in
+    fewer nodes. The certificate is written from the success memo once
+    the search is done, in the version 2 layout (see Certificate): each
+    distinct node in full once, with "pd" = d.render() at the root.
 
     The search adds one Python frame per level, and each level removes
     a crossing (simplify never adds one), so the depth never exceeds the
@@ -240,6 +248,8 @@ def certify(d: Diagram, budget: Budget = Budget()):
     # reduced PD text -> (det, crossing, child 0 key, child 1 key); the
     # unknot leaf's key is its PD text, "", and its det is 1
     memo = {"": (1,)}
+    # reduced PD text of each node whose search failed
+    failed = set()
     counter = [0]
 
     def rec(dd: Diagram, det: int | None, depth: int):
@@ -257,6 +267,8 @@ def certify(d: Diagram, budget: Budget = Budget()):
         key = s.render()
         if key in memo:
             return key
+        if key in failed:
+            return None
         alternating = s.is_alternating()
         if not alternating:
             g = checkerboard(s)
@@ -265,6 +277,7 @@ def certify(d: Diagram, budget: Budget = Budget()):
             if det < 2:
                 # a 1-determinant diagram that does not simplify away is
                 # not provably the unknot; additivity needs det >= 2 anyway
+                failed.add(key)
                 return None
         for c in range(len(s.crossings)):
             if alternating:
@@ -290,6 +303,7 @@ def certify(d: Diagram, budget: Budget = Budget()):
             # and det1 were solved the sum is det
             memo[key] = (memo[k0][0] + memo[k1][0], c, k0, k1)
             return key
+        failed.add(key)
         return None
 
     try:
@@ -406,10 +420,11 @@ def replay_certificate(cert) -> bool:
     Child r of a node is derived as s.smooth(c, r, untwist=True) from
     the node's reduced diagram s, and must reduce (as the search
     reduced it, see _reduced) to the child's reduced_pd, or simplify to
-    the unknot at a leaf. A ref names a full node written before it in
-    preorder whose check is done, so its det is known; an ancestor, a
-    node after it, an index out of range and a key written in full
-    twice are refused.
+    the unknot at a leaf. Below a reduced alternating s the child is
+    born marked as reduced, and neither check scans it for moves. A ref
+    names a full node written before it in preorder whose check is
+    done, so its det is known; an ancestor, a node after it, an index
+    out of range and a key written in full twice are refused.
 
     The walk adds one Python frame per level, and it descends only into
     children already checked to be smoothings, each with one crossing

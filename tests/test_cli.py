@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import qalt.qa
+from conftest import braid_closure
 from qalt import corpus
 from qalt.bracket import jones, kauffman_bracket
 from qalt.cli import main
@@ -298,6 +299,19 @@ def test_certify_budget_exit_2(capsys):
     code, out, _ = run(capsys, "certify", "--pd", FIG8, "--max-nodes", "2")
     assert code == 2
     assert "Unknown" in out
+
+
+def test_certify_exhausted_search_exit_2(capsys):
+    # the closure of (sigma_1 sigma_2)^4 is the torus knot T(3,4), which
+    # is not quasi-alternating: the search runs out of crossings to try
+    # well inside the default budget, and that exits 2 as well
+    pd = braid_closure([1, 2] * 4, 3).render()
+    code, out, _ = run(capsys, "certify", "--pd", pd)
+    assert code == 2
+    assert out == "status: Unknown (exhausted)\n"
+    code, out, _ = run(capsys, "certify", "--pd", pd, "--json")
+    assert code == 2
+    assert json.loads(out) == {"status": "Unknown", "reason": "exhausted"}
 
 
 def test_certify_zero_depth_is_honoured(capsys):

@@ -590,3 +590,35 @@ def test_smooth_untwisted_undoes_a_twist_region():
         corpus.trefoil().smooth(0, 2, untwist=True)
     with pytest.raises(InvalidCrossing):
         corpus.trefoil().smooth(3, 0, untwist=True)
+
+
+def test_untwisted_smoothings_of_reduced_alternating_diagrams_are_reduced():
+    # the rule behind the _fixpoint mark (module notes): an alternating
+    # diagram has no removable bigon, and the untwisting splice removes
+    # every curl the smoothing makes, so the untwisted smoothing of a
+    # reduced alternating diagram is reduced, and smooth marks it so
+    # without a scan. Checked two levels down from each input, simplified
+    alternating = other = 0
+    todo = [d.simplify() for d in _untwisting_inputs()]
+    for depth in (0, 1):
+        below = []
+        for s in todo:
+            assert s._fixpoint and s._move() is None, s
+            for k in (0, 1, None):
+                assert s.simplify(k) is s
+            assert s.canonical()._fixpoint
+            for c in range(len(s.crossings)):
+                for r in (0, 1):
+                    u = s.smooth(c, r, untwist=True)
+                    assert not s.smooth(c, r)._fixpoint
+                    if not s.is_alternating():
+                        assert not u._fixpoint, (s, c, r)
+                        other += 1
+                        continue
+                    assert u._fixpoint and u._move() is None, (s, c, r)
+                    assert u.is_alternating()
+                    alternating += 1
+                    if depth == 0 and u.crossings:
+                        below.append(u)
+        todo = below
+    assert alternating > 15000 and other > 300, (alternating, other)
