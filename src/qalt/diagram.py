@@ -373,25 +373,19 @@ class Diagram:
         d._fixpoint = self._fixpoint
         return d
 
-    def _splice(self, joins, wire=None) -> "Diagram":
+    def _splice(self, wire) -> "Diagram":
         """Remove crossings, rewiring their ports.
 
-        joins maps crossing id -> pairs of slots that fuse into a strand
-        passing straight through. A slot of a removed crossing that no
-        pair names must reach another such slot along its arc, through
-        fused slots or none: that chain of fragments is a curl's loop,
-        and it vanishes (the Reidemeister-1 loop). Chains of fused arcs
-        that close up with no live endpoint become free loops. wire, when
-        the caller has built it, maps each port that a pair names to the
-        other port of its pair.
+        wire maps each port that fuses into a strand passing straight
+        through to the other port of its pair, at the same crossing; the
+        crossings it names are removed. A port of a removed crossing that
+        wire does not name must reach another such port along its arc,
+        through fused slots or none: that chain of fragments is a curl's
+        loop, and it vanishes (the Reidemeister-1 loop). Chains of fused
+        arcs that close up with no live endpoint become free loops.
         """
         flat, mate, fin = self._flat, self._mate, self._fin
-        if wire is None:
-            wire = {}
-            for ci, pairs in joins.items():
-                for s1, s2 in pairs:
-                    wire[4 * ci + s1] = 4 * ci + s2
-                    wire[4 * ci + s2] = 4 * ci + s1
+        gone = {w >> 2 for w in wire}
 
         # other maps each live port to the far live end of its arc. Only
         # arcs through a removed crossing change: each such chain of
@@ -400,10 +394,10 @@ class Diagram:
         other = mate[:]
         fused = []
         passed = set()
-        for r in [4 * ci + k for ci in joins for k in range(4)]:
+        for r in [4 * ci + k for ci in gone for k in range(4)]:
             p = mate[r]
             other[r] = -1
-            if p >> 2 in joins or other[p] != r:
+            if p >> 2 in gone or other[p] != r:
                 continue
             q = r
             best = flat[p]
@@ -476,13 +470,13 @@ class Diagram:
         self._check_crossing(c)
         if r not in (0, 1):
             raise InvalidCrossing("smoothing selector must be 0 or 1, got %r" % (r,))
-        joins = {c: _SMOOTHINGS[r]}
         wire = {}
         for s1, s2 in _SMOOTHINGS[r]:
             wire[4 * c + s1] = 4 * c + s2
             wire[4 * c + s2] = 4 * c + s1
         if not untwist:
-            return self._splice(joins, wire)
+            return self._splice(wire)
+        cut = {c}
         mate = self._mate
         # one wired port of each pair whose chain has changed
         todo = [4 * c + s1 for s1, _ in _SMOOTHINGS[r]]
@@ -500,15 +494,15 @@ class Diagram:
             e = p >> 2
             # a chain between two adjacent slots of a live crossing e is
             # a curl's loop; e's other two slots then fuse
-            if e in joins or q >> 2 != e or not (p ^ q) & 1:
+            if e in cut or q >> 2 != e or not (p ^ q) & 1:
                 continue
             s = q & 3 if (q - p) & 3 == 1 else p & 3
             a, b = (s + 1) & 3, (s + 2) & 3
-            joins[e] = ((a, b),)
+            cut.add(e)
             wire[4 * e + a] = 4 * e + b
             wire[4 * e + b] = 4 * e + a
             todo.append(4 * e + a)
-        d = self._splice(joins, wire)
+        d = self._splice(wire)
         if self._fixpoint and self.is_alternating():
             d._fixpoint = True
         return d
@@ -556,14 +550,16 @@ class Diagram:
                         for k in range(0, len(flat), 4)]).canonical()
 
     def _move(self):
-        """The _splice joins of one Reidemeister move, or None: the
+        """The _splice wire map of one Reidemeister move, or None: the
         first curl in port order, else the first removable bigon."""
         nxt = self._face_step()
         # a curl is a one-port face: the arc leaving slot s - 1 comes
         # straight back in at slot s, and the other two slots fuse
         for p, q in enumerate(nxt):
             if p == q:
-                return {p >> 2: (((p + 1) & 3, (p + 2) & 3),)}
+                c = p & ~3
+                a, b = c | (p + 1) & 3, c | (p + 2) & 3
+                return {a: b, b: a}
         # bigon faces (p, q) in face order, each met at its least port p
         flat = self._flat
         for p, q in enumerate(nxt):
@@ -575,7 +571,9 @@ class Diagram:
             # and the other stays under at both: the entry slots differ
             # in parity
             if (p ^ q) & 1:
-                return {p >> 2: ((0, 2), (1, 3)), q >> 2: ((0, 2), (1, 3))}
+                # both crossings go: slots 0, 2 and 1, 3 fuse at each
+                return {x | s: x | s ^ 2 for x in (p & ~3, q & ~3)
+                        for s in range(4)}
         return None
 
     def simplify(self, max_passes: int | None = None) -> "Diagram":
@@ -588,11 +586,11 @@ class Diagram:
             return d
         passes = itertools.count() if max_passes is None else range(max_passes)
         for _ in passes:
-            joins = d._move()
-            if joins is None:
+            wire = d._move()
+            if wire is None:
                 d._fixpoint = True
                 break
-            d = d._splice(joins)
+            d = d._splice(wire)
         return d
 
 
