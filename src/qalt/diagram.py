@@ -25,32 +25,46 @@ is known to this module, and to one reader outside it: bracket's
 frontier sweep reads the four ports of each crossing from _mate and
 takes the crossing at the far end of each arc as p >> 2.
 
-Smoothings and Reidemeister reductions splice ports and renumber on one
-engine, as canonical() does, so the rules stay consistent: a fused arc
-takes the label and direction of its lowest-labeled fragment, each
-component is renumbered by traversal from its lowest arc, crossings
-are rotated so the under-strand enters at slot 0, and sorted by that
-label. The renumbering writes the port arrays of the new diagram
-directly, and the result is born canonical: it is its own canonical()
-form, and its labels count up along each component, so its own
-splices start their walks from the lowest arc of each component and
-the fused arcs only. The one exception is a result with an over-only
-component: the walk numbers it from its lowest fragment, but the rule
-above orients it by its labels, so canonical() would renumber it. That
-result is built by __init__, which validates and orients its input and
-otherwise runs only on diagrams built from outside (parse_pd,
-Diagram(...), mirror and connected_sum).
+Smoothings, Reidemeister reductions and canonical() run on one engine,
+_splice, so the rules stay consistent. One pass over the port pairs
+that fuse at the removed crossings keeps, at each live end of a chain
+of fused arcs, the chain's other live end and its lowest label; with
+untwist, a chain that closes a curl adds the curl's crossing to the
+pass. A fused arc takes the label and direction of its lowest-labeled
+fragment. When no crossing is left, the result is the free loops the
+pass counted, and nothing is renumbered. Otherwise each component is
+renumbered by traversal from its lowest arc, crossings are rotated so
+the under-strand enters at slot 0, and sorted by that label; canonical()
+is the splice that removes nothing. The renumbering writes the port
+arrays of the new diagram directly, and the result is born canonical:
+it is its own canonical() form, and its labels count up along each
+component, so its own splices start their walks from the lowest arc of
+each component and the fused arcs only. The one exception is a result
+with an over-only component: the walk numbers it from its lowest
+fragment, but the rule above orients it by its labels, so canonical()
+would renumber it. That result is built by __init__, which validates
+and orients its input and otherwise runs only on diagrams built from
+outside (parse_pd, Diagram(...), mirror and connected_sum).
+
+A child takes what its parent proves. The smoothing of an alternating
+diagram is alternating: each arc the splice fuses runs from the far
+ends of two arcs that met adjacent slots, one even and one odd, of a
+removed crossing, and in an alternating diagram those far ends are one
+odd and one even; so smooth sets the child's alternation. check_planar
+marks a diagram _planar, and every splice keeps the mark. Where the
+parent is marked and its pieces are known, smooth counts the pieces of
+a child of several components from the parent's faces: the r-smoothing
+at c merges the faces at two opposite corners of c, and on a planar
+diagram it splits c's piece exactly when they are one face; a part that
+the untwisting clears of crossings is a free loop, not a piece.
 
 A diagram that simplify() has seen at its fixpoint, where _move() finds
 no Reidemeister move, carries the mark _fixpoint, and simplify returns
 it at once. canonical() passes the mark to its copy, and the untwisted
 smoothing (smooth with untwist) of a marked alternating diagram is
-marked too, without a scan, because it is reduced:
+marked too, without a scan, because it is reduced. It is alternating,
+as above, and:
 
-- It is alternating. Each arc the splice fuses runs from the far ends
-  of two arcs that met adjacent slots, one even and one odd, of a
-  removed crossing; in an alternating diagram those far ends are one
-  odd and one even.
 - It has no removable bigon. Along a face of an alternating diagram
   the entry slots keep their parity: leaving by slot s - 1 flips it,
   and the arc to the next entry flips it back. So a bigon's two entry
@@ -58,8 +72,8 @@ marked too, without a scan, because it is reduced:
   they differ.
 - It has no curl. A curl is an arc between adjacent slots of one
   crossing. The arcs that the splice leaves alone were arcs of the
-  marked diagram, which has none, and untwist walks every arc that it
-  changes and removes each curl among them.
+  marked diagram, which has none, and untwist checks every chain that
+  it changes and removes each curl among them.
 """
 
 from __future__ import annotations
@@ -99,27 +113,34 @@ class NoEmbedding(ValueError):
 
 
 class Diagram:
-    """Immutable PD-code diagram plus explicit crossing-free circles."""
+    """Immutable PD-code diagram plus explicit crossing-free circles.
 
-    # set by _assemble: labels count up along each component's walk, and
-    # the diagram is its own canonical form
-    _walk_numbered = False
-    # worked out on first use
-    _pieces = None
-    _alternating = None
-    # set where _move() is known to find nothing (see the module notes)
-    _fixpoint = False
+    Beside the port arrays each diagram holds five marks, set where it is
+    built: _walk_numbered, set by _splice, where labels count up along
+    each component's walk and the diagram is its own canonical form;
+    _pieces and _alternating, None until worked out or taken from a
+    parent; _fixpoint, where _move() is known to find nothing; and
+    _planar, set by check_planar and kept by every splice (see the
+    module notes)."""
+
+    __slots__ = ("crossings", "free_loops", "component_count", "_flat",
+                 "_mate", "_fin", "_starts", "_walk_numbered", "_pieces",
+                 "_alternating", "_fixpoint", "_planar")
 
     def __init__(self, crossings=(), free_loops: int = 0):
         tuples = [tuple(t) for t in crossings]
         flat = list(itertools.chain.from_iterable(tuples))
-        for t in tuples:
-            if len(t) != 4:
-                raise PDSyntaxError(
-                    "crossing %r does not have 4 strands" % (t,))
-            if not all(type(x) is int and x > 0 for x in t):
-                raise PDSyntaxError(
-                    "strand labels must be positive integers: %r" % (t,))
+        # one pass over flat checks every crossing; the loop only names
+        # the first bad one
+        if ({*map(len, tuples)} != {4} or {*map(type, flat)} != {int}
+                or min(flat) < 1):
+            for t in tuples:
+                if len(t) != 4:
+                    raise PDSyntaxError(
+                        "crossing %r does not have 4 strands" % (t,))
+                if not all(type(x) is int and x > 0 for x in t):
+                    raise PDSyntaxError(
+                        "strand labels must be positive integers: %r" % (t,))
         if not isinstance(free_loops, int) or free_loops < 0:
             raise ValueError("free_loops must be a nonnegative integer")
 
@@ -166,16 +187,15 @@ class Diagram:
                 fin[p] = forward
                 fin[p ^ 2] = back
             starts.append(start)
-        self._set_ports(tuple(tuples), flat, mate, fin, starts, free_loops)
-
-    def _set_ports(self, crossings, flat, mate, fin, starts, free_loops):
-        self.crossings = crossings
+        self.crossings = tuple(tuples)
         self.free_loops = free_loops
         self._flat = flat
         self._mate = mate
         self._fin = fin
         self._starts = starts
         self.component_count = len(starts) + free_loops
+        self._walk_numbered = self._fixpoint = self._planar = False
+        self._pieces = self._alternating = None
 
     # basic queries
 
@@ -307,6 +327,7 @@ class Diagram:
             raise NoEmbedding("face count %d is not %d, crossings + 2 per "
                               "piece of the shadow: the PD code is not "
                               "planar" % (faces, planar))
+        self._planar = True
 
     def faces(self):
         """Face orbits of the 4-valent shadow, as tuples of entry ports.
@@ -354,7 +375,7 @@ class Diagram:
     def render(self) -> str:
         if self.free_loops and (self.crossings or self.free_loops > 1):
             raise ValueError("no PD text for diagrams with extra free loops")
-        return " ".join(map("X[%d,%d,%d,%d]".__mod__, self.crossings))
+        return " ".join(["X[%d,%d,%d,%d]" % t for t in self.crossings])
 
     # rebuild helpers
 
@@ -363,88 +384,145 @@ class Diagram:
         label, labels increasing along the traversal, tuples rotated so
         slot 0 is the under-entry, crossings sorted by slot-0 label.
         A diagram without crossings, and one whose port arrays a splice
-        wrote, is its own canonical form. The copy keeps the _fixpoint
-        mark."""
+        wrote, is its own canonical form. The copy is the splice that
+        removes nothing, and it keeps the marks and what self has worked
+        out."""
         if not self.crossings or self._walk_numbered:
             return self
-        flat = self._flat
-        arcs = [(flat[p], p) for p, f in enumerate(self._fin) if f]
-        d = _assemble(self._mate, arcs, self.free_loops)
-        d._fixpoint = self._fixpoint
+        d = self._splice([])
+        d._fixpoint, d._pieces = self._fixpoint, self._pieces
+        d._alternating = self._alternating
         return d
 
-    def _splice(self, wire) -> "Diagram":
-        """Remove crossings, rewiring their ports.
+    def _splice(self, joins, untwist: bool = False) -> "Diagram":
+        """Remove crossings, rewiring their ports, and renumber the rest
+        (see the module notes).
 
-        wire maps each port that fuses into a strand passing straight
-        through to the other port of its pair, at the same crossing; the
-        crossings it names are removed. A port of a removed crossing that
-        wire does not name must reach another such port along its arc,
-        through fused slots or none: that chain of fragments is a curl's
-        loop, and it vanishes (the Reidemeister-1 loop). Chains of fused
-        arcs that close up with no live endpoint become free loops.
+        joins lists port pairs (a, b) of one crossing that fuse into a
+        strand passing straight through; the crossings they name are
+        removed. Where joins names one pair of a crossing, its other two
+        ports must bound a curl's loop, which vanishes (the
+        Reidemeister-1 loop). With untwist, a chain whose two live ends
+        are adjacent slots of a live crossing is such a loop, and that
+        crossing's other two slots are added to joins, which grows as it
+        is read.
+
+        At each live end of a chain of fused arcs, other keeps its other
+        live end, and ends the chain's lowest label and the end it flows
+        into; a join whose two ends already end one chain closes a free
+        loop. The walks then number each component from its lowest arc,
+        in that arc's direction. Crossings are numbered in the order the
+        walks enter them under, and port s of new crossing k is old port
+        u ^ s, where u is the port the walk entered it under by.
         """
         flat, mate, fin = self._flat, self._mate, self._fin
-        gone = {w >> 2 for w in wire}
-
-        # other maps each live port to the far live end of its arc. Only
-        # arcs through a removed crossing change: each such chain of
-        # fragments is walked from one live end and takes its label and
-        # direction from its lowest fragment
+        loops = self.free_loops
         other = mate[:]
-        fused = []
-        passed = set()
-        for r in [4 * ci + k for ci in gone for k in range(4)]:
-            p = mate[r]
-            other[r] = -1
-            if p >> 2 in gone or other[p] != r:
+        # chain end -> (the chain's lowest label, the end it flows into);
+        # an arc that no join has touched is not listed
+        ends = {}
+        cut = set()
+        for a, b in joins:
+            cut.add(a >> 2)
+            x = other[a]
+            y = other[b]
+            if x == b:
+                loops += 1
                 continue
-            q = r
-            best = flat[p]
-            forward = fin[q]
-            while True:
-                w = wire.get(q)
-                if w is None:
-                    break
-                passed.add(q)
-                passed.add(w)
-                q = mate[w]
-                if flat[w] < best:
-                    best = flat[w]
-                    forward = fin[q]
-            other[p] = q
-            other[q] = p
-            fused.append((best, q if forward else p))
-        # _assemble walks each component of the result from its lowest
-        # arc. When labels count up along the walks here, every arc but
-        # the lowest of its component meets the arc one label lower at a
+            other[x] = y
+            other[y] = x
+            # the chains x..a and b..y become x..y
+            low, head = ends.get(a) or (flat[a], a if fin[a] else x)
+            low_b, head_b = ends.get(b) or (flat[b], b if fin[b] else y)
+            if low < low_b:
+                ends[x] = ends[y] = (low, x if head == x else y)
+            else:
+                ends[x] = ends[y] = (low_b, y if head_b == y else x)
+            if untwist and x >> 2 == y >> 2 and (x ^ y) & 1 \
+                    and x >> 2 not in cut:
+                # x and y bound a curl's loop; s is its later slot
+                s = y if (y - x) & 3 == 1 else x
+                e = s & ~3
+                cut.add(e >> 2)
+                joins.append((e | (s + 1) & 3, e | (s + 2) & 3))
+        if len(cut) == len(self.crossings):
+            d = Diagram.__new__(Diagram)
+            d.crossings = ()
+            d.free_loops = d.component_count = loops
+            d._flat, d._mate, d._fin, d._starts = [], [], [], []
+            d._walk_numbered, d._pieces, d._alternating = False, None, None
+            d._fixpoint, d._planar = False, self._planar
+            return d
+
+        # When labels count up along the walks here, every arc but the
+        # lowest of its component meets the arc one label lower at a
         # crossing, so that lowest arc is fused or was the lowest of its
         # component here: those arcs are all the walks need
-        if self._walk_numbered:
-            heads = [s if fin[s] else mate[s] for s in self._starts]
-        else:
-            heads = [p for p, f in enumerate(fin) if f]
-        arcs = [(flat[p], p) for p in heads if other[p] == mate[p]]
+        arcs = []
+        for p in (self._starts if self._walk_numbered
+                  else itertools.compress(range(len(fin)), fin)):
+            if not fin[p]:
+                p = mate[p]
+            if other[p] == mate[p] and p >> 2 not in cut:
+                arcs.append((flat[p], p))
+        for x, (low, head) in ends.items():
+            if head == x and x >> 2 not in cut:
+                arcs.append((low, x))
+        arcs.sort()
 
-        # wired ports no open chain passed lie on circles of fused arcs,
-        # or on a curl's loop, which ends at an unnamed slot
-        loops = self.free_loops
-        for w in wire:
-            if w in passed:
+        m = len(mate)
+        label = [0] * m
+        entry = [False] * m  # whether the walks enter at the port
+        unders = []  # the old under-entry port of each new crossing
+        firsts = []  # the old head of each component's lowest arc
+        over_only = False
+        counter = 1
+        for _, cur in arcs:
+            if label[cur]:
                 continue
-            cur = w
+            firsts.append(cur)
+            entered = len(unders)
             while True:
-                out = mate[cur]
-                cur = wire.get(out)
-                passed.add(out)
-                if cur is None:
+                label[cur] = label[other[cur]] = counter
+                entry[cur] = True
+                counter += 1
+                if not cur & 1:
+                    unders.append(cur)
+                cur = other[cur ^ 2]
+                if label[cur]:
                     break
-                passed.add(cur)
-                if cur == w:
-                    loops += 1
-                    break
+            over_only = over_only or len(unders) == entered
 
-        return _assemble(other, arcs + fused, loops)
+        # new port 4 * k + s is old port u ^ s, u = unders[k]
+        new = [0] * m
+        old = []
+        j = 0
+        for u in unders:
+            new[u] = j
+            new[u ^ 1] = j + 1
+            new[u ^ 2] = j + 2
+            new[u ^ 3] = j + 3
+            j += 4
+            old += (u, u ^ 1, u ^ 2, u ^ 3)
+        flat = [label[p] for p in old]
+        labels = iter(flat)
+        crossings = tuple(zip(labels, labels, labels, labels))
+        if over_only:
+            d = Diagram(crossings, loops)
+            d._planar = self._planar
+            return d
+        d = Diagram.__new__(Diagram)
+        d.crossings = crossings
+        d.free_loops = loops
+        d._flat = flat
+        d._mate = [new[other[p]] for p in old]
+        d._fin = [entry[p] for p in old]
+        # __init__ starts each walk at the later port of the lowest arc
+        d._starts = [max(new[h], new[other[h]]) for h in firsts]
+        d.component_count = len(firsts) + loops
+        d._walk_numbered, d._pieces, d._alternating = True, None, None
+        d._fixpoint, d._planar = False, self._planar
+        return d
 
     # operations
 
@@ -461,50 +539,36 @@ class Diagram:
         face beyond d's fused slots, which may be a bigon in turn, and
         so on along the twist region. A curl's loop is then a chain of
         fused arcs whose two live ends are adjacent slots of one
-        crossing, so each chain that a removal changes is walked to its
-        ends. The result is isotopic to the plain smoothing; curls and
-        bigons that the splice did not make are left to simplify(). When
-        self is alternating and marked as reduced, the result is reduced
-        and marked too (see the module notes).
+        crossing, and the splice checks each chain it changes. The
+        result is isotopic to the plain smoothing; curls and bigons that
+        the splice did not make are left to simplify(). The result takes
+        its alternation, its _fixpoint mark and, where self is planar,
+        its piece count from self (see the module notes).
         """
         self._check_crossing(c)
         if r not in (0, 1):
             raise InvalidCrossing("smoothing selector must be 0 or 1, got %r" % (r,))
-        wire = {}
-        for s1, s2 in _SMOOTHINGS[r]:
-            wire[4 * c + s1] = 4 * c + s2
-            wire[4 * c + s2] = 4 * c + s1
-        if not untwist:
-            return self._splice(wire)
-        cut = {c}
-        mate = self._mate
-        # one wired port of each pair whose chain has changed
-        todo = [4 * c + s1 for s1, _ in _SMOOTHINGS[r]]
-        while todo:
-            w = todo.pop()
-            # the live ends of the chain through w and its wired partner,
-            # unless it closes up into a circle or is a curl's loop
-            ends = []
-            for v in (w, wire[w]):
-                q = mate[v]
-                while q in wire and q != wire[v]:
-                    q = mate[wire[q]]
-                ends.append(q)
-            p, q = ends
-            e = p >> 2
-            # a chain between two adjacent slots of a live crossing e is
-            # a curl's loop; e's other two slots then fuse
-            if e in cut or q >> 2 != e or not (p ^ q) & 1:
-                continue
-            s = q & 3 if (q - p) & 3 == 1 else p & 3
-            a, b = (s + 1) & 3, (s + 2) & 3
-            cut.add(e)
-            wire[4 * e + a] = 4 * e + b
-            wire[4 * e + b] = 4 * e + a
-            todo.append(4 * e + a)
-        d = self._splice(wire)
-        if self._fixpoint and self.is_alternating():
-            d._fixpoint = True
+        c *= 4
+        (s1, s2), (s3, s4) = _SMOOTHINGS[r]
+        d = self._splice([(c + s1, c + s2), (c + s3, c + s4)], untwist)
+        if len(d._starts) > 1 and self._planar and (
+                len(self._starts) == 1 or self._pieces is not None):
+            # the 0-smoothing merges the faces at corners 1 and 3 of c,
+            # the 1-smoothing those at 0 and 2, and corner k's face is
+            # the one entered at slot k + 1; on a planar diagram the
+            # smoothing splits c's piece exactly when they are one face
+            mate = self._mate
+            cur = start = c + 2 - r
+            stop = c + 3 * r
+            while True:
+                cur = mate[cur & ~3 | (cur - 1) & 3]
+                if cur == stop or cur == start:
+                    break
+            d._pieces = (self.shadow_pieces() + (cur == stop)
+                         - d.free_loops + self.free_loops)
+        if self.is_alternating():
+            d._alternating = True
+            d._fixpoint = untwist and self._fixpoint
         return d
 
     def mirror(self) -> "Diagram":
@@ -550,7 +614,7 @@ class Diagram:
                         for k in range(0, len(flat), 4)]).canonical()
 
     def _move(self):
-        """The _splice wire map of one Reidemeister move, or None: the
+        """The _splice joins of one Reidemeister move, or None: the
         first curl in port order, else the first removable bigon."""
         nxt = self._face_step()
         # a curl is a one-port face: the arc leaving slot s - 1 comes
@@ -559,7 +623,7 @@ class Diagram:
             if p == q:
                 c = p & ~3
                 a, b = c | (p + 1) & 3, c | (p + 2) & 3
-                return {a: b, b: a}
+                return [(a, b)]
         # bigon faces (p, q) in face order, each met at its least port p
         flat = self._flat
         for p, q in enumerate(nxt):
@@ -572,8 +636,8 @@ class Diagram:
             # in parity
             if (p ^ q) & 1:
                 # both crossings go: slots 0, 2 and 1, 3 fuse at each
-                return {x | s: x | s ^ 2 for x in (p & ~3, q & ~3)
-                        for s in range(4)}
+                return [(x | s, x | s | 2) for x in (p & ~3, q & ~3)
+                        for s in (0, 1)]
         return None
 
     def simplify(self, max_passes: int | None = None) -> "Diagram":
@@ -586,82 +650,12 @@ class Diagram:
             return d
         passes = itertools.count() if max_passes is None else range(max_passes)
         for _ in passes:
-            wire = d._move()
-            if wire is None:
+            joins = d._move()
+            if joins is None:
                 d._fixpoint = True
                 break
-            d = d._splice(wire)
+            d = d._splice(joins)
         return d
-
-
-def _assemble(other, arcs, free_loops: int) -> Diagram:
-    """Renumber the crossings that arcs run through into a fresh diagram.
-
-    other maps each live port to the live port at the far end of its
-    arc; arcs lists each arc as (arc id, flow-in port). Components are
-    walked from their lowest arc id, in the direction of that arc;
-    labels count up along the walk; a crossing entered through its old
-    slot 2 is rotated so the under-entry returns to slot 0, and crossings
-    are numbered in the order the walks enter them under, which sorts
-    them by slot-0 label. Port s of new crossing k so comes from old port
-    u ^ s, where u is the port the walk entered it under by, and the
-    port arrays are written from the walk without a pass through
-    __init__; the result is its own canonical form. A component that
-    the walks never enter under is over-only: __init__ orients it by its
-    labels, not by the walk, so such a result is built by __init__.
-    """
-    if not arcs:
-        d = Diagram.__new__(Diagram)
-        d._set_ports((), [], [], [], [], free_loops)
-        return d
-    arcs.sort()
-    label = [0] * len(other)
-    head = [False] * len(other)
-    unders = []  # the old under-entry port of each new crossing, in order
-    firsts = []  # the old head of each component's lowest arc
-    over_only = False
-    counter = 1
-    for _, cur in arcs:
-        if label[cur]:
-            continue
-        # the lowest arc of a component not yet numbered
-        firsts.append(cur)
-        entered = len(unders)
-        while True:
-            label[cur] = label[other[cur]] = counter
-            head[cur] = True
-            counter += 1
-            if not cur & 1:
-                unders.append(cur)
-            cur = other[cur ^ 2]
-            if label[cur]:
-                break
-        over_only = over_only or len(unders) == entered
-
-    # new port 4 * k + s is old port u ^ s, u = unders[k] = 4 * c + rot
-    old = []
-    new = [0] * len(other)
-    j = 0
-    for u in unders:
-        new[u] = j
-        new[u ^ 1] = j + 1
-        new[u ^ 2] = j + 2
-        new[u ^ 3] = j + 3
-        j += 4
-        old += (u, u ^ 1, u ^ 2, u ^ 3)
-    flat = [label[p] for p in old]
-    labels = iter(flat)
-    crossings = tuple(zip(labels, labels, labels, labels))
-    if over_only:
-        return Diagram(crossings, free_loops)
-    mate = [new[other[p]] for p in old]
-    fin = [head[p] for p in old]
-    # __init__ starts each walk at the later port of the lowest arc
-    starts = [max(new[h], new[other[h]]) for h in firsts]
-    d = Diagram.__new__(Diagram)
-    d._set_ports(crossings, flat, mate, fin, starts, free_loops)
-    d._walk_numbered = True
-    return d
 
 
 _PD_TOKEN = re.compile(

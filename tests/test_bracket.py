@@ -3,7 +3,7 @@ import logging
 import random
 
 import pytest
-from conftest import braid_closure
+from conftest import braid_closure, grid_diagram
 from oracles import (SameComponent, bracket_gap_check, component_map,
                      skein_check)
 
@@ -124,6 +124,22 @@ def test_bracket_matches_state_sum_on_random_codes():
         except ValueError:
             continue
         assert kauffman_bracket(d) == bracket_state_sum(d), d
+        checked += 1
+
+
+def test_bracket_routes_agree_on_grid_diagrams():
+    # grid diagrams are not braid closures: curls, over-only components
+    # and strands that run against each other. On the connected ones of
+    # 4-12 crossings, the sweep equals the state sum and |V(-1)|
+    # equals the Goeritz determinant
+    rng = random.Random(20261020)
+    checked = 0
+    while checked < 120:
+        d = grid_diagram(rng, rng.randint(5, 9))
+        if not 4 <= len(d.crossings) <= 12 or not d.is_connected():
+            continue
+        assert kauffman_bracket(d) == bracket_state_sum(d), d
+        assert determinant(d) == goeritz_det(checkerboard(d)[0]), d
         checked += 1
 
 

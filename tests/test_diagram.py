@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import braid_closure
+from conftest import braid_closure, grid_diagram
 from oracles import arc_head, component_map
 from qalt import corpus
 from qalt.bracket import kauffman_bracket
@@ -15,6 +15,7 @@ from qalt.diagram import (
     EmptyDiagram,
     InvalidCrossing,
     InvalidStrandLabels,
+    NoEmbedding,
     PDSyntaxError,
     parse_pd,
 )
@@ -496,19 +497,22 @@ def _assembled(d):
 
 
 def test_assembled_diagrams_equal_their_parse():
-    over = loops = 0
-    for d in _kernel_corpus():
-        for e in _assembled(d):
-            fresh = Diagram(e.crossings, e.free_loops)
-            assert _fields(e) == _fields(fresh)
-            over_only = _has_over_only_component(e)
-            # born canonical, unless __init__ oriented an over-only
-            # component by its labels
-            if e.crossings:
-                assert (e.canonical() is e) == (not over_only), e
-            over += over_only
-            loops += bool(e.crossings and e.free_loops)
-    assert over and loops
+    # on the kernel corpus and on grid diagrams, whose splices meet
+    # over-only components and free loops far more often
+    for inputs in (_kernel_corpus(), _grid_inputs()):
+        over = loops = 0
+        for d in inputs:
+            for e in _assembled(d):
+                fresh = Diagram(e.crossings, e.free_loops)
+                assert _fields(e) == _fields(fresh)
+                over_only = _has_over_only_component(e)
+                # born canonical, unless __init__ oriented an over-only
+                # component by its labels
+                if e.crossings:
+                    assert (e.canonical() is e) == (not over_only), e
+                over += over_only
+                loops += bool(e.crossings and e.free_loops)
+        assert over and loops
 
 
 def test_spliced_over_only_component_equals_its_parse():
@@ -549,6 +553,18 @@ def _untwisting_inputs():
     return out
 
 
+def _grid_inputs():
+    """Seeded grid diagrams of sizes 4-8 with at least two crossings:
+    not braid closures (see conftest)."""
+    rng = random.Random(20261019)
+    out = []
+    while len(out) < 200:
+        d = grid_diagram(rng, rng.randint(4, 8))
+        if len(d.crossings) > 1:
+            out.append(d)
+    return out
+
+
 def _has_curl(d) -> bool:
     return any(p == q for p, q in enumerate(d._face_step()))
 
@@ -559,22 +575,26 @@ def test_smooth_untwisted_matches_smooth_then_simplify():
     # and Kauffman bracket, at every crossing and both smoothings. On a
     # diagram without curls the untwisted smoothing has none left, and
     # on a twist region it removes crossings
-    cases = untwisted = 0
-    for d in _untwisting_inputs():
-        curled = _has_curl(d)
-        for c in range(len(d.crossings)):
-            for r in (0, 1):
-                u = d.smooth(c, r, untwist=True)
-                s = d.smooth(c, r)
-                assert curled or not _has_curl(u), (d, c, r)
-                untwisted += len(u.crossings) < len(s.crossings)
-                u, s = u.simplify(), s.simplify()
-                assert ((len(u.crossings), u.free_loops, u.component_count)
-                        == (len(s.crossings), s.free_loops,
-                            s.component_count)), (d, c, r)
-                assert kauffman_bracket(u) == kauffman_bracket(s), (d, c, r)
-                cases += 1
-    assert cases > 3000 and untwisted > 1000, (cases, untwisted)
+    for inputs, least in ((_untwisting_inputs(), (3000, 1000)),
+                          (_grid_inputs(), (1500, 500))):
+        cases = untwisted = 0
+        for d in inputs:
+            curled = _has_curl(d)
+            for c in range(len(d.crossings)):
+                for r in (0, 1):
+                    u = d.smooth(c, r, untwist=True)
+                    s = d.smooth(c, r)
+                    assert curled or not _has_curl(u), (d, c, r)
+                    untwisted += len(u.crossings) < len(s.crossings)
+                    u, s = u.simplify(), s.simplify()
+                    assert ((len(u.crossings), u.free_loops,
+                             u.component_count)
+                            == (len(s.crossings), s.free_loops,
+                                s.component_count)), (d, c, r)
+                    assert kauffman_bracket(u) == kauffman_bracket(s), (
+                        d, c, r)
+                    cases += 1
+        assert cases > least[0] and untwisted > least[1], (cases, untwisted)
 
 
 def test_smooth_untwisted_undoes_a_twist_region():
@@ -622,3 +642,73 @@ def test_untwisted_smoothings_of_reduced_alternating_diagrams_are_reduced():
                         below.append(u)
         todo = below
     assert alternating > 15000 and other > 300, (alternating, other)
+
+
+# golden digest of the untwisted smoothing: the splice, the renumbering,
+# the free loops of its leaves and the facts a child takes from its
+# parent (the _fixpoint mark and the alternation) all feed it
+
+UNTWIST_DIGEST = (
+    "f895f7955c307a71c40a9c58c4309c42a9aabcb4f3654535f94f00dcd0c5b70d")
+
+
+def test_untwist_golden_digest():
+    h = hashlib.sha256()
+    for d in _untwisting_inputs():
+        for c in range(len(d.crossings)):
+            for r in (0, 1):
+                u = d.smooth(c, r, untwist=True)
+                h.update(repr((_kernel_facts(u), u._fixpoint,
+                               u.is_alternating())).encode())
+    assert h.hexdigest() == UNTWIST_DIGEST
+
+
+def test_untwisted_smoothings_inherit_alternation():
+    # the untwisted smoothing of an alternating diagram is alternating
+    # (module notes), and smooth sets it so without working it out.
+    # Summing with a curl gives parents that are not reduced, alternating
+    # or not, so unmarked parents are covered too
+    inputs = _untwisting_inputs()
+    inputs += [d.connected_sum(CURLS[k % 2])
+               for k, d in enumerate(inputs) if d.is_connected()]
+    inputs += _grid_inputs()
+    verdicts = Counter()
+    for d in inputs:
+        alternating = d.is_alternating()
+        for c in range(len(d.crossings)):
+            for r in (0, 1):
+                u = d.smooth(c, r, untwist=True)
+                assert u._alternating == (alternating or None), (d, c, r)
+                want = _alternates_along_components(u)
+                assert u.is_alternating() == want, (d, c, r)
+                verdicts[alternating, want] += 1
+    assert min(verdicts.values()) > 1000 and len(verdicts) == 3, verdicts
+
+
+def test_smoothings_of_planar_diagrams_count_their_pieces_by_faces():
+    # check_planar marks a diagram planar and every splice keeps the mark;
+    # smooth then takes the piece count of a child of several components
+    # from the two faces its smoothing merges. It must equal a fresh count
+    preset = 0
+    for d in _untwisting_inputs() + _grid_inputs():
+        d.check_planar()
+        d.shadow_pieces()
+        for c in range(len(d.crossings)):
+            for r in (0, 1):
+                for untwist in (False, True):
+                    u = d.smooth(c, r, untwist=untwist)
+                    fresh = Diagram(u.crossings, u.free_loops)
+                    preset += u._pieces is not None
+                    assert u.shadow_pieces() == fresh.shadow_pieces(), (
+                        d, c, r, untwist)
+                    assert u._planar
+    assert preset > 3000, preset
+    # the rule needs a planar diagram: this code has none, and its
+    # smoothing at crossing 0, of three components, merges one face with
+    # itself yet stays in one piece, so nothing is preset
+    d = parse_pd("X[3,6,4,5] X[4,1,2,1] X[2,6,5,3]")
+    with pytest.raises(NoEmbedding):
+        d.check_planar()
+    u = d.smooth(0, 0)
+    assert u.component_count == 3 and u._pieces is None
+    assert u.shadow_pieces() == 1
