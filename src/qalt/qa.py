@@ -18,12 +18,11 @@ from .bracket import determinant as bracket_determinant
 from .laurent import HalfLaurent, ZeroPolynomial, analyze, monomial_quotient
 from .tait import goeritz_det, smoothing_dets
 # certify and replay build the black graph only at non-alternating
-# nodes. On a connected planar alternating diagram the black graph is
-# one-signed, so |det| is its spanning-tree count (Kirchhoff), and
-# tau(G) = tau(G - e) + tau(G / e) at an edge e that is neither a loop
-# nor an isthmus, that is at a crossing whose two smoothings are both
-# connected: such a node takes its determinant from its children. The
-# call keeps the name checkerboard, under which perfbench's
+# nodes. On a connected planar alternating diagram it is one-signed, so
+# both terms of smoothing_dets's identity have the sign of the whole:
+# det = det0 + det1 at each crossing, and a node whose smoothings are
+# both connected takes its determinant from its children. The call
+# keeps the name checkerboard, under which perfbench's
 # tait.checkerboard span counts it
 from .tait import black_graph as checkerboard
 
@@ -209,17 +208,20 @@ def certify(d: Diagram, budget: Budget = Budget()):
     Returns the first Certificate in this deterministic order, or
     Unknown("budget") / Unknown("exhausted").
 
-    A node that is alternating (Diagram.is_alternating) is decided
-    without its black graph. Its graph is one-signed, so its
-    determinant is the graph's spanning-tree count, and deletion and
-    contraction of an edge e give tau(G) = tau(G - e) + tau(G / e)
-    unless e is a loop or an isthmus, a nugatory crossing, one of whose
-    smoothings is split. So a crossing qualifies exactly when both of
-    its smoothings are connected, and the node's det is the sum of its
-    children's. Where no crossing qualifies, every edge is a loop or an
-    isthmus and tau = 1: those are exactly the nodes that the det < 2
-    test of the Goeritz path rejects. The children are searched in the
-    same order and count against the same budget as on that path.
+    A node that is not alternating reads its det and each crossing's
+    pair (det0, det1) off its black graph (tait.smoothing_dets), one
+    Goeritz minor each. A node that is alternating
+    (Diagram.is_alternating) is decided without its black graph. Its
+    graph is one-signed, so both terms of smoothing_dets's identity
+    have the sign of the whole, and det = det0 + det1 at every
+    crossing; a term is 0 only at a loop or an isthmus, a nugatory
+    crossing, one of whose smoothings is split. So a crossing qualifies
+    exactly when both of its smoothings are connected, and the node's
+    det is the sum of its children's. Where no crossing qualifies, every
+    edge is a loop or an isthmus and the det is 1: those are exactly the
+    nodes that the det < 2 test of the Goeritz path rejects. The
+    children are searched in the same order and count against the same
+    budget as on that path.
 
     The root is checked once, before the search: it must be connected
     (DisconnectedDiagram) and have a planar embedding (NoEmbedding, from
@@ -252,10 +254,8 @@ def certify(d: Diagram, budget: Budget = Budget()):
     failed = set()
     counter = [0]
 
-    def rec(dd: Diagram, det: int | None, depth: int):
-        # det is the parent's value for this smoothing, None at the root
-        # and below an alternating node; R1/R2 moves preserve it. The
-        # node's key is returned, None when it does not certify
+    def rec(dd: Diagram, depth: int):
+        # the node's key is returned, None when it does not certify
         counter[0] += 1
         if counter[0] > budget.max_nodes or depth > budget.max_depth:
             raise _BudgetExceeded()
@@ -271,9 +271,7 @@ def certify(d: Diagram, budget: Budget = Budget()):
             return None
         alternating = s.is_alternating()
         if not alternating:
-            g = checkerboard(s)
-            if det is None:
-                det = goeritz_det(g)
+            det, pairs = smoothing_dets(checkerboard(s))
             if det < 2:
                 # a 1-determinant diagram that does not simplify away is
                 # not provably the unknot; additivity needs det >= 2 anyway
@@ -285,18 +283,17 @@ def certify(d: Diagram, budget: Budget = Budget()):
                 s1 = s.smooth(c, 1, untwist=True)
                 if not (s0.is_connected() and s1.is_connected()):
                     continue
-                det0 = det1 = None
             else:
-                det0, det1 = smoothing_dets(g, c)
+                det0, det1 = next(pairs)
                 if det0 < 1 or det1 < 1 or det0 + det1 != det:
                     continue
                 s0, s1 = s.smooth(c, 0, untwist=True), None
-            k0 = rec(s0, det0, depth + 1)
+            k0 = rec(s0, depth + 1)
             if k0 is None:
                 continue
             if s1 is None:
                 s1 = s.smooth(c, 1, untwist=True)
-            k1 = rec(s1, det1, depth + 1)
+            k1 = rec(s1, depth + 1)
             if k1 is None:
                 continue
             # each child's det is its link's determinant, so where det0
@@ -307,7 +304,7 @@ def certify(d: Diagram, budget: Budget = Budget()):
         return None
 
     try:
-        top = rec(d, None, 0)
+        top = rec(d, 0)
     except _BudgetExceeded:
         return Unknown("budget")
     finally:
@@ -410,12 +407,10 @@ def replay_certificate(cert) -> bool:
     the Goeritz determinant of its black graph, unless the node is
     alternating: such a node must be connected, and its stored det must
     equal the sum of its children's, which are checked first. By
-    induction from the leaves each child's det is its link's; a child
-    whose det is at least 1 is not split, so the crossing is not
-    nugatory, and on a connected planar alternating diagram the
-    spanning-tree count of the one-signed black graph, its determinant,
-    is then the sum of the counts after deleting and contracting the
-    crossing's edge (see certify).
+    induction from the leaves each child's det is its link's; on a
+    connected planar alternating diagram the black graph is one-signed,
+    so the node's det is the sum of its two smoothings' determinants at
+    every crossing (see certify and tait.smoothing_dets).
 
     Child r of a node is derived as s.smooth(c, r, untwist=True) from
     the node's reduced diagram s, and must reduce (as the search

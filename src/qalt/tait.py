@@ -49,18 +49,6 @@ def _connected(n: int, edges) -> bool:
     return parts == 1
 
 
-def _contracted(n: int, edges, i: int) -> list:
-    """The edges after contracting non-loop edge i of a graph on n
-    vertices: its higher end becomes its lower one, and the vertices
-    above close the gap."""
-    u, v, _ = edges[i]
-    keep, gone = min(u, v), max(u, v)
-    remap = [w - (w > gone) for w in range(n)]
-    remap[gone] = keep
-    return [(remap[a], remap[b], s)
-            for j, (a, b, s) in enumerate(edges) if j != i]
-
-
 class SignedPlanarGraph(_Record):
     """Connected multigraph with signed, totally ordered edges.
 
@@ -213,13 +201,13 @@ def goeritz_det(g: SignedPlanarGraph) -> int:
     before the n x n matrix is made."""
     if not g.is_connected():
         raise ValueError("graph is not connected")
-    return _goeritz_minor_det(g.vertex_count, g.edges)
+    return abs(_goeritz_minor_det(g.vertex_count, g.edges))
 
 
 def _goeritz_minor_det(n: int, edges) -> int:
-    """goeritz_det of the graph on n vertices with these edges, connected
-    or not: a piece without vertex 0 has rows summing to zero in the
-    minor, so a disconnected graph gets 0."""
+    """The signed Goeritz minor of the graph on n vertices with these
+    edges, connected or not: a piece without vertex 0 has rows summing
+    to zero in the minor, so a disconnected graph gets 0."""
     m = [[0] * n for _ in range(n)]
     for u, v, s in edges:
         if u != v:
@@ -227,35 +215,51 @@ def _goeritz_minor_det(n: int, edges) -> int:
             m[v][u] -= s
             m[u][u] += s
             m[v][v] += s
-    return abs(bareiss_det([row[1:] for row in m[1:]]))
+    return bareiss_det([row[1:] for row in m[1:]])
 
 
-def smoothing_dets(g: SignedPlanarGraph, e: int) -> tuple:
-    """(det0, det1): Goeritz determinants of the 0- and 1-smoothing at the
-    crossing of black-graph edge e, 0 for a split smoothing.
+def smoothing_dets(g: SignedPlanarGraph) -> tuple:
+    """(det, pairs): the Goeritz determinant of g, and an iterator that
+    yields, for each edge e in order, (det0, det1), the Goeritz
+    determinants of the 0- and 1-smoothing at e's crossing, 0 for a
+    split smoothing. Each pair is solved when it is read.
 
     The 0-smoothing joins slots (0,1) and (2,3), merging the faces at
     corners 1 and 3, which are black exactly when e is positive: it
-    contracts a positive edge and deletes a negative one. A loop or an
-    isthmus is a nugatory crossing, whose face-merging or
-    face-separating smoothing respectively is split: a loop gets 0
-    without contracting it, and an isthmus gets 0 because deleting it
-    disconnects the graph."""
-    u, v, sign = g._edge(e)
-    rest = g.edges[:e] + g.edges[e + 1:]
-    separated = _goeritz_minor_det(g.vertex_count, rest)
-    if u == v:
-        merged = 0
-    else:
-        merged = _goeritz_minor_det(
-            g.vertex_count - 1, _contracted(g.vertex_count, g.edges, e))
-    return (merged, separated) if sign > 0 else (separated, merged)
+    contracts a positive edge and deletes a negative one. The signed
+    minor is the matrix-tree sum over spanning trees of the product of
+    their edge signs (Kirchhoff), so splitting it by the trees that hold
+    e gives
+
+        minor(G) = minor(G - e) + s_e * minor(G / e),
+
+    and each pair costs one minor, that of the deletion. A loop is in no
+    tree and leaves the minor unchanged, and deleting an isthmus leaves
+    a disconnected graph, of minor 0: both nugatory crossings get 0 for
+    their split smoothing from the identity itself."""
+    n, edges = g.vertex_count, g.edges
+    whole = _goeritz_minor_det(n, edges)
+
+    def pairs():
+        for e, (_, _, sign) in enumerate(edges):
+            deleted = _goeritz_minor_det(n, edges[:e] + edges[e + 1:])
+            merged, separated = abs(whole - deleted), abs(deleted)
+            yield (merged, separated) if sign > 0 else (separated, merged)
+
+    return abs(whole), pairs()
+
+
+def _digits(word: str) -> bool:
+    """Whether word is ASCII digits only; int() alone would also take a
+    sign, underscores and the digits of other scripts."""
+    return word.isascii() and word.isdigit()
 
 
 def parse_edgelist(text: str) -> SignedPlanarGraph:
-    """Lines "u v +" / "u v -" with 0-based vertices; blank lines and
-    "#" comments allowed. An optional first line "vertices N", N >= 1,
-    forces the vertex count (needed for isolated vertices)."""
+    """Lines "u v +" / "u v -" with 0-based vertices written in ASCII
+    digits; blank lines and "#" comments allowed. An optional first line
+    "vertices N", N >= 1, forces the vertex count (needed for isolated
+    vertices)."""
     edges = []
     forced = None
     top = -1
@@ -268,16 +272,14 @@ def parse_edgelist(text: str) -> SignedPlanarGraph:
             if edges or forced is not None:
                 raise ValueError("\"vertices N\" must be the first line: %r"
                                  % raw)
-            if (len(parts) != 2 or not parts[1].isdecimal()
-                    or int(parts[1]) < 1):
+            if len(parts) != 2 or not _digits(parts[1]) or int(parts[1]) < 1:
                 raise ValueError("want \"vertices N\" with N >= 1: %r" % raw)
             forced = int(parts[1])
             continue
-        if len(parts) != 3 or parts[2] not in ("+", "-"):
+        if (len(parts) != 3 or parts[2] not in ("+", "-")
+                or not (_digits(parts[0]) and _digits(parts[1]))):
             raise ValueError("bad edge line %r" % raw)
         u, v = int(parts[0]), int(parts[1])
-        if u < 0 or v < 0:
-            raise ValueError("vertices are 0-based nonnegative: %r" % raw)
         top = max(top, u, v)
         edges.append((u, v, 1 if parts[2] == "+" else -1))
     count = forced if forced is not None else top + 1

@@ -9,7 +9,9 @@ of which multiplies the polynomial by a single monomial.
 braid_closure turns a braid word into a PD diagram, for diagrams well
 past the corpus; grid_diagram draws a random grid diagram, whose
 diagrams are not braid closures: they have curls, split pieces, free
-loops and components that only pass over.
+loops and components that only pass over. pretzel draws the pretzel
+link P(a1, ..., an), and pretzel_cases lists a fixed family of them
+with known answers to the quasi-alternating question.
 """
 
 import random
@@ -101,6 +103,80 @@ def grid_diagram(rng: random.Random, n: int) -> Diagram:
         right, left = (v_in, v_out) if dx == dy else (v_out, v_in)
         crossings.append((h_in, right, h_out, left))
     return Diagram(crossings, free_loops)
+
+
+def pretzel(*columns) -> Diagram:
+    """The pretzel link P(a1, ..., an) as a PD diagram.
+
+    Column i twists strands 2i and 2i + 1, counted from 0, by |a_i|
+    half-twists, the strand from top left to bottom right passing over
+    where a_i > 0 and under where a_i < 0. Caps above and cups below
+    join strands (1, 2), (3, 4), ..., (2n - 3, 2n - 2) and (0, 2n - 1).
+    The ends of crossing k are (k, p), p counterclockwise from the top
+    right, so (k, p ^ 2) is the end across from (k, p). One walk per
+    component numbers the arcs and orients them."""
+    # the strand ends of each column, top and bottom, and what each end
+    # touches next: a crossing end, or another column end via a cap
+    touch = {}
+
+    def join(a, b):
+        touch.setdefault(a, []).append(b)
+        touch.setdefault(b, []).append(a)
+
+    # the under-strand of crossing k runs between ends under[k] and
+    # under[k] + 2
+    under = []
+    n = len(columns)
+    for i, a in enumerate(columns):
+        left, right = ("top", i, 0), ("top", i, 1)
+        for _ in range(abs(a)):
+            k = len(under)
+            under.append(0 if a > 0 else 1)
+            join(left, (k, 1))
+            join(right, (k, 0))
+            left, right = (k, 2), (k, 3)
+        join(left, ("bottom", i, 0))
+        join(right, ("bottom", i, 1))
+    for side in ("top", "bottom"):
+        for i in range(n - 1):
+            join((side, i, 1), (side, i + 1, 0))
+        join((side, 0, 0), (side, n - 1, 1))
+
+    def mate(end):
+        # the crossing end at the far side of the arc leaving end; the
+        # column ends, named by triples, each touch two things
+        prev, here = end, touch[end][0]
+        while len(here) == 3:
+            prev, here = here, next(x for x in touch[here] if x != prev)
+        return here
+
+    label, incoming = {}, set()
+    for k in range(len(under)):
+        for p in range(4):
+            end = (k, p)
+            while end not in label:
+                far = mate(end)
+                label[end] = label[far] = len(incoming) + 1
+                incoming.add(far)
+                end = (far[0], far[1] ^ 2)
+    crossings = []
+    for k, u in enumerate(under):
+        first = u if (k, u) in incoming else u + 2
+        crossings.append(tuple(label[k, (first + j) % 4] for j in range(4)))
+    return Diagram(crossings)
+
+
+def pretzel_cases():
+    """(columns, q) of the pretzels P(p1, ..., pn, -q): two columns of
+    2-6 with q = 1-8, and three columns of 2-4 with q = 1-5, each set
+    of columns in ascending order. Champanerkar and Kofman ("Twisting
+    quasi-alternating links", 2009) show P(p1, ..., pn, -q) with
+    p_i >= 2 quasi-alternating when q > min(p_i)."""
+    two = [((a, b), q) for a in range(2, 7) for b in range(a, 7)
+           for q in range(1, 9)]
+    three = [((a, b, c), q) for a in range(2, 5) for b in range(a, 5)
+             for c in range(b, 5) for q in range(1, 6)]
+    return two + three
 
 
 def random_alternating_graph(rng: random.Random, max_edges: int = 10):

@@ -27,8 +27,7 @@ from qalt.bracket import jones, kauffman_bracket
 from qalt.diagram import Diagram
 from qalt.laurent import (HalfLaurent, SupportNotOnLattice, ZeroPolynomial,
                           monomial_quotient)
-from qalt.tait import (SignedPlanarGraph, _contracted, _forest,
-                       _goeritz_minor_det, gamma)
+from qalt.tait import SignedPlanarGraph, _forest, _goeritz_minor_det, gamma
 
 log = logging.getLogger(__name__)
 
@@ -199,6 +198,18 @@ def delete(g: SignedPlanarGraph, i: int) -> SignedPlanarGraph:
     g._edge(i)
     edges = g.edges[:i] + g.edges[i + 1:]
     return SignedPlanarGraph(g.vertex_count, edges)
+
+
+def _contracted(n: int, edges, i: int) -> list:
+    """The edges after contracting non-loop edge i of a graph on n
+    vertices: its higher end becomes its lower one, and the vertices
+    above close the gap."""
+    u, v, _ = edges[i]
+    keep, gone = min(u, v), max(u, v)
+    remap = [w - (w > gone) for w in range(n)]
+    remap[gone] = keep
+    return [(remap[a], remap[b], s)
+            for j, (a, b, s) in enumerate(edges) if j != i]
 
 
 def contract(g: SignedPlanarGraph, i: int) -> SignedPlanarGraph:

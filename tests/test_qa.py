@@ -6,7 +6,8 @@ import random
 import pytest
 
 import qalt.qa
-from conftest import braid_closure
+import qalt.tait
+from conftest import braid_closure, pretzel, pretzel_cases
 from oracles import contract, delete, is_isthmus, is_loop, rule_ids
 from qalt import cli, corpus
 from qalt.bracket import determinant, jones
@@ -424,6 +425,42 @@ def test_certify_expands_each_reduced_diagram_once(monkeypatch):
         outcomes[getattr(out, "reason", "certified")] += 1
         assert len(smoothed) == len(set(smoothed)), d
     assert outcomes["exhausted"] > 5 and outcomes["certified"] > 5, outcomes
+
+
+def test_certify_solves_one_minor_per_black_graph_and_pair(monkeypatch):
+    # a non-alternating node solves the Goeritz minor of its black graph
+    # once, and each crossing's pair of smoothing determinants costs one
+    # minor more, that of the deletion
+    solves = []
+    bareiss = qalt.tait.bareiss_det
+
+    def counting_bareiss(rows):
+        solves.append(rows)
+        return bareiss(rows)
+
+    graphs = _spy(monkeypatch, qalt.qa, "checkerboard")
+    pairs = []
+    dets = qalt.qa.smoothing_dets
+
+    def counting_dets(g):
+        det, it = dets(g)
+
+        def read():
+            for pair in it:
+                pairs.append(pair)
+                yield pair
+
+        return det, read()
+
+    monkeypatch.setattr(qalt.tait, "bareiss_det", counting_bareiss)
+    monkeypatch.setattr(qalt.qa, "smoothing_dets", counting_dets)
+    read = 0
+    for d in _near_alternating_closures(20, seed=20261018):
+        del solves[:], graphs[:], pairs[:]
+        certify(d, Budget(max_nodes=300))
+        assert len(solves) == len(graphs) + len(pairs), d
+        read += len(pairs)
+    assert read > 100, read
 
 
 def _alternating_closures(count, seed):
@@ -933,6 +970,45 @@ def test_no_cancellation_at_certified_crossings():
                 a = dict(part0.items2()).get(e2, 0)
                 b = dict(part1.items2()).get(e2, 0)
                 assert abs(a + b) == abs(a) + abs(b), (e.name, c, e2)
+
+
+# pretzel links
+
+
+def test_pretzel_draws_known_links():
+    def up_to_mirror(v):
+        return [v, HalfLaurent({-e2: c for e2, c in v.items2()})]
+
+    assert jones(pretzel(1, 1, 1)) in up_to_mirror(jones(corpus.trefoil()))
+    # 8_19, the torus knot T(3,4)
+    assert jones(pretzel(3, 3, -2)) in up_to_mirror(hl((3, 1), (5, 1),
+                                                       (8, -1)))
+    for p in (-3, -2, 1, 2, 3):
+        for q in (-3, -1, 2, 4):
+            for r in (-2, 1, 3):
+                assert determinant(pretzel(p, q, r)) == abs(
+                    p * q + q * r + r * p), (p, q, r)
+
+
+def test_pretzel_links_known_answers():
+    # P(p1, ..., pn, -q) with p_i >= 2 and q > min(p_i) is QA
+    # (Champanerkar-Kofman): each certifies and replays. The battery's
+    # NotQA is a theorem, so none that it rejects certifies. The
+    # P(p1, p2, -1) of det >= 1 are 2-bridge, hence QA, but the search,
+    # which makes no R3 move, does not find them: nothing is asserted
+    # about them
+    qa = rejected = 0
+    for cols, q in pretzel_cases():
+        d = pretzel(*cols, -q)
+        out = certify(d, Budget(max_nodes=2000))
+        if q > min(cols):
+            assert isinstance(out, Certificate), (cols, q, out)
+            assert replay_certificate(Certificate.from_json(out.to_json()))
+            qa += 1
+        elif obstruct(jones(d), determinant(d)).status == NOTQA:
+            assert not isinstance(out, Certificate), (cols, q)
+            rejected += 1
+    assert (qa, rejected) == (95, 30)
 
 
 # Kanenobu family

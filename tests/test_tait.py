@@ -13,8 +13,8 @@ from qalt.tait import (SignedPlanarGraph, activity, black_graph,
                        checkerboard, gamma, goeritz_det, parse_edgelist,
                        smoothing_dets, spanning_trees)
 
-from conftest import (braid_closure, random_alternating_graph,
-                      random_connected_graph)
+from conftest import (braid_closure, pretzel, pretzel_cases,
+                      random_alternating_graph, random_connected_graph)
 from oracles import (LoopOrIsthmus, contract, delete, gamma_skein_check,
                      is_isthmus, is_loop, kirchhoff_count, reorder, tutte,
                      tutte_check)
@@ -279,12 +279,14 @@ def test_smoothing_dets_match_diagram_smoothings():
     loops = isthmi = 0
     for d in _smoothing_cases():
         g = checkerboard(d)[0]
-        for c in range(len(d.crossings)):
+        det, pairs = smoothing_dets(g)
+        assert det == goeritz_det(g), d
+        for c, got in zip(range(len(d.crossings)), pairs, strict=True):
             loops += is_loop(g, c)
             isthmi += is_isthmus(g, c)
             want = (_split_or_det(d.smooth(c, 0)),
                     _split_or_det(d.smooth(c, 1)))
-            assert smoothing_dets(g, c) == want, (d, c)
+            assert got == want, (d, c)
     assert loops and isthmi
 
 
@@ -307,11 +309,9 @@ def test_alternating_determinant_adds_over_connected_smoothings():
         for _ in range(rng.randint(0, 2)):
             d = d.connected_sum(rng.choice(curls))
         assert d.is_alternating() and d.is_connected()
-        g = black_graph(d)
-        det = goeritz_det(g)
+        det, pairs = smoothing_dets(black_graph(d))
         assert det == determinant(d)
-        for c in range(len(d.crossings)):
-            det0, det1 = smoothing_dets(g, c)
+        for c, (det0, det1) in enumerate(pairs):
             assert det0 + det1 == det, (d, c)
             connected = all(d.smooth(c, r).is_connected() for r in (0, 1))
             assert (min(det0, det1) == 0) == (not connected), (d, c)
@@ -385,12 +385,14 @@ def test_smoothing_dets_match_contract_and_delete():
     graphs = [checkerboard(d)[0] for d in _smoothing_cases()]
     graphs += [random_connected_graph(rng) for _ in range(40)]
     graphs += [random_alternating_graph(rng) for _ in range(40)]
+    graphs += [black_graph(pretzel(*cols, -q)) for cols, q in pretzel_cases()]
     loops = isthmi = 0
     for g in graphs:
         for e in range(len(g.edges)):
             loops += is_loop(g, e)
             isthmi += is_isthmus(g, e)
-            assert smoothing_dets(g, e) == _contract_delete_dets(g, e), (g, e)
+        assert list(smoothing_dets(g)[1]) == [
+            _contract_delete_dets(g, e) for e in range(len(g.edges))], g
     assert loops and isthmi
 
 
@@ -422,9 +424,18 @@ def test_parse_edgelist():
     with pytest.raises(ValueError):
         parse_edgelist("0 1 *")
     for bad in ("vertices", "vertices 0", "vertices -2", "vertices 2 9",
-                "vertices x"):
-        with pytest.raises(ValueError, match=repr(bad)):
+                "vertices x", "vertices +3", "vertices 1_0",
+                "vertices \u0661\u0662"):
+        with pytest.raises(ValueError, match=re.escape(
+                "want \"vertices N\" with N >= 1: %r" % bad)):
             parse_edgelist(bad + "\n0 1 +\n")
+    # vertices are ASCII digit strings: no sign, no underscore, no digit
+    # of another script, each refusal naming its line
+    for bad in ("1_0 0 +", "+1 0 +", "0 +1 -", "-1 0 +", "0 \u0661 +",
+                "x 1 +", "0 1.0 +", "0 \u00b2 +"):
+        with pytest.raises(ValueError,
+                           match=re.escape("bad edge line %r" % bad)):
+            parse_edgelist("0 1 +\n" + bad + "\n")
     # "vertices N" is accepted only before every edge and only once
     for text, line in (("0 1 +\nvertices 3\nvertices 5\n", "vertices 3"),
                        ("vertices 3\nvertices 5\n", "vertices 5"),
@@ -477,9 +488,7 @@ def test_edge_indices_are_checked():
     for bad in (-1, 3, 9, 1.0, None):
         for call in (lambda i: is_loop(g, i), lambda i: is_isthmus(g, i),
                      lambda i: delete(g, i), lambda i: contract(g, i),
-                     lambda i: activity(g, tree, i),
-                     lambda i: smoothing_dets(g, i),
-                     lambda i: smoothing_dets(black, i)):
+                     lambda i: activity(g, tree, i)):
             with pytest.raises(ValueError, match="no edge"):
                 call(bad)
-    assert smoothing_dets(black, 2) == (1, 2)
+    assert list(smoothing_dets(black)[1])[2] == (1, 2)
