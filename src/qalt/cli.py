@@ -210,7 +210,7 @@ def _cmd_kanenobu(args):
     return p, lines
 
 
-def _batch_line(idx, line, args):
+def _batch_line(idx, line, args, budget):
     text, _, comment = line.partition("#")
     name = comment.strip() or "line-%d" % idx
     t0 = time.monotonic()
@@ -225,7 +225,7 @@ def _batch_line(idx, line, args):
             record["reasons"] = [{"rule": rid, "statement": stmt}
                                  for rid, stmt, _ in v.reasons]
         if args.certify:
-            out = certify(d, Budget(**_budget_flags(args)))
+            out = certify(d, budget)
             if isinstance(out, Unknown):
                 record["certificate"] = None
                 record["certify_status"] = "Unknown:" + out.reason
@@ -254,9 +254,11 @@ def _batch_text(records, summary):
 
 
 def _cmd_batch(args):
-    if _budget_flags(args) and not args.certify:
+    flags = _budget_flags(args)
+    if flags and not args.certify:
         raise ValueError("batch's budget flags need --certify")
-    records = [_batch_line(idx, line, args)
+    budget = Budget(**flags)
+    records = [_batch_line(idx, line, args, budget)
                for idx, line in enumerate(_read(args.path).splitlines(), 1)
                if line.partition("#")[0].strip()]
     summary = {
@@ -270,15 +272,6 @@ def _cmd_batch(args):
             _batch_text(records, summary))
 
 
-def _count(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise ValueError(text)
-    return value
-
-
-_count.__name__ = "non-negative int"  # argparse names the type by this
-
 _INPUT_HELP = {
     "--pd": "inline PD text or JSON array",
     "--file": "file containing a PD code",
@@ -289,9 +282,9 @@ _DIAGRAM = ("--pd", "--file")
 _GRAPH = _DIAGRAM + ("--edgelist",)
 _FLAG = {"action": "store_true"}
 _WHITE = ("--white", {**_FLAG, "help": "use the white checkerboard graph"})
-_BUDGET = (("--max-depth", {"type": _count}),
-           ("--max-nodes", {"type": _count}),
-           ("--simplify-passes", {"type": _count}))
+_BUDGET = (("--max-depth", {"type": int}),
+           ("--max-nodes", {"type": int}),
+           ("--simplify-passes", {"type": int}))
 
 # name, help, handler, one-of inputs (required when any), other arguments
 _COMMANDS = (

@@ -134,14 +134,24 @@ def obstruct(v: HalfLaurent, det: int, prime: bool = False) -> QAVerdict:
 
 
 class Budget(_Record):
+    """How much work certify may do. max_nodes bounds the nodes visited,
+    max_depth the levels below the root, and simplify_passes the R1/R2
+    moves that reduce one node (None: no bound). Each field is a
+    non-negative int, and ValueError names one that is not. A budget
+    only ends a search: passing any one bound ends it with
+    Unknown("budget"), so a certificate does not depend on its budget."""
+
     __slots__ = ("max_depth", "max_nodes", "simplify_passes")
 
     def __init__(self, max_depth: int = 24, max_nodes: int = 100000,
                  simplify_passes: int | None = None):
-        # simplify_passes None: simplify to the fixpoint
-        object.__setattr__(self, "max_depth", max_depth)
-        object.__setattr__(self, "max_nodes", max_nodes)
-        object.__setattr__(self, "simplify_passes", simplify_passes)
+        for name, value in zip(self.__slots__,
+                               (max_depth, max_nodes, simplify_passes)):
+            if not ((type(value) is int and value >= 0)
+                    or (value is None and name == "simplify_passes")):
+                raise ValueError("%s must be a non-negative integer: %r"
+                                 % (name, value))
+            object.__setattr__(self, name, value)
 
 
 class Certificate(_Record):
@@ -201,12 +211,14 @@ def certify(d: Diagram, budget: Budget = Budget()):
     qualifies when both smoothings have positive determinants adding up
     to the parent's, and both children certify recursively. Each child
     is the smoothing with the curls it makes removed in the same splice
-    (Diagram.smooth with untwist); simplify, under the budget's pass
-    count, does the rest. Below an alternating node that simplify
-    reduced, that rest is nothing: the child is reduced and born marked
-    so, and simplify returns it without a scan (see the diagram module).
-    Returns the first Certificate in this deterministic order, or
-    Unknown("budget") / Unknown("exhausted").
+    (Diagram.smooth with untwist); simplify does the rest, and a node
+    that needs more R1/R2 moves than the budget's pass count ends the
+    search, so every node is at simplify's fixpoint. Below an
+    alternating node that simplify reduced, that rest is nothing: the
+    child is reduced and born marked so, and simplify returns it without
+    a scan (see the diagram module). Returns the first Certificate in
+    this deterministic order, or Unknown("budget") /
+    Unknown("exhausted").
 
     A node that is not alternating reads its det and each crossing's
     pair (det0, det1) off its black graph (tait.smoothing_dets), one
@@ -229,15 +241,15 @@ def certify(d: Diagram, budget: Budget = Budget()):
     diagram planar, so no node below is checked again; checkerboard
     makes its own check at the non-alternating nodes it reads.
 
-    The search memoises each certified reduced diagram by its text, and
-    each one whose search failed. The search below a node depends on its
-    text alone, and a node that fails was searched in full, since a node
-    or depth overrun ends the whole search. So no reduced diagram is
-    expanded twice; the order of the search is kept, and only subtrees
-    known to fail are skipped, so a certificate comes out the same, in
-    fewer nodes. The certificate is written from the success memo once
-    the search is done, in the version 2 layout (see Certificate): each
-    distinct node in full once, with "pd" = d.render() at the root.
+    The search memoises each reduced diagram by its text, whether it
+    certified or failed. The search below a node depends on its text
+    alone, and a node that fails was searched in full, since any overrun
+    ends the whole search. So no reduced diagram is expanded twice; the
+    order of the search is kept, and only subtrees known to fail are
+    skipped, so a certificate comes out the same, in fewer nodes. The
+    certificate is written from the memo once the search is done, in the
+    version 2 layout (see Certificate): each distinct node in full once,
+    with "pd" = d.render() at the root.
 
     The search adds one Python frame per level, and each level removes
     a crossing (simplify never adds one), so the depth never exceeds the
@@ -247,11 +259,10 @@ def certify(d: Diagram, budget: Budget = Budget()):
         raise DisconnectedDiagram(
             "certification needs a connected nonempty diagram")
     d.check_planar()
-    # reduced PD text -> (det, crossing, child 0 key, child 1 key); the
-    # unknot leaf's key is its PD text, "", and its det is 1
+    # reduced PD text -> (det, crossing, child 0 key, child 1 key), or
+    # None where the node's search failed; the unknot leaf's key is its
+    # PD text, "", and its det is 1
     memo = {"": (1,)}
-    # reduced PD text of each node whose search failed
-    failed = set()
     counter = [0]
 
     def rec(dd: Diagram, depth: int):
@@ -259,23 +270,25 @@ def certify(d: Diagram, budget: Budget = Budget()):
         counter[0] += 1
         if counter[0] > budget.max_nodes or depth > budget.max_depth:
             raise _BudgetExceeded()
-        s = dd.simplify(budget.simplify_passes).canonical()
+        s = dd.simplify(budget.simplify_passes)
+        if s.simplify(1) is not s:
+            # more moves than the pass count; a fixpoint returns at once
+            raise _BudgetExceeded()
+        s = s.canonical()
         if not s.crossings:
             return "" if s.component_count == 1 else None
         if not s.is_connected():
             return None
         key = s.render()
         if key in memo:
-            return key
-        if key in failed:
-            return None
+            return None if memo[key] is None else key
         alternating = s.is_alternating()
         if not alternating:
             det, pairs = smoothing_dets(checkerboard(s))
             if det < 2:
                 # a 1-determinant diagram that does not simplify away is
                 # not provably the unknot; additivity needs det >= 2 anyway
-                failed.add(key)
+                memo[key] = None
                 return None
         for c in range(len(s.crossings)):
             if alternating:
@@ -300,7 +313,7 @@ def certify(d: Diagram, budget: Budget = Budget()):
             # and det1 were solved the sum is det
             memo[key] = (memo[k0][0] + memo[k1][0], c, k0, k1)
             return key
-        failed.add(key)
+        memo[key] = None
         return None
 
     try:
@@ -333,27 +346,12 @@ def _entry(memo, ids, key: str) -> dict:
 
 
 def _reduced(d: Diagram, want: str) -> Diagram | None:
-    """The reduction of d that a search stored as want, or None.
-
-    The fixpoint of simplify() comes first. A search with a pass budget
-    may stop earlier; simplify is greedy and deterministic, so its
-    partial reductions are the prefixes of one move sequence, and each
-    of them is isotopic to d. A search stores only connected diagrams
-    with crossings, and moves never remove a free loop, so the sequence
-    is read only up to its first free loop."""
+    """The reduction of d that a search stored as want, or None. A
+    search stores each node at simplify()'s fixpoint, whatever its
+    budget, and only connected nodes with crossings, so a reduction with
+    a free loop matches nothing."""
     s = d.simplify().canonical()
-    if not s.free_loops and s.render() == want:
-        return s
-    step = d
-    while not step.free_loops:
-        s = step.canonical()
-        if s.render() == want:
-            return s
-        nxt = step.simplify(1)
-        if nxt is step:
-            break
-        step = nxt
-    return None
+    return s if not s.free_loops and s.render() == want else None
 
 
 def _check_root(tree):
@@ -413,8 +411,8 @@ def replay_certificate(cert) -> bool:
     every crossing (see certify and tait.smoothing_dets).
 
     Child r of a node is derived as s.smooth(c, r, untwist=True) from
-    the node's reduced diagram s, and must reduce (as the search
-    reduced it, see _reduced) to the child's reduced_pd, or simplify to
+    the node's reduced diagram s, and must reduce (to simplify's
+    fixpoint, see _reduced) to the child's reduced_pd, or simplify to
     the unknot at a leaf. Below a reduced alternating s the child is
     born marked as reduced, and neither check scans it for moves. A ref
     names a full node written before it in preorder whose check is

@@ -438,6 +438,21 @@ def test_batch_budget_without_certify_is_exit_1(tmp_path, capsys):
     assert err.startswith("error:") and "--certify" in err
 
 
+@pytest.mark.parametrize("value, message", [
+    ("-1", "error: max_nodes must be a non-negative integer: -1\n"),
+    ("1.5", "argument --max-nodes: invalid int value: '1.5'\n")])
+def test_batch_bad_budget_flag_is_exit_1_before_any_line(tmp_path, capsys,
+                                                         value, message):
+    # the budget is checked once, before the lines, so a bad flag is no
+    # per-line error record
+    path = tmp_path / "links.txt"
+    path.write_text(HOPF + "\n" + TREFOIL + "\n")
+    code, out, err = run(capsys, "batch", str(path), "--certify",
+                         "--max-nodes", value)
+    assert code == 1 and out == ""
+    assert err.endswith(message)
+
+
 def test_batch_missing_file(capsys):
     code, _, err = run(capsys, "batch", "/nonexistent/path.txt")
     assert code == 1 and "cannot read" in err

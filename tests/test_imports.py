@@ -111,7 +111,9 @@ def test_every_public_name_is_read_outside_the_tests():
     assert unread == []
 
 
-PORT_FIELDS = ("_mate", "_fin", "_flat", "_starts", "_walk_numbered")
+# Diagram's port arrays and the marks it keeps beside them
+PORT_FIELDS = ("_mate", "_fin", "_flat", "_starts", "_walk_numbered",
+               "_fixpoint", "_pieces", "_alternating", "_planar")
 
 
 def test_port_layout_is_read_where_diagram_says():

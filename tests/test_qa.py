@@ -1,4 +1,5 @@
 import collections
+import functools
 import hashlib
 import json
 import random
@@ -298,6 +299,21 @@ def test_certify_budget_exhaustion_is_unknown():
     assert out.reason == "budget"
 
 
+@pytest.mark.parametrize("field, value", [
+    ("max_depth", None), ("max_depth", -1), ("max_depth", True),
+    ("max_depth", 2.0), ("max_nodes", "5"), ("max_nodes", True),
+    ("max_nodes", -1), ("max_nodes", None), ("simplify_passes", 1.5),
+    ("simplify_passes", -1), ("simplify_passes", False),
+    ("simplify_passes", "3")])
+def test_budget_refuses_a_field_that_is_no_count(field, value):
+    # each field is checked when the budget is made, not deep in a
+    # search; a bool is no count, though it is an int
+    with pytest.raises(ValueError) as err:
+        Budget(**{field: value})
+    assert str(err.value) == ("%s must be a non-negative integer: %r"
+                              % (field, value))
+
+
 # the keys of an internal node below the root
 _NODE_KEYS = ("reduced_pd", "det", "crossing", "children")
 
@@ -558,11 +574,13 @@ def test_to_json_rejects_what_json_rejects():
         Certificate({"children": loop}).to_json()
 
 
-def test_replay_names_a_wrong_child_of_a_free_loop_smoothing():
+def test_replay_refuses_a_wrong_child_below_an_unreduced_node():
     # a node stored unreduced, at a curl: one smoothing of the curl's
     # crossing splits off a free loop, and a child naming only the
     # crossings that remain is not that smoothing, though its other
-    # child, certified, reduces to the same text
+    # child, certified, reduces to the same text. A search stores every
+    # node at simplify's fixpoint, so replay refuses the node itself
+    # before it reaches the children
     d = corpus.trefoil().connected_sum(corpus.curl()).canonical()
     c, r = next((c, r) for c in range(len(d.crossings)) for r in (0, 1)
                 if d.smooth(c, r, untwist=True).free_loops)
@@ -580,7 +598,7 @@ def test_replay_names_a_wrong_child_of_a_free_loop_smoothing():
             "det": 3, "crossing": c, "children": kids}
     with pytest.raises(ValueError) as err:
         replay_certificate(tree)
-    assert str(err.value) == "child %d is not the %d-smoothing" % (r, r)
+    assert str(err.value) == "reduced diagram mismatch"
 
 
 def test_replay_names_a_wrong_child():
@@ -906,13 +924,17 @@ def _with_curls(d, n):
 
 
 @pytest.mark.parametrize("base", [corpus.figure_eight, corpus.hopf])
-def test_replay_accepts_partial_reduction(base):
-    # two simplify passes stop the search's reduction short of the
-    # fixpoint that replay reaches
+def test_a_pass_budget_that_binds_ends_the_search(base):
+    # the three curls take three simplify passes to undo; with fewer,
+    # the root is left short of its fixpoint, and that ends the search
+    # as a node or depth overrun does, so no certificate holds a partial
+    # reduction, and a pass count that does not bind changes nothing
     d = _with_curls(base(), 3)
-    cert = certify(d, Budget(simplify_passes=2))
-    assert isinstance(cert, Certificate)
-    assert cert.tree["reduced_pd"] != d.simplify().canonical().render()
+    for passes in range(3):
+        assert certify(d, Budget(simplify_passes=passes)) == Unknown("budget")
+    cert = certify(d, Budget(simplify_passes=3))
+    assert cert == certify(d)
+    assert cert.tree["reduced_pd"] == d.simplify().canonical().render()
     assert replay_certificate(cert)
     bad = json.loads(cert.to_json())
     bad["reduced_pd"] = corpus.trefoil().render()
@@ -950,6 +972,33 @@ def test_connected_sum_factors_certify_within_same_budget():
         assert isinstance(certify(whole, budget), Certificate)
         for part in parts:
             assert isinstance(certify(part, budget), Certificate)
+
+
+def test_non_prime_certified_links_have_many_gaps_only_as_hopf_sums():
+    # the paper's last theorem: the Jones polynomial of a non-prime QA
+    # link has more than one gap exactly when the link is a connected
+    # sum of Hopf links; a sum of k Hopf links has det 2^k and k gaps.
+    # No rule of the battery fires without the prime assumption
+    H, T, E = corpus.hopf(), corpus.trefoil(), corpus.figure_eight()
+    hopf_sums = [(H, H), (H, H.mirror()), (H, H, H),
+                 (H, H.mirror(), H, H.mirror()), (H,) * 5]
+    others = [(H, T), (H, E), (T, E), (T, T.mirror()), (E, E), (H, H, T),
+              (H, corpus.torus(5)), (corpus.torus(4), corpus.torus(4))]
+    for factors, hopf_sum in ([(f, True) for f in hopf_sums]
+                              + [(f, False) for f in others]):
+        d = functools.reduce(Diagram.connected_sum, factors)
+        cert = certify(d)
+        assert isinstance(cert, Certificate), factors
+        assert replay_certificate(cert)
+        v = jones(d)
+        gaps = analyze(v, step2=2).gap_count()
+        if hopf_sum:
+            assert (cert.tree["det"], gaps) == (2 ** len(factors),
+                                                len(factors)), factors
+        else:
+            assert gaps <= 1, factors
+        out = obstruct(v, cert.tree["det"], prime=False)
+        assert out.status == INCONCLUSIVE, (factors, out.reasons)
 
 
 def test_no_cancellation_at_certified_crossings():
