@@ -671,7 +671,8 @@ def parse_pd(text: str) -> Diagram:
     if s.startswith("["):
         try:
             data = json.loads(s)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
+            # json.loads recurses once per nesting level
             raise PDSyntaxError("bad PD JSON: %s" % exc) from None
         if not isinstance(data, list) or not all(
                 isinstance(row, list) for row in data):

@@ -155,22 +155,20 @@ class Budget(_Record):
 
 
 class Certificate(_Record):
-    """A certificate is its tree, format version 2: the root is
-    {"version": 2, "pd": <root PD text>, "det": <its determinant>, ...}
-    and otherwise a node. An internal node is {"reduced_pd", "det",
-    "crossing", "children": [c0, c1]}: its diagram reduced by simplify,
-    as canonical PD text, the determinant of its link, and the crossing
-    of the reduced diagram whose r-smoothing, untwisted
-    (Diagram.smooth with untwist), child r is. Each child is one of:
+    """A certificate is its tree, format version 3: {"version": 3,
+    "pd": <root PD text>, "nodes": [...]}, a flat table of the internal
+    nodes. Node i is the array [reduced_pd, det, crossing, child0,
+    child1]: its diagram reduced by simplify, as canonical PD text, the
+    determinant of its link, and the crossing of the reduced diagram
+    whose r-smoothing, untwisted (Diagram.smooth with untwist), child r
+    is. Each child is "leaf", the unknot, of det 1, or the index j of
+    node j, i < j < len(nodes). Node 0 is the root's reduced diagram,
+    and every other node is some node's child. A root that is a leaf
+    has no nodes, and its det is 1.
 
-    - the full internal node, where its "reduced_pd" first occurs in
-      preorder;
-    - {"ref": i}, the i-th full internal node in preorder, the root
-      being 0, written before it;
-    - {"leaf": true}, the unknot, of det 1.
-
-    No child stores PD text of its own. A root that is a leaf is
-    {"version": 2, "pd": ..., "det": 1, "leaf": true}."""
+    No child stores PD text of its own, each distinct reduced diagram
+    is one node, and the JSON nests to the same depth however deep the
+    tree."""
 
     __slots__ = ("tree",)
 
@@ -248,8 +246,12 @@ def certify(d: Diagram, budget: Budget = Budget()):
     order of the search is kept, and only subtrees known to fail are
     skipped, so a certificate comes out the same, in fewer nodes. The
     certificate is written from the memo once the search is done, in the
-    version 2 layout (see Certificate): each distinct node in full once,
-    with "pd" = d.render() at the root.
+    version 3 layout (see Certificate), with "pd" = d.render() at the
+    root. The memo takes a node only after both its children, so its
+    certified nodes reachable from the top, numbered in reverse
+    insertion order, put every child after its parents. The order in
+    which parents find their children would not: a shared child found
+    below one parent may precede another parent found later.
 
     The search adds one Python frame per level, and each level removes
     a crossing (simplify never adds one), so the depth never exceeds the
@@ -326,23 +328,18 @@ def certify(d: Diagram, budget: Budget = Budget()):
         rec = None
     if top is None:
         return Unknown("exhausted")
-    root = {"version": 2, "pd": d.render()}
-    if not top:
-        return Certificate({**root, "det": 1, "leaf": True})
-    return Certificate({**root, **_entry(memo, {}, top)})
-
-
-def _entry(memo, ids, key: str) -> dict:
-    """The certificate entry of the memo's node key: in full, numbered
-    in ids by preorder, the first time; a ref to that number after."""
-    if not key:
-        return {"leaf": True}
-    if key in ids:
-        return {"ref": ids[key]}
-    ids[key] = len(ids)
-    det, c, k0, k1 = memo[key]
-    return {"reduced_pd": key, "det": det, "crossing": c,
-            "children": [_entry(memo, ids, k0), _entry(memo, ids, k1)]}
+    keys, reach = [], {top}
+    for key in reversed(memo):
+        if key and key in reach:
+            keys.append(key)
+            reach.update(memo[key][2:])
+    ids = {key: i for i, key in enumerate(keys)}
+    ids[""] = "leaf"
+    nodes = []
+    for key in keys:
+        det, c, k0, k1 = memo[key]
+        nodes.append([key, det, c, ids[k0], ids[k1]])
+    return Certificate({"version": 3, "pd": d.render(), "nodes": nodes})
 
 
 def _reduced(d: Diagram, want: str) -> Diagram | None:
@@ -355,36 +352,33 @@ def _reduced(d: Diagram, want: str) -> Diagram | None:
 
 
 def _check_root(tree):
-    """Raise ValueError unless tree is shaped like a version 2 root: an
-    object with "version" 2, a string "pd" and an int "det", and unless
-    it is a leaf, shaped like an internal node."""
-    if not isinstance(tree, dict) or tree.get("version") != 2 \
+    """Raise ValueError unless tree is shaped like a version 3 root: an
+    object with "version" 3, a string "pd" and a list "nodes"."""
+    if not isinstance(tree, dict) or tree.get("version") != 3 \
             or type(tree["version"]) is not int:
-        raise ValueError("certificate needs \"version\": 2")
+        raise ValueError("certificate needs \"version\": 3")
     if not isinstance(tree.get("pd"), str):
         raise ValueError("certificate root needs a string \"pd\"")
-    if tree.get("leaf") is not True:
-        _check_node(tree)
-    elif type(tree.get("det")) is not int:
-        raise ValueError("certificate node needs an integer \"det\"")
+    if not isinstance(tree.get("nodes"), list):
+        raise ValueError("certificate root needs a list \"nodes\"")
 
 
-def _check_node(node):
-    """Raise ValueError unless node is shaped like an internal node: an
-    object with a string "reduced_pd", an int "det", an int "crossing"
-    and a list of two children. JSON true and 3.0 are not ints here, as
-    in parse_pd."""
-    if not isinstance(node, dict):
-        raise ValueError("certificate node must be an object")
-    if type(node.get("det")) is not int:
-        raise ValueError("certificate node needs an integer \"det\"")
-    if (not isinstance(node.get("reduced_pd"), str)
-            or type(node.get("crossing")) is not int):
-        raise ValueError("internal node needs a string \"reduced_pd\" "
-                         "and an integer \"crossing\"")
-    kids = node.get("children")
-    if not isinstance(kids, list) or len(kids) != 2:
-        raise ValueError("internal node needs two children")
+def _check_node(nodes, i: int) -> list:
+    """Node i of the table, after a ValueError unless it is shaped as
+    [reduced_pd, det, crossing, child0, child1]: a string, two ints and
+    two children, each "leaf" or the index of a later node. JSON true
+    and 3.0 are not ints here, as in parse_pd."""
+    node = nodes[i]
+    if not (isinstance(node, list) and len(node) == 5
+            and isinstance(node[0], str) and type(node[1]) is int
+            and type(node[2]) is int):
+        raise ValueError("certificate node %d is not [reduced_pd, det, "
+                         "crossing, child0, child1]" % i)
+    for r, k in enumerate(node[3:]):
+        if k != "leaf" and not (type(k) is int and i < k < len(nodes)):
+            raise ValueError("node %d: child %d is neither \"leaf\" nor "
+                             "a later node: %r" % (i, r, k))
+    return node
 
 
 def _check_leaf(d: Diagram):
@@ -394,104 +388,77 @@ def _check_leaf(d: Diagram):
 
 
 def replay_certificate(cert) -> bool:
-    """Re-verify a version 2 certificate, or a bare tree, from scratch;
+    """Re-verify a version 3 certificate, or a bare tree, from scratch;
     raises ValueError on any broken condition, including the root
     determinant against the bracket route. The root diagram is the
     tree's "pd", parsed once and checked once for a planar embedding
-    (NoEmbedding), which its smoothings keep, and reduced to its
-    "reduced_pd" (or, at a leaf root, to the unknot, with det 1).
+    (NoEmbedding), which its smoothings keep, and reduced to node 0's
+    reduced_pd (or, with no nodes, to the unknot, with det 1).
 
-    Each full node is checked once. Its stored det is checked against
-    the Goeritz determinant of its black graph, unless the node is
-    alternating: such a node must be connected, and its stored det must
-    equal the sum of its children's, which are checked first. By
-    induction from the leaves each child's det is its link's; on a
-    connected planar alternating diagram the black graph is one-signed,
-    so the node's det is the sum of its two smoothings' determinants at
-    every crossing (see certify and tait.smoothing_dets).
+    Two loops over the table check it, neither recursive. The forward
+    loop takes the nodes in index order, so each comes after all its
+    parents. A node's shape is checked where it is first met, and a node
+    that no parent derived is refused. Child r of node i is derived as
+    s.smooth(c, r, untwist=True) from node i's reduced diagram s, and
+    must reduce (to simplify's fixpoint, see _reduced) to the child's
+    reduced_pd, or simplify to the unknot at a leaf; the first parent's
+    reduction is the child's diagram, kept until the child's own
+    children are derived. Below a reduced alternating s the child is
+    born marked as reduced, and neither check scans it for moves. A node
+    that is alternating must be connected; any other node's stored det
+    must be the Goeritz determinant of its black graph.
 
-    Child r of a node is derived as s.smooth(c, r, untwist=True) from
-    the node's reduced diagram s, and must reduce (to simplify's
-    fixpoint, see _reduced) to the child's reduced_pd, or simplify to
-    the unknot at a leaf. Below a reduced alternating s the child is
-    born marked as reduced, and neither check scans it for moves. A ref
-    names a full node written before it in preorder whose check is
-    done, so its det is known; an ancestor, a node after it, an index
-    out of range and a key written in full twice are refused.
-
-    The walk adds one Python frame per level, and it descends only into
-    children already checked to be smoothings, each with one crossing
-    fewer, so it goes no deeper than the root's crossing count, whatever
-    the tree."""
+    The backward loop, from the last node, checks d0 >= 1, d1 >= 1 and
+    d0 + d1 = det at every node, its children being checked before it.
+    By induction each child's det is its link's, and so is an
+    alternating node's: on a connected planar alternating diagram the
+    black graph is one-signed, so the det is the sum of the two
+    smoothings' determinants at every crossing (see certify and
+    tait.smoothing_dets)."""
     tree = cert.tree if isinstance(cert, Certificate) else cert
     _check_root(tree)
     root = parse_pd(tree["pd"])
     root.check_planar()
-    keys = []  # reduced_pd of each full node, by preorder index
-    dets = {}  # reduced_pd -> det of a full node, None until checked
-
-    def child_det(s, c, r, kid):
-        # check kid as child r of the node s at crossing c; its det
-        sm = s.smooth(c, r, untwist=True)
-        if not isinstance(kid, dict):
-            raise ValueError("certificate node must be an object")
-        ref = kid.get("ref")
-        if ref is not None:
-            if (type(ref) is not int or not 0 <= ref < len(keys)
-                    or dets[keys[ref]] is None):
-                raise ValueError("child %d refers to no node checked "
-                                 "before it: %r" % (r, ref))
-            key = keys[ref]
-        elif kid.get("leaf") is True:
-            _check_leaf(sm)
-            return 1
-        else:
-            _check_node(kid)
-            key = kid["reduced_pd"]
-        reduced = _reduced(sm, key)
-        if reduced is None:
-            raise ValueError("child %d is not the %d-smoothing" % (r, r))
-        return walk(kid, reduced) if ref is None else dets[key]
-
-    def walk(node, s):
-        key = node["reduced_pd"]
-        if key in dets:
-            raise ValueError("node %r is written in full twice" % key)
-        dets[key] = None
-        keys.append(key)
-        alternating = s.is_alternating()
-        if alternating:
+    nodes = tree["nodes"]
+    # node i's reduced diagram, from its first parent, until its
+    # children are derived
+    derived = [None] * len(nodes)
+    if nodes:
+        derived[0] = _reduced(root, _check_node(nodes, 0)[0])
+        if derived[0] is None:
+            raise ValueError("reduced diagram mismatch")
+    else:
+        _check_leaf(root)
+    for i in range(len(nodes)):
+        s, derived[i] = derived[i], None
+        if s is None:
+            raise ValueError("node %d has no parent" % i)
+        _, det, c, *kids = nodes[i]
+        if s.is_alternating():
             if not s.is_connected():
                 raise DisconnectedDiagram("certificate node is not connected")
         else:
-            det = goeritz_det(checkerboard(s))
-            if det != node["det"]:
-                raise ValueError("stored det %r != %r" % (node["det"], det))
-        c = node["crossing"]
-        kids = node["children"]
-        d0 = child_det(s, c, 0, kids[0])
-        d1 = child_det(s, c, 1, kids[1])
-        if alternating and d0 + d1 != node["det"]:
-            raise ValueError("stored det %r != %r" % (node["det"], d0 + d1))
-        if d0 < 1 or d1 < 1 or d0 + d1 != node["det"]:
-            raise ValueError("determinant additivity fails at a node")
-        dets[key] = node["det"]
-        return node["det"]
-
-    try:
-        if tree.get("leaf") is True:
-            if tree["det"] != 1:
-                raise ValueError("leaf with det != 1")
-            _check_leaf(root)
-            root_det = 1
-        else:
-            s = _reduced(root, tree["reduced_pd"])
-            if s is None:
-                raise ValueError("reduced diagram mismatch")
-            root_det = walk(tree, s)
-    finally:
-        # as in certify: free what walk's closure holds now
-        walk = child_det = None
+            got = goeritz_det(checkerboard(s))
+            if got != det:
+                raise ValueError("stored det %r != %r" % (det, got))
+        for r, k in enumerate(kids):
+            sm = s.smooth(c, r, untwist=True)
+            if k == "leaf":
+                _check_leaf(sm)
+                continue
+            reduced = _reduced(sm, _check_node(nodes, k)[0])
+            if reduced is None:
+                raise ValueError("node %d: child %d is not the "
+                                 "%d-smoothing" % (i, r, r))
+            if derived[k] is None:
+                derived[k] = reduced
+    for i in reversed(range(len(nodes))):
+        _, det, _, *kids = nodes[i]
+        d0, d1 = (1 if k == "leaf" else nodes[k][1] for k in kids)
+        if d0 < 1 or d1 < 1 or d0 + d1 != det:
+            raise ValueError("determinant additivity fails at node %d: "
+                             "%r + %r against %r" % (i, d0, d1, det))
+    root_det = nodes[0][1] if nodes else 1
     if root_det != bracket_determinant(root):
         raise ValueError("root determinant disagrees with the bracket route")
     return True

@@ -287,12 +287,23 @@ def test_certify_json_replayable(capsys):
     code, out, _ = run(capsys, "certify", "--pd", TREFOIL)
     assert code == 0
     # pretty-printed for the terminal
-    assert out.startswith('{\n  "version": 2,\n  "pd": ')
+    assert out.startswith('{\n  "version": 3,\n  "pd": ')
     cert = Certificate.from_json(out)
     assert replay_certificate(cert)
-    assert cert.tree["det"] == 3
+    assert cert.tree["nodes"][0][1] == 3
     data = _json(capsys, "certify", "--pd", TREFOIL)
     assert data == {"status": "Certified", "certificate": cert.tree}
+
+
+def test_certify_prints_a_tree_599_levels_deep(capsys):
+    # the indented tree nests to the same depth however deep the search
+    # went
+    pd = corpus.torus(600).render()
+    code, out, err = run(capsys, "certify", "--max-depth", "5000", "--pd", pd)
+    assert code == 0 and err == ""
+    cert = Certificate.from_json(out)
+    assert cert.tree["version"] == 3 and len(cert.tree["nodes"]) == 599
+    assert replay_certificate(cert)
 
 
 def test_certify_budget_exit_2(capsys):
@@ -476,6 +487,13 @@ def test_pd_json_row_not_array_is_exit_1(pd):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+
+
+def test_pd_json_nested_too_deeply_is_exit_1(capsys):
+    # json.loads recurses once per level
+    code, out, err = run(capsys, "jones", "--pd", "[" * 2000)
+    assert code == 1 and out == ""
+    assert err.startswith("error: bad PD JSON: ") and err.count("\n") == 1
 
 
 def test_bad_pd_is_exit_1(capsys):

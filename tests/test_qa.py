@@ -179,30 +179,28 @@ def test_obstruct_collects_multiple_reasons():
 
 def test_certify_unknot_leaf():
     cert = certify(corpus.unknot())
-    assert cert.tree == {"version": 2, "pd": "", "det": 1, "leaf": True}
+    assert cert.tree == {"version": 3, "pd": "", "nodes": []}
     assert replay_certificate(cert)
 
 
 def test_certify_curl_is_leaf():
     cert = certify(corpus.curl())
-    assert cert.tree["leaf"] and cert.tree["det"] == 1
+    assert cert.tree == {"version": 3, "pd": corpus.curl().render(),
+                         "nodes": []}
 
 
 def test_certify_hopf_shape():
     cert = certify(corpus.hopf())
-    t = cert.tree
-    assert t["det"] == 2 and t["crossing"] == 0
-    assert t["children"][0]["leaf"] and t["children"][1]["leaf"]
+    [node] = cert.tree["nodes"]
+    assert node[1:] == [2, 0, "leaf", "leaf"]
     assert replay_certificate(cert)
 
 
 def test_certify_trefoil_children():
     cert = certify(corpus.trefoil())
-    t = cert.tree
-    assert t["det"] == 3
-    dets = sorted(1 if kid.get("leaf") else kid["det"]
-                  for kid in t["children"])
-    assert dets == [1, 2]
+    nodes = cert.tree["nodes"]
+    assert nodes[0][1] == 3
+    assert sorted(_det(nodes, k) for k in nodes[0][3:]) == [1, 2]
     assert replay_certificate(cert)
 
 
@@ -210,7 +208,7 @@ def test_certify_whole_corpus_and_replay():
     for e in corpus.entries():
         cert = certify(e.diagram)
         assert isinstance(cert, Certificate), e.name
-        assert cert.tree["det"] == e.det
+        assert _root_det(cert.tree) == e.det
         assert replay_certificate(cert), e.name
 
 
@@ -262,9 +260,8 @@ def test_non_planar_alternating_code_is_refused():
     with pytest.raises(NoEmbedding):
         certify(d)
     s = d.simplify().canonical()
-    tree = {"version": 2, "pd": d.render(), "reduced_pd": s.render(),
-            "det": 2, "crossing": 0,
-            "children": [{"leaf": True}, {"leaf": True}]}
+    tree = {"version": 3, "pd": d.render(),
+            "nodes": [[s.render(), 2, 0, "leaf", "leaf"]]}
     with pytest.raises(NoEmbedding):
         replay_certificate(tree)
 
@@ -283,7 +280,7 @@ def test_non_planar_code_gives_one_message_everywhere(capsys, pd):
     message = ("face count %d is not %d, crossings + 2 per piece of the "
                "shadow: the PD code is not planar"
                % (d.face_count(), len(d.crossings) + 2))
-    leaf = {"version": 2, "pd": pd, "det": 1, "leaf": True}
+    leaf = {"version": 3, "pd": pd, "nodes": []}
     for call, arg in ((checkerboard, d), (certify, d),
                       (replay_certificate, leaf)):
         with pytest.raises(NoEmbedding) as exc:
@@ -314,19 +311,25 @@ def test_budget_refuses_a_field_that_is_no_count(field, value):
                               % (field, value))
 
 
-# the keys of an internal node below the root
-_NODE_KEYS = ("reduced_pd", "det", "crossing", "children")
+def _det(nodes, k):
+    """The det of child k: node k's, or 1 at a leaf."""
+    return 1 if k == "leaf" else nodes[k][1]
+
+
+def _root_det(tree):
+    return _det(tree["nodes"], 0) if tree["nodes"] else 1
 
 
 def test_replay_rejects_tampering():
     cert = certify(corpus.trefoil())
     bad = json.loads(cert.to_json())
-    bad["det"] = 4
+    bad["nodes"][0][1] = 4
     with pytest.raises(ValueError):
         replay_certificate(Certificate(bad))
+    # the Hopf link's node where the trefoil has a leaf
     bad2 = json.loads(cert.to_json())
-    hopf = certify(corpus.hopf()).tree
-    bad2["children"][0] = {k: hopf[k] for k in _NODE_KEYS}
+    bad2["nodes"].append(certify(corpus.hopf()).tree["nodes"][0])
+    bad2["nodes"][0][3] = 2
     with pytest.raises(ValueError):
         replay_certificate(Certificate(bad2))
 
@@ -347,28 +350,23 @@ def test_replay_refuses_a_root_pd_swapped_for_another_link():
 
 
 TREFOIL_CERTIFICATE = """{
-  "version": 2,
+  "version": 3,
   "pd": "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]",
-  "reduced_pd": "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]",
-  "det": 3,
-  "crossing": 0,
-  "children": [
-    {
-      "leaf": true
-    },
-    {
-      "reduced_pd": "X[1,3,2,4] X[4,2,3,1]",
-      "det": 2,
-      "crossing": 0,
-      "children": [
-        {
-          "leaf": true
-        },
-        {
-          "leaf": true
-        }
-      ]
-    }
+  "nodes": [
+    [
+      "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]",
+      3,
+      0,
+      "leaf",
+      1
+    ],
+    [
+      "X[1,3,2,4] X[4,2,3,1]",
+      2,
+      0,
+      "leaf",
+      "leaf"
+    ]
   ]
 }"""
 
@@ -391,7 +389,7 @@ def test_trefoil_certificate_is_pinned(capsys):
 # because the search memoises failed nodes. The search must not depend
 # on set or dict order, so CI runs this under two PYTHONHASHSEED values.
 SEEDED_CERTIFICATES_DIGEST = (
-    "9b1b5bb87518213053c4fd5bc0e62d324b532aa5f73b54bc73aa1b7e2032b10a")
+    "744447760f301b6dbe0cfb15926667577f4c297ca8ca58cd851a2e735560ed95")
 
 
 def _near_alternating_closures(count, seed):
@@ -512,7 +510,7 @@ def test_round_trip_scans_for_moves_at_the_root_only(monkeypatch):
     for d in closures:
         cert = certify(d)
         assert isinstance(cert, Certificate)
-        assert len(_internal_nodes(cert.tree)) > 3
+        assert len(cert.tree["nodes"]) > 3
         assert replay_certificate(Certificate.from_json(cert.to_json()))
     assert not any(scans)
     assert len(scans) == 2 * len(closures)
@@ -530,7 +528,7 @@ def test_certified_closures_satisfy_the_papers_bounds():
             continue
         certified += 1
         v = jones(d)
-        det = out.tree["det"]
+        det = _root_det(out.tree)
         assert det == v.abs_at_minus_one()
         verdict = obstruct(v, det)
         assert verdict.status == INCONCLUSIVE, verdict.reasons
@@ -586,16 +584,13 @@ def test_replay_refuses_a_wrong_child_below_an_unreduced_node():
                 if d.smooth(c, r, untwist=True).free_loops)
     sm = d.smooth(c, r, untwist=True)
     assert sm.crossings
-    right = certify(d.smooth(c, 1 - r, untwist=True)).tree
-    assert not _refs(right)
-    assert Diagram(sm.crossings).canonical().render() == right["reduced_pd"]
-    # child r names the text child 1 - r reduces to: by a ref when child
-    # 1 - r comes first, in full otherwise
-    kids = [None, None]
-    kids[1 - r] = {k: right[k] for k in _NODE_KEYS}
-    kids[r] = {"ref": 1} if r else dict(kids[1])
-    tree = {"version": 2, "pd": d.render(), "reduced_pd": d.render(),
-            "det": 3, "crossing": c, "children": kids}
+    right = certify(d.smooth(c, 1 - r, untwist=True)).tree["nodes"]
+    assert Diagram(sm.crossings).canonical().render() == right[0][0]
+    # both children name node 1, the text child 1 - r reduces to
+    below = [node[:3] + [k if k == "leaf" else k + 1 for k in node[3:]]
+             for node in right]
+    tree = {"version": 3, "pd": d.render(),
+            "nodes": [[d.render(), 3, c, 1, 1]] + below}
     with pytest.raises(ValueError) as err:
         replay_certificate(tree)
     assert str(err.value) == "reduced diagram mismatch"
@@ -603,10 +598,10 @@ def test_replay_refuses_a_wrong_child_below_an_unreduced_node():
 
 def test_replay_names_a_wrong_child():
     tree = json.loads(TREFOIL_CERTIFICATE)
-    tree["children"][0] = tree["children"][1]
+    tree["nodes"][0][3] = 1
     with pytest.raises(ValueError) as err:
         replay_certificate(tree)
-    assert str(err.value) == "child 0 is not the 0-smoothing"
+    assert str(err.value) == "node 0: child 0 is not the 0-smoothing"
 
 
 # the Hopf link's certificate in the version 1 layout, which wrote every
@@ -617,31 +612,49 @@ V1_HOPF_CERTIFICATE = {
     "children": [{"pd": "X[1,1,2,2]", "det": 1, "leaf": True},
                  {"pd": "X[1,2,2,1]", "det": 1, "leaf": True}]}
 
+# the trefoil's certificate in the version 2 layout, which nested each
+# node's children in it
+V2_TREFOIL_CERTIFICATE = {
+    "version": 2, "pd": "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]",
+    "reduced_pd": "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]", "det": 3,
+    "crossing": 0, "children": [
+        {"leaf": True},
+        {"reduced_pd": "X[1,3,2,4] X[4,2,3,1]", "det": 2, "crossing": 0,
+         "children": [{"leaf": True}, {"leaf": True}]}]}
+
+_TREFOIL_PD = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
+
 
 @pytest.mark.parametrize("base, path, value", [
-    ("trefoil", ("det",), None), ("trefoil", ("children",), None),
-    ("trefoil", ("reduced_pd",), None), ("trefoil", ("crossing",), None),
-    ("trefoil", ("pd",), None), ("leaf", ("det",), None),
-    ("trefoil", ("children",), 5), ("trefoil", ("children",), [1, 2]),
-    ("trefoil", ("children",), []),
-    ("trefoil", ("reduced_pd",), ["X[1,4,2,5]"]), ("trefoil", ("pd",), 7),
+    ("trefoil", ("nodes", 0, 1), None),
+    ("trefoil", ("nodes", 0), [_TREFOIL_PD, 3, 0]),
+    ("trefoil", ("nodes", 0, 0), None), ("trefoil", ("nodes", 0, 2), None),
+    ("trefoil", ("pd",), None), ("leaf", ("nodes",), None),
+    ("trefoil", ("nodes", 0), [_TREFOIL_PD, 3, 0, 5]),
+    ("trefoil", ("nodes", 0), [_TREFOIL_PD, 3, 0, 1, 2]),
+    ("trefoil", ("nodes",), []),
+    ("trefoil", ("nodes", 0, 0), ["X[1,4,2,5]"]), ("trefoil", ("pd",), 7),
     ("trefoil", (), [1, 2]), ("trefoil", (), "X[1,4,2,5]"),
-    ("leaf", ("det",), True), ("trefoil", ("det",), 3.0),
-    ("trefoil", ("crossing",), True),
+    ("leaf", ("nodes",), True), ("trefoil", ("nodes", 0, 1), 3.0),
+    ("trefoil", ("nodes", 0, 2), True),
     (None, None, "[" * 100000 + "]" * 100000),
-    ("trefoil", ("children", 0, "leaf"), None),
-    ("trefoil", ("children", 1, "det"), None),
-    ("trefoil", ("children", 0), 5),
-    ("trefoil", ("children", 0), {"ref": 7}),
-    ("trefoil", ("children", 0), {"ref": 1}),
-    ("trefoil", ("children", 0), {"ref": 0}),
-    ("trefoil", ("children", 0), {"ref": -1}),
-    ("trefoil", ("children", 0), {"ref": True}),
-    ("trefoil", ("children", 0), {"ref": "0"}),
+    ("trefoil", ("nodes", 0, 3), {}),
+    ("trefoil", ("nodes", 1, 1), None),
+    ("trefoil", ("nodes", 0, 4), 2),
+    ("trefoil", ("nodes", 0, 4), 7),
+    ("trefoil", ("nodes", 1, 3), 1),
+    ("trefoil", ("nodes", 1, 3), 0),
+    ("trefoil", ("nodes", 0, 4), -1),
+    ("trefoil", ("nodes", 0, 4), True),
+    ("trefoil", ("nodes", 0, 4), "1"),
     ("trefoil", ("version",), None), ("trefoil", ("version",), 1),
-    ("trefoil", ("version",), 2.0), ("trefoil", ("version",), "2"),
+    ("trefoil", ("version",), 3.0), ("trefoil", ("version",), "3"),
     ("leaf", ("version",), None), ("trefoil", (), V1_HOPF_CERTIFICATE),
-    ("leaf", ("det",), 2),
+    ("leaf", ("nodes",), [["", 2, 0, "leaf", "leaf"]]),
+    ("trefoil", ("nodes", 0, 3), "alternating"),
+    ("trefoil", ("nodes", 2), [_TREFOIL_PD, 3, 0, "leaf", "leaf"]),
+    ("trefoil", ("nodes", 1), ["X[1,3,2,4] X[4,2,3,1]", 2, 0, "leaf",
+                               "leaf", "leaf"]),
 ], ids=["no-det", "no-children", "no-reduced-pd", "no-crossing", "no-pd",
         "no-leaf-det", "children-int", "children-ints", "children-empty",
         "reduced-pd-list", "pd-int", "array", "string", "leaf-det-true",
@@ -649,11 +662,15 @@ V1_HOPF_CERTIFICATE = {
         "no-child-det", "child-int", "ref-out-of-range", "ref-forward",
         "ref-ancestor", "ref-negative", "ref-true", "ref-string",
         "no-version", "version-1", "version-float", "version-string",
-        "leaf-no-version", "v1-tree", "leaf-det-2"])
+        "leaf-no-version", "v1-tree", "leaf-det-2", "child-kind-unknown",
+        "node-no-parent", "node-too-long"])
 def test_malformed_certificate_is_value_error(base, path, value):
-    # value None deletes the key at path; an empty path replaces the
-    # tree; path None makes value the JSON text, which only from_json
-    # reads. The "leaf" base is the curl's certificate, a leaf root
+    # value None deletes the key or array entry at path; an empty path
+    # replaces the tree; path None makes value the JSON text, which only
+    # from_json reads. The "leaf" base is the curl's certificate, a leaf
+    # root, whose det is its empty node list. A child's index is its
+    # reference to a node: ref-forward names its own node, ref-ancestor
+    # its parent, child-int one past the last node
     if path is None:
         text = value
     else:
@@ -667,6 +684,8 @@ def test_malformed_certificate_is_value_error(base, path, value):
                 node = node[k]
             if value is None:
                 del node[path[-1]]
+            elif path[-1] == len(node):
+                node.append(value)
             else:
                 node[path[-1]] = value
         with pytest.raises(ValueError):
@@ -676,14 +695,29 @@ def test_malformed_certificate_is_value_error(base, path, value):
         replay_certificate(Certificate.from_json(text))
 
 
+def test_version_2_is_refused_by_name():
+    for read in (replay_certificate,
+                 lambda tree: Certificate.from_json(json.dumps(tree))):
+        with pytest.raises(ValueError) as err:
+            read(V2_TREFOIL_CERTIFICATE)
+        assert str(err.value) == 'certificate needs "version": 3'
+
+
 def test_ref_errors_name_the_child():
-    tree = json.loads(TREFOIL_CERTIFICATE)
-    for ref in (7, 1, 0, -1, True):
-        tree["children"][1] = {"ref": ref}
+    # a child is "leaf" or the index of a later node: any other child,
+    # and a node that no node names, is refused by its index
+    for k in (7, 2, 1, 0, -1, True, 1.0, "alternating", None):
+        tree = json.loads(TREFOIL_CERTIFICATE)
+        tree["nodes"][1][4] = k
         with pytest.raises(ValueError) as err:
             replay_certificate(tree)
-        assert str(err.value) == ("child 1 refers to no node checked "
-                                  "before it: %r" % ref)
+        assert str(err.value) == ('node 1: child 1 is neither "leaf" nor '
+                                  'a later node: %r' % (k,))
+    tree = json.loads(TREFOIL_CERTIFICATE)
+    tree["nodes"].append(tree["nodes"][1])
+    with pytest.raises(ValueError) as err:
+        replay_certificate(tree)
+    assert str(err.value) == "node 2 has no parent"
 
 
 def _shared_closure():
@@ -691,28 +725,67 @@ def _shared_closure():
     return braid_closure([1, -2] * 4, 3)
 
 
-def _entries(tree, path=()):
-    """(path, entry) for every entry of a certificate tree in preorder,
-    the path as keys from the root: full nodes, refs and leaves."""
-    yield path, tree
-    if "reduced_pd" in tree:
-        for r, kid in enumerate(tree["children"]):
-            yield from _entries(kid, path + ("children", r))
+def _parents(tree):
+    """How many times each node of the table is named as a child."""
+    count = [0] * len(tree["nodes"])
+    for node in tree["nodes"]:
+        for k in node[3:]:
+            if k != "leaf":
+                count[k] += 1
+    return count
 
 
-def _internal_nodes(tree):
-    """The full internal nodes in preorder: {"ref": i} names the i-th."""
-    return [node for _, node in _entries(tree) if "reduced_pd" in node]
-
-
-def _refs(tree):
-    return [node["ref"] for _, node in _entries(tree) if "ref" in node]
+def _found_order(nodes):
+    """The node indices in the order a depth-first walk from node 0,
+    child 0 first, first meets them: the order of the search."""
+    order, seen, stack = [], set(), [0]
+    while stack:
+        i = stack.pop()
+        if i not in seen:
+            seen.add(i)
+            order.append(i)
+            stack.extend(k for k in nodes[i][:2:-1] if k != "leaf")
+    return order
 
 
 def _near_shared_closure():
     # a non-alternating 4-braid closure whose certificate shares both
     # alternating and non-alternating nodes
     return braid_closure([3, -3, 3, 2, 2, 2, -3, -3, 2, 3, 3, 3], 4)
+
+
+def test_certificate_nodes_are_numbered_parents_first():
+    # every child's index exceeds its parents', every node but 0 has a
+    # parent, and each distinct reduced diagram is one node. Numbering
+    # the nodes in the order the search finds them would break the first
+    # rule on some of these trees: a shared child found below one parent
+    # comes before another parent found later
+    found_order_breaks = 0
+    for d in (_alternating_closures(8, seed=5)
+              + [_shared_closure(), _near_shared_closure()]):
+        nodes = certify(d).tree["nodes"]
+        assert len({node[0] for node in nodes}) == len(nodes)
+        assert all(k == "leaf" or i < k < len(nodes)
+                   for i, node in enumerate(nodes) for k in node[3:])
+        order = _found_order(nodes)
+        assert sorted(order) == list(range(len(nodes)))
+        rank = {i: n for n, i in enumerate(order)}
+        found_order_breaks += any(
+            rank[k] < rank[i] for i, node in enumerate(nodes)
+            for k in node[3:] if k != "leaf")
+    assert found_order_breaks >= 1
+
+
+def test_a_certificate_600_levels_deep_round_trips():
+    # the table nests to the same depth however deep the tree, so a tree
+    # of 599 levels, past the JSON coders' recursion and the default
+    # recursion limit, is written, read and replayed
+    cert = certify(corpus.torus(600), Budget(max_depth=5000))
+    nodes = cert.tree["nodes"]
+    assert len(nodes) == 599 and _found_order(nodes) == list(range(599))
+    back = Certificate.from_json(cert.to_json())
+    assert back.tree == cert.tree
+    assert replay_certificate(back)
 
 
 def _spy(monkeypatch, owner, attr):
@@ -730,11 +803,11 @@ def _spy(monkeypatch, owner, attr):
 
 def test_replay_checks_each_distinct_node_once(monkeypatch):
     # each distinct node is smoothed both ways at its crossing, once,
-    # however many refs name it; an all-alternating tree reads no black
-    # graph
+    # however many parents name it; an all-alternating tree reads no
+    # black graph
     cert = certify(_shared_closure())
-    keys = [n["reduced_pd"] for n in _internal_nodes(cert.tree)]
-    assert len(keys) == len(set(keys)) and _refs(cert.tree)
+    keys = [node[0] for node in cert.tree["nodes"]]
+    assert len(keys) == len(set(keys)) and max(_parents(cert.tree)) > 1
     smoothed = _spy(monkeypatch, Diagram, "smooth")
     graphs = _spy(monkeypatch, qalt.qa, "checkerboard")
     assert replay_certificate(Certificate.from_json(cert.to_json()))
@@ -745,9 +818,9 @@ def test_replay_checks_each_distinct_node_once(monkeypatch):
 def test_replay_reads_each_distinct_non_alternating_black_graph_once(
         monkeypatch):
     cert = certify(_near_shared_closure())
-    keys = [n["reduced_pd"] for n in _internal_nodes(cert.tree)]
+    keys = [node[0] for node in cert.tree["nodes"]]
     mixed = [k for k in keys if not parse_pd(k).is_alternating()]
-    shared = {keys[i] for i in _refs(cert.tree)}
+    shared = {k for k, n in zip(keys, _parents(cert.tree)) if n > 1}
     assert shared & set(mixed) and shared - set(mixed)
     smoothed = _spy(monkeypatch, Diagram, "smooth")
     graphs = _spy(monkeypatch, qalt.qa, "checkerboard")
@@ -768,12 +841,12 @@ def test_certify_reads_black_graphs_of_non_alternating_nodes_only(
 
 def test_replay_reduces_each_edge_once(monkeypatch):
     # the root and each child that is not a leaf are reduced once, in
-    # preorder: a ref's smoothing is reduced to the text it names
+    # index order, each to the text of the node it names
     tree = json.loads(certify(_shared_closure()).to_json())
-    keys = [n["reduced_pd"] for n in _internal_nodes(tree)]
-    want = [n["reduced_pd"] if "ref" not in n else keys[n["ref"]]
-            for _, n in _entries(tree) if not n.get("leaf")]
-    assert len(want) == len(keys) + len(_refs(tree)) > len(keys)
+    nodes = tree["nodes"]
+    want = [nodes[0][0]] + [nodes[k][0] for node in nodes
+                            for k in node[3:] if k != "leaf"]
+    assert len(want) > len(nodes)
     wanted = []
     reduced = qalt.qa._reduced
 
@@ -786,42 +859,28 @@ def test_replay_reduces_each_edge_once(monkeypatch):
     assert wanted == want
 
 
+def _additivity_error(nodes, i, det):
+    return ("determinant additivity fails at node %d: %r + %r against %r"
+            % (i, *(_det(nodes, k) for k in nodes[i][3:]), det))
+
+
 def test_replay_rejects_tampering_inside_a_shared_copy():
-    # a node that refs share is checked once, where it is written in
-    # full, and a det changed there is refused there
+    # a node that two parents share is one entry, checked once, and a
+    # det changed there is refused there
     tree = json.loads(certify(_shared_closure()).to_json())
-    target = _internal_nodes(tree)[max(_refs(tree))]
-    det = target["det"]
-    target["det"] = det + 1
+    nodes = tree["nodes"]
+    i = max(j for j, n in enumerate(_parents(tree)) if n > 1)
+    nodes[i][1] += 1
     with pytest.raises(ValueError) as err:
         replay_certificate(tree)
-    assert str(err.value) == "stored det %d != %d" % (det + 1, det)
+    assert str(err.value) == _additivity_error(nodes, i, nodes[i][1])
 
 
-def test_replay_refuses_a_key_written_in_full_twice():
-    tree = certify(_shared_closure()).tree
-    full = _internal_nodes(tree)
-    path = next(p for p, n in _entries(tree) if "ref" in n)
-    node = tree
-    for k in path[:-1]:
-        node = node[k]
-    copy = json.loads(json.dumps(full[node[path[-1]]["ref"]]))
-    node[path[-1]] = copy
-    cert = Certificate.from_json(json.dumps(tree))
-    with pytest.raises(ValueError) as err:
-        replay_certificate(cert)
-    assert str(err.value) == ("node %r is written in full twice"
-                              % copy["reduced_pd"])
-
-
-def _replay_error(text, path, change):
+def _replay_error(text, i, change):
     """replay's error message, or None, on the tree of text after
-    change(node) at path."""
+    change(node i)."""
     tree = json.loads(text)
-    node = tree
-    for k in path:
-        node = node[k]
-    change(node)
+    change(tree["nodes"][i])
     try:
         replay_certificate(tree)
     except ValueError as err:
@@ -829,66 +888,54 @@ def _replay_error(text, path, change):
     return None
 
 
-def _child_error(s, c, r, kid, keys):
-    """The error replay gives for kid as child r of the node s at
-    crossing c, or None; a ref is taken to name a node checked before."""
+def _child_error(nodes, i, c, r, kid):
+    """The error replay gives for kid as child r of node i at crossing
+    c, or None."""
+    s = parse_pd(nodes[i][0])
     sm = s.smooth(c, r, untwist=True).simplify().canonical()
-    if kid.get("leaf"):
+    if kid == "leaf":
         if sm.crossings or sm.component_count != 1:
             return "leaf does not simplify to the unknot"
         return None
-    key = keys[kid["ref"]] if "ref" in kid else kid["reduced_pd"]
-    if sm.free_loops or sm.render() != key:
-        return "child %d is not the %d-smoothing" % (r, r)
+    if sm.free_loops or sm.render() != nodes[kid][0]:
+        return "node %d: child %d is not the %d-smoothing" % (i, r, r)
     return None
 
 
 def test_replay_rejects_single_edits_of_an_alternating_certificate():
-    # every entry of an all-alternating tree, one edit at a time: a det
+    # every node of an all-alternating tree, one edit at a time: a det
     # that is not the sum of the children's, a crossing whose untwisted
-    # smoothings do not reduce to the children, swapped children, a ref
-    # to another node checked before it
+    # smoothings do not reduce to the children, swapped children, a
+    # child index naming another later node
     text = certify(_shared_closure()).to_json()
-    tree = json.loads(text)
-    keys = [n["reduced_pd"] for n in _internal_nodes(tree)]
-    paths = [p for p, n in _entries(tree) if "reduced_pd" in n]
+    nodes = json.loads(text)["nodes"]
     edits = collections.Counter()
-    written = 0
-    for path, node in _entries(tree):
-        if "ref" in node:
-            # the latest node written before it that is not its ancestor
-            other = next((j for j in reversed(range(written))
-                          if paths[j] != path[:len(paths[j])]
-                          and j != node["ref"]), None)
-            if other is not None:
-                r = path[-1]
-                assert (_replay_error(text, path,
-                                      lambda n: n.update(ref=other))
-                        == "child %d is not the %d-smoothing" % (r, r))
-                edits["ref"] += 1
-            continue
-        if node.get("leaf"):
-            continue
-        written += 1
-        det = node["det"]
-        assert (_replay_error(text, path, lambda n: n.update(det=det + 1))
-                == "stored det %d != %d" % (det + 1, det))
-        s = parse_pd(node["reduced_pd"])
-        other = (node["crossing"] + 1) % len(s.crossings)
-        kids = node["children"]
-        want = next(filter(None, (_child_error(s, other, r, kids[r], keys)
+
+    def put(j, value):
+        return lambda node: node.__setitem__(j, value)
+
+    for i, (_, det, c, *kids) in enumerate(nodes):
+        assert (_replay_error(text, i, put(1, det + 1))
+                == _additivity_error(nodes, i, det + 1))
+        other = (c + 1) % len(parse_pd(nodes[i][0]).crossings)
+        want = next(filter(None, (_child_error(nodes, i, other, r, kids[r])
                                   for r in (0, 1))), None)
-        assert (_replay_error(text, path,
-                              lambda n: n.update(crossing=other)) == want)
+        assert _replay_error(text, i, put(2, other)) == want
         edits["crossing"] += want is not None
-        if not any("ref" in kid for kid in kids) and kids[0] != kids[1]:
-            want = ("leaf does not simplify to the unknot"
-                    if kids[1].get("leaf") else
-                    "child 0 is not the 0-smoothing")
-            assert (_replay_error(text, path,
-                                  lambda n: n["children"].reverse())
-                    == want)
+        if kids[0] != kids[1]:
+            want = (_child_error(nodes, i, c, 0, kids[1])
+                    or _child_error(nodes, i, c, 1, kids[0]))
+            assert want is not None
+            assert _replay_error(text, i, put(slice(3, 5), kids[::-1])) == want
             edits["swap"] += 1
+        for r, k in enumerate(kids):
+            other = next((j for j in reversed(range(i + 1, len(nodes)))
+                          if j != k), None)
+            if k != "leaf" and other is not None:
+                assert (_replay_error(text, i, put(3 + r, other))
+                        == "node %d: child %d is not the %d-smoothing"
+                        % (i, r, r))
+                edits["index"] += 1
     assert min(edits.values()) >= 8, edits
 
 
@@ -934,10 +981,10 @@ def test_a_pass_budget_that_binds_ends_the_search(base):
         assert certify(d, Budget(simplify_passes=passes)) == Unknown("budget")
     cert = certify(d, Budget(simplify_passes=3))
     assert cert == certify(d)
-    assert cert.tree["reduced_pd"] == d.simplify().canonical().render()
+    assert cert.tree["nodes"][0][0] == d.simplify().canonical().render()
     assert replay_certificate(cert)
     bad = json.loads(cert.to_json())
-    bad["reduced_pd"] = corpus.trefoil().render()
+    bad["nodes"][0][0] = corpus.trefoil().render()
     with pytest.raises(ValueError, match="reduced diagram mismatch"):
         replay_certificate(Certificate(bad))
 
@@ -993,11 +1040,11 @@ def test_non_prime_certified_links_have_many_gaps_only_as_hopf_sums():
         v = jones(d)
         gaps = analyze(v, step2=2).gap_count()
         if hopf_sum:
-            assert (cert.tree["det"], gaps) == (2 ** len(factors),
+            assert (_root_det(cert.tree), gaps) == (2 ** len(factors),
                                                 len(factors)), factors
         else:
             assert gaps <= 1, factors
-        out = obstruct(v, cert.tree["det"], prime=False)
+        out = obstruct(v, _root_det(cert.tree), prime=False)
         assert out.status == INCONCLUSIVE, (factors, out.reasons)
 
 
@@ -1006,8 +1053,8 @@ def test_no_cancellation_at_certified_crossings():
     # coefficient at a crossing the certifier accepted
     for e in corpus.entries():
         cert = certify(e.diagram)
-        for node in _internal_nodes(cert.tree):
-            d, c = parse_pd(node["reduced_pd"]), node["crossing"]
+        for key, _, c, *_ in cert.tree["nodes"]:
+            d = parse_pd(key)
             g, _ = checkerboard(d)
             assert not is_loop(g, c) and not is_isthmus(g, c)
             s = g.edges[c][2]

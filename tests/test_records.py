@@ -22,8 +22,7 @@ RECORDS = [
                  "reasons": (("det", "why", {"det": 0}),),
                  "assumptions": {"prime": True}}),
     (Budget, {"max_depth": 3, "max_nodes": 40, "simplify_passes": 5}),
-    (Certificate, {"tree": {"version": 2, "pd": "", "det": 1,
-                            "leaf": True}}),
+    (Certificate, {"tree": {"version": 3, "pd": "", "nodes": []}}),
     (Unknown, {"reason": "budget"}),
     (KanenobuVerdict, {"status": "Inconclusive", "agrees": False}),
     (GapReport, {"breadth2": 6, "step2": 2, "gaps": ((-1, 1),),
