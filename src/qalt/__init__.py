@@ -21,13 +21,11 @@ from .diagram import (
 )
 from .tait import (
     SignedPlanarGraph,
-    activity,
     black_graph,
     checkerboard,
     gamma,
     goeritz_det,
     parse_edgelist,
-    spanning_trees,
 )
 from .bracket import (
     BracketResult,
@@ -57,8 +55,8 @@ __all__ = [
     "analyze", "monomial_quotient", "parse",
     "Diagram", "DisconnectedDiagram", "EmptyDiagram", "InvalidCrossing",
     "InvalidStrandLabels", "NoEmbedding", "PDSyntaxError", "parse_pd",
-    "SignedPlanarGraph", "activity", "black_graph", "checkerboard", "gamma",
-    "goeritz_det", "parse_edgelist", "spanning_trees",
+    "SignedPlanarGraph", "black_graph", "checkerboard", "gamma",
+    "goeritz_det", "parse_edgelist",
     "BracketResult", "bracket_result", "bracket_state_sum", "determinant",
     "jones", "kauffman_bracket",
     "INCONCLUSIVE", "NOTQA", "Budget", "Certificate", "KanenobuVerdict",

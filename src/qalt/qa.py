@@ -255,8 +255,8 @@ def certify(d: Diagram, budget: Budget = Budget()):
 
     The search adds one Python frame per level, and each level removes
     a crossing (simplify never adds one), so the depth never exceeds the
-    root's crossing count, and the default recursion limit of 1000
-    covers roots of several hundred crossings."""
+    root's crossing count. A search deeper than the interpreter's
+    recursion limit allows is out of budget too: Unknown("budget")."""
     if not d.is_connected():
         raise DisconnectedDiagram(
             "certification needs a connected nonempty diagram")
@@ -320,7 +320,7 @@ def certify(d: Diagram, budget: Budget = Budget()):
 
     try:
         top = rec(d, 0)
-    except _BudgetExceeded:
+    except (_BudgetExceeded, RecursionError):
         return Unknown("budget")
     finally:
         # rec reaches itself through its closure; unbinding it frees the

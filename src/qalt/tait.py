@@ -1,4 +1,4 @@
-"""Checkerboard graphs and the spanning-tree polynomial.
+"""Checkerboard graphs and the subset expansion of a signed graph.
 
 A connected diagram's faces are two-colored; the black faces become
 vertices and every crossing contributes one signed edge. An edge is
@@ -9,32 +9,19 @@ opposite signs. black_graph() builds the black graph, which is all the
 certification search and its replay read; checkerboard() builds both
 from one face coloring.
 
-gamma(G) sums, over spanning trees, the product of one weight per edge
-determined by the edge's activity. With the edges totally ordered, an
-edge inside the tree is internally active when it is the order-minimum
-of the cut its removal creates, and an edge outside is externally
-active when it is the minimum of the cycle its insertion creates.
+gamma(G) is Kauffman's subset expansion of the signed graph, the sum
+over edge subsets S of A^(sum of s_e over S - sum over the rest) times
+delta^(k(S) + n(S) - 1), where delta = -A^2 - A^-2 and (V, S) has k(S)
+components and n(S) independent cycles. On a plane graph k + n is the
+state's circle count, so gamma of the black graph is the bracket up to
+a monomial; the identity holds on every graph.
 """
 
 from __future__ import annotations
 
-from ._util import _Record, _join, _root, bareiss_det
+from ._util import _Record, _join, bareiss_det
 from .diagram import Diagram, DisconnectedDiagram
 from .laurent import HalfLaurent
-
-
-# weight of each activity state, as (doubled A-exponent, coefficient):
-# in-tree active, in-tree inactive, external active, external inactive
-_WEIGHTS = {"L": (-6, -1), "D": (2, 1), "l": (6, -1), "d": (-2, 1),
-            "Lbar": (6, -1), "Dbar": (-2, 1), "lbar": (-6, -1), "dbar": (2, 1)}
-
-
-def _forest(n: int, edges) -> list:
-    """Union-find parent list of the graph on n vertices with these edges."""
-    parent = list(range(n))
-    for u, v, _ in edges:
-        _join(parent, u, v)
-    return parent
 
 
 def _connected(n: int, edges) -> bool:
@@ -50,11 +37,11 @@ def _connected(n: int, edges) -> bool:
 
 
 class SignedPlanarGraph(_Record):
-    """Connected multigraph with signed, totally ordered edges.
+    """Multigraph with signed edges, edges[i] = (u, v, sign).
 
-    edges[i] = (u, v, sign); the list position is the edge order.
     black_graph() and checkerboard() put crossing i's edge at edges[i]
-    in both graphs of a diagram."""
+    in both graphs of a diagram. gamma, goeritz_det and each edge's
+    pair from smoothing_dets do not depend on the edge order."""
 
     __slots__ = ("vertex_count", "edges")
 
@@ -73,12 +60,6 @@ class SignedPlanarGraph(_Record):
 
     def is_connected(self) -> bool:
         return _connected(self.vertex_count, self.edges)
-
-    def _edge(self, i: int) -> tuple:
-        """Edge i, once i is known to be an edge index."""
-        if not isinstance(i, int) or not 0 <= i < len(self.edges):
-            raise ValueError("no edge %r" % (i,))
-        return self.edges[i]
 
 
 def _tait_graphs(d: Diagram, both: bool) -> tuple:
@@ -127,71 +108,70 @@ def checkerboard(d: Diagram) -> tuple:
     return _tait_graphs(d, True)
 
 
-def spanning_trees(g: SignedPlanarGraph):
-    """Yield every spanning tree as a frozenset of edge indices."""
+def gamma(g: SignedPlanarGraph) -> HalfLaurent:
+    """The subset expansion by a frontier sweep over the edges; 1 for
+    the edgeless single vertex. Connectivity is checked first, before
+    anything is made per vertex.
+
+    The next edge is the one with the most ends on the frontier, the
+    vertices seen that still have an edge to come; then the lowest
+    index. A state is the partition of the frontier into the classes
+    the taken edges join, numbered by first appearance, and maps doubled
+    A-exponents to coefficients. Leaving edge e out multiplies by
+    A^-s_e; taking it multiplies by A^s_e, and by delta where e closes a
+    cycle. A class that leaves the frontier is a finished component and
+    multiplies by delta, except the last, the circle <O> = 1."""
     if not g.is_connected():
         raise ValueError("graph is not connected")
-    n = g.vertex_count
-    edges = g.edges
-    m = len(edges)
-
-    # depth first with an explicit stack, so a long path cannot exhaust
-    # the recursion limit: the branch that takes edge i is pushed last
-    # and so enumerated first
-    stack = [(0, list(range(n)), [], n)]
-    while stack:
-        i, parent, chosen, parts = stack.pop()
-        if parts == 1:
-            yield frozenset(chosen)
-            continue
-        if i == m or m - i < parts - 1:
-            continue
-        # skip branch: still feasible only if the rest can connect
-        if _connected(n, [edges[j] for j in chosen] + list(edges[i + 1:])):
-            stack.append((i + 1, parent, chosen, parts))
-        u, v, _ = edges[i]
-        child = parent[:]
-        if _join(child, u, v):
-            stack.append((i + 1, child, chosen + [i], parts - 1))
-
-
-def activity(g: SignedPlanarGraph, tree: frozenset, e: int) -> str:
-    """Activity state of edge e for the given spanning tree.
-
-    Returns one of L/D/l/d, with a "bar" suffix on negative edges:
-    capital letters are in-tree, lowercase out-of-tree; L/l mean active.
-    An in-tree edge is active when no earlier edge crosses the cut left
-    by removing it. An outside edge is active when no earlier tree edge
-    lies on its cycle, which is when the later tree edges alone join
-    its ends (a loop's cycle is itself)."""
-    edges = g.edges
-    u, v, sign = g._edge(e)
-    if e in tree:
-        parent = _forest(g.vertex_count,
-                         [edges[j] for j in tree if j != e])
-        crossed = any(_root(parent, a) != _root(parent, b)
-                      for a, b, _ in edges[:e])
-        state = "D" if crossed else "L"
-    else:
-        parent = _forest(g.vertex_count,
-                         [edges[j] for j in tree if j > e])
-        state = "l" if _root(parent, u) == _root(parent, v) else "d"
-    return state + ("" if sign > 0 else "bar")
-
-
-def gamma(g: SignedPlanarGraph) -> HalfLaurent:
-    """Spanning-tree expansion over activity weights; 1 for the edgeless
-    single vertex."""
-    terms = {}
-    for tree in spanning_trees(g):
-        # each tree contributes one monomial: exponents add, signs multiply
-        e2, c = 0, 1
-        for e in range(len(g.edges)):
-            de2, dc = _WEIGHTS[activity(g, tree, e)]
-            e2 += de2
-            c *= dc
-        terms[e2] = terms.get(e2, 0) + c
-    return HalfLaurent(terms)
+    n, edges = g.vertex_count, g.edges
+    ends = [[] for _ in range(n)]  # a loop is listed twice at its vertex
+    for i, (u, v, _) in enumerate(edges):
+        ends[u].append(i)
+        ends[v].append(i)
+    left = [len(e) for e in ends]
+    front, near, states = [], {0} if edges else set(), {(): {0: 1}}
+    while near:
+        i = min(near, key=lambda j: (-(edges[j][0] in front)
+                                     - (edges[j][1] in front), j))
+        u, v, s = edges[i]
+        fresh = [w for w in dict.fromkeys((u, v)) if w not in front]
+        for w in fresh:
+            near.update(ends[w])
+        near.remove(i)
+        front += fresh
+        pu, pv = front.index(u), front.index(v)
+        left[u] -= 1
+        left[v] -= 1
+        keep = [p for p, w in enumerate(front) if left[w]]
+        front = [front[p] for p in keep]
+        swept = {}
+        for labels, terms in states.items():
+            k = max(labels, default=-1) + 1
+            labels += tuple(range(k, k + len(fresh)))
+            a, b = labels[pu], labels[pv]
+            joined = tuple(a if x == b else x for x in labels)
+            for lab, shift, cycles in ((labels, -2 * s, 0),
+                                       (joined, 2 * s, a == b)):
+                kept = [lab[p] for p in keep]
+                out = {e + shift: c for e, c in terms.items()}
+                # delta = -A^2 - A^-2 per closed cycle and finished
+                # component; the frontier empties only at the end
+                for _ in range(cycles + len(set(lab).difference(kept))
+                               - (not front)):
+                    spread = {}
+                    for e, c in out.items():
+                        spread[e + 4] = spread.get(e + 4, 0) - c
+                        spread[e - 4] = spread.get(e - 4, 0) - c
+                    out = spread
+                names = {}
+                into = swept.setdefault(
+                    tuple(names.setdefault(x, len(names)) for x in kept), {})
+                for e, c in out.items():
+                    into[e] = into.get(e, 0) + c
+        # zeros go as they arise, so sums that cancel stay short
+        states = {key: {e: c for e, c in terms.items() if c}
+                  for key, terms in swept.items()}
+    return HalfLaurent(states[()])
 
 
 def goeritz_det(g: SignedPlanarGraph) -> int:

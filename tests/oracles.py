@@ -5,14 +5,18 @@ hold the library against:
 
 - the oriented skein identity for V, and the gap between the brackets
   of the two smoothings at an inter-component crossing (bracket);
-- the deletion-contraction identity for Gamma, the Tutte polynomial and
-  the matrix-tree count of a signed graph (tait);
+- Thistlethwaite's spanning-tree expansion of Gamma over edge
+  activities, the reference the frontier sweep is held to, the
+  deletion-contraction identity for Gamma, the Tutte polynomial and the
+  matrix-tree count of a signed graph (tait);
 - |f(zeta_8)|, the evaluation that gives det from Gamma (laurent);
 - the readings that only the tests make: each arc's component and head
   (diagram), and a verdict's rule ids (qa).
 
 The graph operations the identities need take the graph as their first
-argument: is_loop, is_isthmus, delete, contract and reorder.
+argument: is_loop, is_isthmus, delete, contract and reorder, and the
+tree expansion's spanning_trees and activity, which read the edges in
+index order.
 """
 
 from __future__ import annotations
@@ -22,12 +26,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from qalt._util import _root
+from qalt._util import _join, _root
 from qalt.bracket import jones, kauffman_bracket
 from qalt.diagram import Diagram
 from qalt.laurent import (HalfLaurent, SupportNotOnLattice, ZeroPolynomial,
                           monomial_quotient)
-from qalt.tait import SignedPlanarGraph, _forest, _goeritz_minor_det, gamma
+from qalt.tait import (SignedPlanarGraph, _connected, _goeritz_minor_det,
+                       gamma)
 
 log = logging.getLogger(__name__)
 
@@ -181,13 +186,103 @@ class LoopOrIsthmus(ValueError):
     """The skein identity needs an edge that is neither."""
 
 
+def _edge(g: SignedPlanarGraph, i: int) -> tuple:
+    """Edge i, once i is known to be an edge index."""
+    if not isinstance(i, int) or not 0 <= i < len(g.edges):
+        raise ValueError("no edge %r" % (i,))
+    return g.edges[i]
+
+
+def _forest(n: int, edges) -> list:
+    """Union-find parent list of the graph on n vertices with these edges."""
+    parent = list(range(n))
+    for u, v, _ in edges:
+        _join(parent, u, v)
+    return parent
+
+
+def spanning_trees(g: SignedPlanarGraph):
+    """Yield every spanning tree as a frozenset of edge indices."""
+    if not g.is_connected():
+        raise ValueError("graph is not connected")
+    n = g.vertex_count
+    edges = g.edges
+    m = len(edges)
+
+    # depth first with an explicit stack, so a long path cannot exhaust
+    # the recursion limit: the branch that takes edge i is pushed last
+    # and so enumerated first
+    stack = [(0, list(range(n)), [], n)]
+    while stack:
+        i, parent, chosen, parts = stack.pop()
+        if parts == 1:
+            yield frozenset(chosen)
+            continue
+        if i == m or m - i < parts - 1:
+            continue
+        # skip branch: still feasible only if the rest can connect
+        if _connected(n, [edges[j] for j in chosen] + list(edges[i + 1:])):
+            stack.append((i + 1, parent, chosen, parts))
+        u, v, _ = edges[i]
+        child = parent[:]
+        if _join(child, u, v):
+            stack.append((i + 1, child, chosen + [i], parts - 1))
+
+
+def activity(g: SignedPlanarGraph, tree: frozenset, e: int) -> str:
+    """Activity state of edge e for the given spanning tree, the edges
+    ordered by index.
+
+    Returns one of L/D/l/d, with a "bar" suffix on negative edges:
+    capital letters are in-tree, lowercase out-of-tree; L/l mean active.
+    An in-tree edge is active when no earlier edge crosses the cut left
+    by removing it. An outside edge is active when no earlier tree edge
+    lies on its cycle, which is when the later tree edges alone join
+    its ends (a loop's cycle is itself)."""
+    edges = g.edges
+    u, v, sign = _edge(g, e)
+    if e in tree:
+        parent = _forest(g.vertex_count,
+                         [edges[j] for j in tree if j != e])
+        crossed = any(_root(parent, a) != _root(parent, b)
+                      for a, b, _ in edges[:e])
+        state = "D" if crossed else "L"
+    else:
+        parent = _forest(g.vertex_count,
+                         [edges[j] for j in tree if j > e])
+        state = "l" if _root(parent, u) == _root(parent, v) else "d"
+    return state + ("" if sign > 0 else "bar")
+
+
+# weight of each activity state, as (doubled A-exponent, coefficient):
+# in-tree active, in-tree inactive, external active, external inactive
+_WEIGHTS = {"L": (-6, -1), "D": (2, 1), "l": (6, -1), "d": (-2, 1),
+            "Lbar": (6, -1), "Dbar": (-2, 1), "lbar": (-6, -1), "dbar": (2, 1)}
+
+
+def gamma_trees(g: SignedPlanarGraph) -> HalfLaurent:
+    """Thistlethwaite's spanning-tree expansion: over spanning trees,
+    the product of one activity weight per edge; 1 for the edgeless
+    single vertex. The reference gamma is held to."""
+    terms = {}
+    for tree in spanning_trees(g):
+        # each tree contributes one monomial: exponents add, signs multiply
+        e2, c = 0, 1
+        for e in range(len(g.edges)):
+            de2, dc = _WEIGHTS[activity(g, tree, e)]
+            e2 += de2
+            c *= dc
+        terms[e2] = terms.get(e2, 0) + c
+    return HalfLaurent(terms)
+
+
 def is_loop(g: SignedPlanarGraph, i: int) -> bool:
-    u, v, _ = g._edge(i)
+    u, v, _ = _edge(g, i)
     return u == v
 
 
 def is_isthmus(g: SignedPlanarGraph, i: int) -> bool:
-    u, v, _ = g._edge(i)
+    u, v, _ = _edge(g, i)
     if u == v:
         return False
     parent = _forest(g.vertex_count, g.edges[:i] + g.edges[i + 1:])
@@ -195,7 +290,7 @@ def is_isthmus(g: SignedPlanarGraph, i: int) -> bool:
 
 
 def delete(g: SignedPlanarGraph, i: int) -> SignedPlanarGraph:
-    g._edge(i)
+    _edge(g, i)
     edges = g.edges[:i] + g.edges[i + 1:]
     return SignedPlanarGraph(g.vertex_count, edges)
 

@@ -126,16 +126,17 @@ def test_edgelist_with_a_huge_vertex_number_exits_at_once(tmp_path, capsys):
     edges = tmp_path / "g.edges"
     for text in ("0 1000000 +\n", "vertices 1000000\n0 1 +\n"):
         edges.write_text(text)
-        tracemalloc.start()
-        try:
-            code = main(["goeritz", "--edgelist", str(edges)])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        out = capsys.readouterr()
-        assert code == 1 and out.out == ""
-        assert out.err == "error: graph is not connected\n"
-        assert peak < 2 ** 20
+        for cmd in ("goeritz", "gamma"):
+            tracemalloc.start()
+            try:
+                code = main([cmd, "--edgelist", str(edges)])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            out = capsys.readouterr()
+            assert code == 1 and out.out == ""
+            assert out.err == "error: graph is not connected\n"
+            assert peak < 2 ** 20
 
 
 def test_goeritz(capsys):
@@ -304,6 +305,19 @@ def test_certify_prints_a_tree_599_levels_deep(capsys):
     cert = Certificate.from_json(out)
     assert cert.tree["version"] == 3 and len(cert.tree["nodes"]) == 599
     assert replay_certificate(cert)
+
+
+def test_certify_deeper_than_the_recursion_limit_exits_2():
+    # a search too deep for the interpreter is out of budget: exit 2
+    # with the status line, not a RecursionError traceback
+    script = ("import sys; from qalt.cli import main; "
+              "sys.setrecursionlimit(300); sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "certify", "--max-depth", "5000",
+         "--pd", corpus.torus(400).render()], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == "status: Unknown (budget)\n"
+    assert "Traceback" not in proc.stderr
 
 
 def test_certify_budget_exit_2(capsys):

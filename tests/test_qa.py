@@ -3,6 +3,7 @@ import functools
 import hashlib
 import json
 import random
+import sys
 
 import pytest
 
@@ -786,6 +787,18 @@ def test_a_certificate_600_levels_deep_round_trips():
     back = Certificate.from_json(cert.to_json())
     assert back.tree == cert.tree
     assert replay_certificate(back)
+
+
+def test_a_search_deeper_than_the_recursion_limit_is_out_of_budget():
+    # the search takes a frame per level; one deeper than the
+    # interpreter allows ends as any other overrun does
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(300)
+    try:
+        out = certify(corpus.torus(400), Budget(max_depth=5000))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert out == Unknown("budget")
 
 
 def _spy(monkeypatch, owner, attr):

@@ -9,15 +9,14 @@ from qalt import corpus
 from qalt.bracket import determinant, kauffman_bracket
 from qalt.diagram import DisconnectedDiagram, parse_pd
 from qalt.laurent import HalfLaurent, analyze, monomial_quotient
-from qalt.tait import (SignedPlanarGraph, activity, black_graph,
-                       checkerboard, gamma, goeritz_det, parse_edgelist,
-                       smoothing_dets, spanning_trees)
+from qalt.tait import (SignedPlanarGraph, black_graph, checkerboard, gamma,
+                       goeritz_det, parse_edgelist, smoothing_dets)
 
-from conftest import (braid_closure, pretzel, pretzel_cases,
+from conftest import (braid_closure, grid_diagram, pretzel, pretzel_cases,
                       random_alternating_graph, random_connected_graph)
-from oracles import (LoopOrIsthmus, contract, delete, gamma_skein_check,
-                     is_isthmus, is_loop, kirchhoff_count, reorder, tutte,
-                     tutte_check)
+from oracles import (LoopOrIsthmus, activity, contract, delete, gamma_skein_check,
+                     gamma_trees, is_isthmus, is_loop, kirchhoff_count,
+                     reorder, spanning_trees, tutte, tutte_check)
 
 
 def hl(*pairs):
@@ -71,7 +70,8 @@ def test_spanning_trees_and_kirchhoff_small():
 
 def test_gamma_of_a_long_path():
     # every edge of a path is in its one tree and active, weight -A^(-3);
-    # tree enumeration as deep as the edge count stays off the call stack
+    # the sweep merges both choices at each edge into one state, so its
+    # sum stays one monomial
     m = 1100
     g = SignedPlanarGraph(m + 1, tuple((i, i + 1, 1) for i in range(m)))
     assert gamma(g) == HalfLaurent({-6 * m: (-1) ** m})
@@ -139,15 +139,100 @@ def _braid_closures(seed: int, count: int, alternating: bool):
     return out
 
 
+def _large_closures(seed: int) -> list:
+    """Closures of 24-40 crossings on 3-5 strands, every generator at
+    least twice; words of a length 4k take a random sign per letter,
+    the others alternate."""
+    rng = random.Random(seed)
+    out = []
+    for length in range(24, 41, 2):
+        strands = rng.randint(3, 5)
+        gens = list(range(1, strands)) * 2
+        gens += [rng.randint(1, strands - 1)
+                 for _ in range(length - len(gens))]
+        rng.shuffle(gens)
+        signs = ([1 if g % 2 else -1 for g in gens] if length % 4
+                 else [rng.choice((1, -1)) for _ in gens])
+        out.append(braid_closure([s * g for s, g in zip(signs, gens)],
+                                 strands))
+    return out
+
+
 def test_gamma_is_the_bracket_up_to_a_monomial_on_braid_closures():
-    # Thistlethwaite's expansion against the frontier-sweep bracket: an
-    # oracle for spanning_trees and activity beyond the corpus
+    # the graph sweep against the diagram sweep of the bracket, two
+    # independent routes, beyond the corpus: closures of 8-12 crossings,
+    # and of 24-40 and three pretzels of 27-46, sizes that listing the
+    # spanning trees could not reach
     closures = (_braid_closures(5, 25, alternating=True)
-                + _braid_closures(6, 25, alternating=False))
+                + _braid_closures(6, 25, alternating=False)
+                + _large_closures(24)
+                + [pretzel(5, 7, 9, -6), pretzel(6, 6, 6, 6, -7),
+                   pretzel(9, 9, 9, 9, -10)])
+    assert sum(len(d.crossings) >= 24 for d in closures) == 12
     for d in closures:
         assert len(d.crossings) >= 8
         q = monomial_quotient(gamma(black_graph(d)), kauffman_bracket(d))
         assert q is not None, d.crossings
+
+
+def _random_multigraph(rng):
+    """A connected signed multigraph of 1-6 vertices and up to 9 edges,
+    loops and parallel edges allowed."""
+    n = rng.randint(1, 6)
+    while True:
+        g = SignedPlanarGraph(n, [
+            (rng.randrange(n), rng.randrange(n), rng.choice((1, -1)))
+            for _ in range(rng.randint(n - 1, 9))])
+        if g.is_connected():
+            return g
+
+
+def _non_planar(rng):
+    """K5, K3,3 and the Petersen graph, each with random signs, a loop
+    and its edges in a shuffled order."""
+    k5 = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+    k33 = [(u, v) for u in range(3) for v in range(3, 6)]
+    petersen = ([(i, (i + 1) % 5) for i in range(5)]
+                + [(i, i + 5) for i in range(5)]
+                + [(i + 5, (i + 2) % 5 + 5) for i in range(5)])
+    out = []
+    for n, pairs in ((5, k5), (6, k33), (10, petersen)):
+        w = rng.randrange(n)
+        edges = [(u, v, rng.choice((1, -1))) for u, v in pairs + [(w, w)]]
+        rng.shuffle(edges)
+        out.append(SignedPlanarGraph(n, edges))
+    return out
+
+
+def _both_graphs(diagrams):
+    return [g for d in diagrams if d.crossings and d.is_connected()
+            for g in checkerboard(d)]
+
+
+_SWEEP_POOLS = {
+    "closures": lambda rng: _both_graphs(
+        _braid_closures(7, 10, alternating=True)
+        + _braid_closures(8, 10, alternating=False)),
+    "grids": lambda rng: _both_graphs(
+        grid_diagram(rng, rng.randint(5, 8)) for _ in range(40)),
+    "pretzels": lambda rng: _both_graphs(
+        pretzel(*cols, -q) for cols, q in pretzel_cases()[::6]),
+    "multigraphs": lambda rng: [_random_multigraph(rng) for _ in range(120)],
+    "non-planar": lambda rng: _non_planar(rng) + _non_planar(rng),
+}
+
+
+@pytest.mark.parametrize("pool", sorted(_SWEEP_POOLS))
+def test_gamma_sweep_equals_the_tree_expansion(pool):
+    # the identity holds on every graph, and --edgelist takes any graph
+    graphs = _SWEEP_POOLS[pool](random.Random(pool))
+    assert len(graphs) >= 6
+    loops = 0
+    for g in graphs:
+        loops += any(u == v for u, v, _ in g.edges)
+        assert gamma(g) == gamma_trees(g), g
+    # no column of a pretzel holds a nugatory crossing
+    assert loops or pool == "pretzels"
 
 
 def test_gamma_order_invariant():
@@ -458,14 +543,16 @@ def test_contract_and_delete():
 
 
 def test_connectivity_of_a_huge_sparse_graph_allocates_nothing_per_vertex():
-    # goeritz_det checks connectivity before it makes the n x n minor
+    # goeritz_det checks connectivity before it makes the n x n minor,
+    # and gamma before its per-vertex tables
     g = SignedPlanarGraph(10 ** 6, ((0, 1, 1),))
     t0 = time.monotonic()
     tracemalloc.start()
     try:
         assert not g.is_connected()
-        with pytest.raises(ValueError, match="not connected"):
-            goeritz_det(g)
+        for call in (goeritz_det, gamma):
+            with pytest.raises(ValueError, match="not connected"):
+                call(g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
