@@ -290,7 +290,8 @@ _BUDGET = (("--max-depth", {"type": int}),
 _COMMANDS = (
     ("jones", "Jones polynomial and gap structure", _cmd_jones, _DIAGRAM, ()),
     ("bracket", "Kauffman bracket in A", _cmd_bracket, _DIAGRAM, ()),
-    ("gamma", "spanning-tree polynomial", _cmd_gamma, _GRAPH, (_WHITE,)),
+    ("gamma", "Kauffman's subset expansion Gamma", _cmd_gamma, _GRAPH,
+     (_WHITE,)),
     ("goeritz", "Goeritz determinant", _cmd_goeritz, _GRAPH, (_WHITE,)),
     ("det", "link determinant |V(-1)|", _cmd_det, _DIAGRAM, ()),
     ("analyze", "breadth/gap/alternation report", _cmd_analyze,

@@ -158,13 +158,14 @@ class Certificate(_Record):
     """A certificate is its tree, format version 3: {"version": 3,
     "pd": <root PD text>, "nodes": [...]}, a flat table of the internal
     nodes. Node i is the array [reduced_pd, det, crossing, child0,
-    child1]: its diagram reduced by simplify, as canonical PD text, the
-    determinant of its link, and the crossing of the reduced diagram
-    whose r-smoothing, untwisted (Diagram.smooth with untwist), child r
-    is. Each child is "leaf", the unknot, of det 1, or the index j of
-    node j, i < j < len(nodes). Node 0 is the root's reduced diagram,
-    and every other node is some node's child. A root that is a leaf
-    has no nodes, and its det is 1.
+    child1]: its key under the node rule, _reduce, which is the PD text
+    of its reduced diagram, the determinant of its link, and the
+    crossing of the reduced diagram whose r-smoothing, untwisted
+    (Diagram.smooth with untwist), child r is. Each child is "leaf",
+    the unknot, whose key is "" and det 1, or the index j of node j,
+    i < j < len(nodes). Node 0 is the root's reduced diagram, and every
+    other node is some node's child. A root that is a leaf has no
+    nodes, and its det is 1.
 
     No child stores PD text of its own, each distinct reduced diagram
     is one node, and the JSON nests to the same depth however deep the
@@ -201,22 +202,37 @@ class _BudgetExceeded(Exception):
     pass
 
 
+def _reduce(d: Diagram, passes: int | None = None):
+    """The node rule: d at simplify()'s fixpoint, made canonical, and
+    its key, "" for the unknot, the PD text for a connected diagram with
+    crossings, and None for anything else, which no certificate names.
+    More than passes R1/R2 moves raise _BudgetExceeded."""
+    s = d.simplify(passes)
+    if s.simplify(1) is not s:
+        # more moves than passes; a fixpoint returns at once
+        raise _BudgetExceeded()
+    s = s.canonical()
+    if not s.crossings:
+        return s, "" if s.component_count == 1 else None
+    return s, s.render() if s.is_connected() else None
+
+
 def certify(d: Diagram, budget: Budget = Budget()):
     """Bounded search for a quasi-alternating certificate.
 
-    At each node the diagram is simplified; a 0-crossing unknot is a
-    leaf. Otherwise crossings are tried in ascending order: a crossing
-    qualifies when both smoothings have positive determinants adding up
-    to the parent's, and both children certify recursively. Each child
-    is the smoothing with the curls it makes removed in the same splice
-    (Diagram.smooth with untwist); simplify does the rest, and a node
-    that needs more R1/R2 moves than the budget's pass count ends the
-    search, so every node is at simplify's fixpoint. Below an
-    alternating node that simplify reduced, that rest is nothing: the
-    child is reduced and born marked so, and simplify returns it without
-    a scan (see the diagram module). Returns the first Certificate in
-    this deterministic order, or Unknown("budget") /
-    Unknown("exhausted").
+    Every node, the root too, is reduced and keyed by the node rule,
+    _reduce: the unknot is a leaf, a split diagram does not certify, and
+    a node that needs more R1/R2 moves than the budget's pass count ends
+    the search. Otherwise crossings are tried in ascending order: a
+    crossing qualifies when both smoothings have positive determinants
+    adding up to the parent's, and both children certify recursively.
+    Each child is the smoothing with the curls it makes removed in the
+    same splice (Diagram.smooth with untwist); _reduce does the rest.
+    Below an alternating node that simplify reduced, that rest is
+    nothing: the child is reduced and born marked so, and simplify
+    returns it without a scan (see the diagram module). Returns the
+    first Certificate in this deterministic order, or Unknown("budget")
+    / Unknown("exhausted").
 
     A node that is not alternating reads its det and each crossing's
     pair (det0, det1) off its black graph (tait.smoothing_dets), one
@@ -239,7 +255,7 @@ def certify(d: Diagram, budget: Budget = Budget()):
     diagram planar, so no node below is checked again; checkerboard
     makes its own check at the non-alternating nodes it reads.
 
-    The search memoises each reduced diagram by its text, whether it
+    The search memoises each reduced diagram by its key, whether it
     certified or failed. The search below a node depends on its text
     alone, and a node that fails was searched in full, since any overrun
     ends the whole search. So no reduced diagram is expanded twice; the
@@ -272,18 +288,11 @@ def certify(d: Diagram, budget: Budget = Budget()):
         counter[0] += 1
         if counter[0] > budget.max_nodes or depth > budget.max_depth:
             raise _BudgetExceeded()
-        s = dd.simplify(budget.simplify_passes)
-        if s.simplify(1) is not s:
-            # more moves than the pass count; a fixpoint returns at once
-            raise _BudgetExceeded()
-        s = s.canonical()
-        if not s.crossings:
-            return "" if s.component_count == 1 else None
-        if not s.is_connected():
-            return None
-        key = s.render()
-        if key in memo:
-            return None if memo[key] is None else key
+        s, key = _reduce(dd, budget.simplify_passes)
+        if key is None or key in memo:
+            # split, the unknot leaf, or searched before: a search that
+            # failed is memoised as None
+            return key if memo.get(key) else None
         alternating = s.is_alternating()
         if not alternating:
             det, pairs = smoothing_dets(checkerboard(s))
@@ -342,15 +351,6 @@ def certify(d: Diagram, budget: Budget = Budget()):
     return Certificate({"version": 3, "pd": d.render(), "nodes": nodes})
 
 
-def _reduced(d: Diagram, want: str) -> Diagram | None:
-    """The reduction of d that a search stored as want, or None. A
-    search stores each node at simplify()'s fixpoint, whatever its
-    budget, and only connected nodes with crossings, so a reduction with
-    a free loop matches nothing."""
-    s = d.simplify().canonical()
-    return s if not s.free_loops and s.render() == want else None
-
-
 def _check_root(tree):
     """Raise ValueError unless tree is shaped like a version 3 root: an
     object with "version" 3, a string "pd" and a list "nodes"."""
@@ -381,32 +381,27 @@ def _check_node(nodes, i: int) -> list:
     return node
 
 
-def _check_leaf(d: Diagram):
-    s = d.simplify()
-    if s.crossings or s.component_count != 1:
-        raise ValueError("leaf does not simplify to the unknot")
-
-
 def replay_certificate(cert) -> bool:
     """Re-verify a version 3 certificate, or a bare tree, from scratch;
     raises ValueError on any broken condition, including the root
     determinant against the bracket route. The root diagram is the
     tree's "pd", parsed once and checked once for a planar embedding
-    (NoEmbedding), which its smoothings keep, and reduced to node 0's
-    reduced_pd (or, with no nodes, to the unknot, with det 1).
+    (NoEmbedding), which its smoothings keep. The root and every child
+    derived go through the node rule, _reduce, and their key must be
+    the table's entry for them: node k's reduced_pd, or "" at a leaf,
+    of det 1. The root's entry is node 0, or a leaf where there are no
+    nodes. A split diagram's key is None, which matches nothing.
 
     Two loops over the table check it, neither recursive. The forward
     loop takes the nodes in index order, so each comes after all its
     parents. A node's shape is checked where it is first met, and a node
     that no parent derived is refused. Child r of node i is derived as
     s.smooth(c, r, untwist=True) from node i's reduced diagram s, and
-    must reduce (to simplify's fixpoint, see _reduced) to the child's
-    reduced_pd, or simplify to the unknot at a leaf; the first parent's
-    reduction is the child's diagram, kept until the child's own
-    children are derived. Below a reduced alternating s the child is
-    born marked as reduced, and neither check scans it for moves. A node
-    that is alternating must be connected; any other node's stored det
-    must be the Goeritz determinant of its black graph.
+    keyed as above; the first parent's reduction is the child's
+    diagram, kept until the child's own children are derived. Below a
+    reduced alternating s the child is born marked as reduced, and
+    _reduce does not scan it for moves. A node that is not alternating
+    must store the Goeritz determinant of its black graph.
 
     The backward loop, from the last node, checks d0 >= 1, d1 >= 1 and
     d0 + d1 = det at every node, its children being checked before it.
@@ -420,37 +415,38 @@ def replay_certificate(cert) -> bool:
     root = parse_pd(tree["pd"])
     root.check_planar()
     nodes = tree["nodes"]
-    # node i's reduced diagram, from its first parent, until its
-    # children are derived
-    derived = [None] * len(nodes)
-    if nodes:
-        derived[0] = _reduced(root, _check_node(nodes, 0)[0])
-        if derived[0] is None:
+
+    def derive(d: Diagram, k, parent=None, r=0) -> Diagram:
+        # d reduced by _reduce, after a ValueError unless its key is
+        # entry k's: "" at a leaf, node k's reduced_pd otherwise, which
+        # is not "", as no node is the unknot; the root has no parent
+        want = "" if k == "leaf" else _check_node(nodes, k)[0]
+        s, key = _reduce(d)
+        if key == want and (key or k == "leaf"):
+            return s
+        if k == "leaf":
+            raise ValueError("leaf does not simplify to the unknot")
+        if parent is None:
             raise ValueError("reduced diagram mismatch")
-    else:
-        _check_leaf(root)
+        raise ValueError("node %d: child %d is not the %d-smoothing"
+                         % (parent, r, r))
+
+    # node i's reduced diagram, from its first parent, until its
+    # children are derived; the root is node 0, or a leaf without nodes
+    derived = [derive(root, 0 if nodes else "leaf")]
+    derived += [None] * (len(nodes) - 1)
     for i in range(len(nodes)):
         s, derived[i] = derived[i], None
         if s is None:
             raise ValueError("node %d has no parent" % i)
         _, det, c, *kids = nodes[i]
-        if s.is_alternating():
-            if not s.is_connected():
-                raise DisconnectedDiagram("certificate node is not connected")
-        else:
+        if not s.is_alternating():
             got = goeritz_det(checkerboard(s))
             if got != det:
                 raise ValueError("stored det %r != %r" % (det, got))
         for r, k in enumerate(kids):
-            sm = s.smooth(c, r, untwist=True)
-            if k == "leaf":
-                _check_leaf(sm)
-                continue
-            reduced = _reduced(sm, _check_node(nodes, k)[0])
-            if reduced is None:
-                raise ValueError("node %d: child %d is not the "
-                                 "%d-smoothing" % (i, r, r))
-            if derived[k] is None:
+            reduced = derive(s.smooth(c, r, untwist=True), k, i, r)
+            if k != "leaf" and derived[k] is None:
                 derived[k] = reduced
     for i in reversed(range(len(nodes))):
         _, det, _, *kids = nodes[i]

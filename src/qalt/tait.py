@@ -121,6 +121,8 @@ def gamma(g: SignedPlanarGraph) -> HalfLaurent:
     A^-s_e; taking it multiplies by A^s_e, and by delta where e closes a
     cycle. A class that leaves the frontier is a finished component and
     multiplies by delta, except the last, the circle <O> = 1."""
+    import heapq
+
     if not g.is_connected():
         raise ValueError("graph is not connected")
     n, edges = g.vertex_count, g.edges
@@ -129,15 +131,24 @@ def gamma(g: SignedPlanarGraph) -> HalfLaurent:
         ends[u].append(i)
         ends[v].append(i)
     left = [len(e) for e in ends]
-    front, near, states = [], {0} if edges else set(), {(): {0: 1}}
-    while near:
-        i = min(near, key=lambda j: (-(edges[j][0] in front)
-                                     - (edges[j][1] in front), j))
+    # the queue holds (-ends seen, index) each time an edge's count
+    # grows. A vertex leaves the frontier only after its last edge, so a
+    # waiting edge's count never falls: its newest entry comes out
+    # first, and the stale ones find it taken
+    seen, taken = [0] * len(edges), set()
+    front, queue, states = [], [(0, 0)] if edges else [], {(): {0: 1}}
+    while queue:
+        i = heapq.heappop(queue)[1]
+        if i in taken:
+            continue
+        taken.add(i)
         u, v, s = edges[i]
         fresh = [w for w in dict.fromkeys((u, v)) if w not in front]
         for w in fresh:
-            near.update(ends[w])
-        near.remove(i)
+            for j in ends[w]:
+                if j not in taken:
+                    seen[j] += 1
+                    heapq.heappush(queue, (-seen[j], j))
         front += fresh
         pu, pv = front.index(u), front.index(v)
         left[u] -= 1

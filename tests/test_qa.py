@@ -605,6 +605,44 @@ def test_replay_names_a_wrong_child():
     assert str(err.value) == "node 0: child 0 is not the 0-smoothing"
 
 
+def test_replay_refuses_the_unknot_as_a_node():
+    # the unknot's key is "", a leaf's; a node that stores "" in place
+    # of a leaf is no node, so its parent's child is named
+    tree = json.loads(TREFOIL_CERTIFICATE)
+    tree["nodes"][0][3] = 2
+    tree["nodes"].append(["", 1, 0, "leaf", "leaf"])
+    with pytest.raises(ValueError) as err:
+        replay_certificate(tree)
+    assert str(err.value) == "node 0: child 0 is not the 0-smoothing"
+
+
+def test_replay_refuses_a_split_child():
+    # two trefoils joined by a nugatory crossing: one smoothing of that
+    # crossing is their split union, and a child names it by the text it
+    # really reduces to. A split diagram is no node, so replay refuses
+    # the child where it is derived, though the root's determinant adds
+    # over it and the other child certifies
+    d = braid_closure([1, 1, 1, -2, 3, 3, 3], 4)
+    s = d.simplify().canonical()
+    c, r = next((c, r) for c in range(len(s.crossings)) for r in (0, 1)
+                if not s.smooth(c, r, untwist=True).is_connected())
+    split = s.smooth(c, r, untwist=True).simplify().canonical()
+    assert split.crossings and not split.is_connected()
+    below = certify(s.smooth(c, 1 - r, untwist=True)).tree["nodes"]
+    assert determinant(d) == below[0][1] == 9
+    kids = [2, 2]
+    kids[r] = 1
+    nodes = [[s.render(), 9, c, *kids],
+             [split.render(), 0, 0, "leaf", "leaf"]]
+    nodes += [node[:3] + [k if k == "leaf" else k + 2 for k in node[3:]]
+              for node in below]
+    tree = {"version": 3, "pd": d.render(), "nodes": nodes}
+    with pytest.raises(ValueError) as err:
+        replay_certificate(tree)
+    assert (str(err.value)
+            == "node 0: child %d is not the %d-smoothing" % (r, r))
+
+
 # the Hopf link's certificate in the version 1 layout, which wrote every
 # child in full with its own PD text
 V1_HOPF_CERTIFICATE = {
@@ -853,23 +891,24 @@ def test_certify_reads_black_graphs_of_non_alternating_nodes_only(
 
 
 def test_replay_reduces_each_edge_once(monkeypatch):
-    # the root and each child that is not a leaf are reduced once, in
-    # index order, each to the text of the node it names
+    # the root and each child are reduced once, in index order, each to
+    # the key of the entry it names: node k's text, or "" at a leaf
     tree = json.loads(certify(_shared_closure()).to_json())
     nodes = tree["nodes"]
-    want = [nodes[0][0]] + [nodes[k][0] for node in nodes
-                            for k in node[3:] if k != "leaf"]
-    assert len(want) > len(nodes)
-    wanted = []
-    reduced = qalt.qa._reduced
+    want = [nodes[0][0]] + ["" if k == "leaf" else nodes[k][0]
+                            for node in nodes for k in node[3:]]
+    assert max(_parents(tree)) > 1
+    keys = []
+    reduce = qalt.qa._reduce
 
-    def counting(d, want):
-        wanted.append(want)
-        return reduced(d, want)
+    def counting(d):
+        s, key = reduce(d)
+        keys.append(key)
+        return s, key
 
-    monkeypatch.setattr("qalt.qa._reduced", counting)
+    monkeypatch.setattr("qalt.qa._reduce", counting)
     assert replay_certificate(tree)
-    assert wanted == want
+    assert keys == want
 
 
 def _additivity_error(nodes, i, det):

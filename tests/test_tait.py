@@ -68,13 +68,25 @@ def test_spanning_trees_and_kirchhoff_small():
     assert list(spanning_trees(loopy)) == [frozenset({1})]
 
 
-def test_gamma_of_a_long_path():
-    # every edge of a path is in its one tree and active, weight -A^(-3);
+def _tree_gamma_in_time(edges):
+    # every edge of a tree is in its one tree and active, weight -A^(-3);
     # the sweep merges both choices at each edge into one state, so its
     # sum stays one monomial
-    m = 1100
-    g = SignedPlanarGraph(m + 1, tuple((i, i + 1, 1) for i in range(m)))
+    m = len(edges)
+    g = SignedPlanarGraph(m + 1, edges)
+    start = time.process_time()
     assert gamma(g) == HalfLaurent({-6 * m: (-1) ** m})
+    assert time.process_time() - start < 2
+
+
+def test_gamma_of_a_long_path():
+    _tree_gamma_in_time(tuple((i, i + 1, 1) for i in range(8000)))
+
+
+def test_gamma_of_a_large_star():
+    # every edge waits on the frontier at the hub, so choosing the next
+    # one must not scan them all
+    _tree_gamma_in_time(tuple((0, i + 1, 1) for i in range(8000)))
 
 
 def test_activity_two_cycle_table():
