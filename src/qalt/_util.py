@@ -56,14 +56,35 @@ def _join(parent: list, u: int, v: int) -> bool:
 
 class _Record:
     """Base of qalt's immutable records. A record lists its fields in
-    __slots__, in constructor order, and its __init__ sets each with
-    object.__setattr__. Records of one type are equal when their fields
-    are, and hash alike; a record never equals another type, a tuple
-    included. The repr is Name(field=value, ...), assignment and
-    deletion raise AttributeError, and copy and pickle rebuild a record
-    through its constructor."""
+    __slots__, in constructor order, and _Record gives it a constructor
+    that takes them by position or by name and raises TypeError for a
+    field that is missing, repeated or unknown. Budget and
+    SignedPlanarGraph write their own, to validate, and so does
+    HalfLaurent, immutable in the same way. Records of one type are
+    equal when their fields are, and hash alike; a record never equals
+    another type, a tuple included. The repr is Name(field=value, ...),
+    assignment and deletion raise AttributeError, and copy and pickle
+    rebuild a record through its constructor."""
 
     __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        for name in names[len(args):]:
+            if name not in kwargs:
+                raise TypeError("%s is missing field %r"
+                                % (type(self).__name__, name))
+            args += (kwargs.pop(name),)
+        if kwargs:
+            name = next(iter(kwargs))
+            raise TypeError("%s got %s field %r" % (
+                type(self).__name__,
+                "a repeated" if name in names else "an unknown", name))
+        if len(args) > len(names):
+            raise TypeError("%s takes %d fields, got %d"
+                            % (type(self).__name__, len(names), len(args)))
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(map(self.__getattribute__, self.__slots__))

@@ -262,13 +262,6 @@ def determinant(d: Diagram) -> int:
 class BracketResult(_Record):
     __slots__ = ("bracket", "jones", "writhe", "determinant")
 
-    def __init__(self, bracket: HalfLaurent, jones: HalfLaurent, writhe: int,
-                 determinant: int):
-        object.__setattr__(self, "bracket", bracket)
-        object.__setattr__(self, "jones", jones)
-        object.__setattr__(self, "writhe", writhe)
-        object.__setattr__(self, "determinant", determinant)
-
 
 def bracket_result(d: Diagram) -> BracketResult:
     """The bracket, the writhe w, and from them the Jones polynomial,

@@ -319,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     stores its handler's name, not the function, so main finds whatever
     the module holds under that name when it runs."""
     parser = _Parser(prog="qalt",
-                     description="Jones polynomials, tree expansions, and "
+                     description="Jones polynomials, subset expansions, and "
                                  "quasi-alternating obstructions")
     subs = parser.add_subparsers(dest="command", required=True)
     for name, text, handler, inputs, others in _COMMANDS:

@@ -84,12 +84,6 @@ def hopf_trefoil() -> Diagram:
 class Entry(_Record):
     __slots__ = ("name", "diagram", "prime", "det")
 
-    def __init__(self, name: str, diagram: Diagram, prime: bool, det: int):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "diagram", diagram)
-        object.__setattr__(self, "prime", prime)
-        object.__setattr__(self, "det", det)
-
 
 def entries() -> tuple:
     """The full corpus, duplicates elided: torus(2) and torus(3) equal

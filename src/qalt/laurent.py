@@ -5,9 +5,9 @@ k), so half-integer powers of t and integer powers of A live in one exact
 integer representation with no floating point. Coefficients are arbitrary
 precision integers.
 
-The same class carries Jones polynomials in t^(1/2), Kauffman brackets in
-A, and spanning-tree polynomials in A; only rendering cares which letter
-is in play.
+The same class carries Jones polynomials in t^(1/2), Kauffman brackets
+and Kauffman's subset expansion Gamma in A; only rendering cares which
+letter is in play.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ class SupportNotOnLattice(ValueError):
     """The support does not fit a single arithmetic progression of the step."""
 
 
-class HalfLaurent:
+class HalfLaurent(_Record):
     """Immutable Laurent polynomial with doubled-integer exponents."""
 
     __slots__ = ("_terms",)
@@ -41,13 +41,6 @@ class HalfLaurent:
                 if c != 0:
                     clean[e2] = c
         object.__setattr__(self, "_terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HalfLaurent is immutable")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, since assignment raises
-        return HalfLaurent, (self._terms,)
 
     # construction helpers
 
@@ -136,11 +129,6 @@ class HalfLaurent:
     def shift2(self, k2: int) -> "HalfLaurent":
         """Multiply by x^(k2/2)."""
         return HalfLaurent({e2 + k2: c for e2, c in self._terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, HalfLaurent):
-            return NotImplemented
-        return self._terms == other._terms
 
     def __hash__(self):
         return hash(self.items2())
@@ -290,13 +278,6 @@ class GapReport(_Record):
     """
 
     __slots__ = ("breadth2", "step2", "gaps", "alternating")
-
-    def __init__(self, breadth2: int, step2: int, gaps: tuple,
-                 alternating: bool):
-        object.__setattr__(self, "breadth2", breadth2)
-        object.__setattr__(self, "step2", step2)
-        object.__setattr__(self, "gaps", gaps)
-        object.__setattr__(self, "alternating", alternating)
 
     def gap_count(self) -> int:
         return len(self.gaps)

@@ -37,11 +37,6 @@ HOPF_JONES = HalfLaurent({-5: -1, -1: -1})
 class QAVerdict(_Record):
     __slots__ = ("status", "reasons", "assumptions")
 
-    def __init__(self, status: str, reasons: tuple, assumptions: dict):
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "reasons", reasons)
-        object.__setattr__(self, "assumptions", assumptions)
-
 
 def torus_2n_jones(n: int) -> HalfLaurent:
     """Jones polynomial of the (2,n) torus link T(2,n), n >= 1, as the
@@ -173,9 +168,6 @@ class Certificate(_Record):
 
     __slots__ = ("tree",)
 
-    def __init__(self, tree: dict):
-        object.__setattr__(self, "tree", tree)
-
     def to_json(self) -> str:
         """The tree as compact JSON; from_json reads it compact or indented."""
         return json.dumps(self.tree)
@@ -191,11 +183,8 @@ class Certificate(_Record):
 
 
 class Unknown(_Record):
+    # reason: "budget" or "exhausted"
     __slots__ = ("reason",)
-
-    def __init__(self, reason: str):
-        # "budget" or "exhausted"
-        object.__setattr__(self, "reason", reason)
 
 
 class _BudgetExceeded(Exception):
@@ -478,10 +467,6 @@ def kanenobu_jones(p: int, q: int) -> HalfLaurent:
 
 class KanenobuVerdict(_Record):
     __slots__ = ("status", "agrees")
-
-    def __init__(self, status: str, agrees: bool):
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "agrees", agrees)
 
 
 def kanenobu_obstruction(p: int, q: int) -> KanenobuVerdict:

@@ -9,7 +9,7 @@ import pytest
 
 import qalt.qa
 import qalt.tait
-from conftest import braid_closure, pretzel, pretzel_cases
+from conftest import braid_closure, grid_diagram, pretzel, pretzel_cases
 from oracles import contract, delete, is_isthmus, is_loop, rule_ids
 from qalt import cli, corpus
 from qalt.bracket import determinant, jones
@@ -519,15 +519,23 @@ def test_round_trip_scans_for_moves_at_the_root_only(monkeypatch):
 
 def test_certified_closures_satisfy_the_papers_bounds():
     # a certificate proves membership, so no rule of the battery without
-    # flags may fire, and breadth(V) <= det must hold
+    # flags may fire, and breadth(V) <= det must hold. The connected grid
+    # diagrams with crossings are not braid closures (see conftest)
     closures = (_alternating_closures(30, seed=11)
                 + _near_alternating_closures(120, seed=12))
-    certified = 0
-    for d in closures:
+    rng = random.Random(5)
+    grids = [d for d in (grid_diagram(rng, rng.randint(5, 8))
+                         for _ in range(150))
+             if d.crossings and d.is_connected()]
+    certified = certified_grids = 0
+    for i, d in enumerate(closures + grids):
         out = certify(d, Budget(max_nodes=300))
         if not isinstance(out, Certificate):
             continue
-        certified += 1
+        if i < len(closures):
+            certified += 1
+        else:
+            certified_grids += 1
         v = jones(d)
         det = _root_det(out.tree)
         assert det == v.abs_at_minus_one()
@@ -535,6 +543,56 @@ def test_certified_closures_satisfy_the_papers_bounds():
         assert verdict.status == INCONCLUSIVE, verdict.reasons
         assert analyze(v, step2=2).breadth2 <= 2 * det
     assert certified >= 110, certified
+    assert certified_grids >= 70, certified_grids
+
+
+def _two_arc_cut(d) -> bool:
+    """Whether two distinct arcs of d border the same two faces, so that
+    a closed curve through those faces meets d in two points and has
+    crossings on both sides. Within a face of d.faces(), each arc runs
+    from the exit slot s - 1 of one entry to the next entry."""
+    sides = collections.defaultdict(set)
+    for f, face in enumerate(d.faces()):
+        for (c, s), entry in zip(face, face[1:] + face[:1]):
+            sides[frozenset({(c, (s - 1) % 4), entry})].add(f)
+    pairs = collections.Counter(map(frozenset, sides.values()))
+    return max(pairs.values()) > 1
+
+
+def test_two_arc_cut_known_answers():
+    for n in range(2, 9):
+        assert not _two_arc_cut(corpus.torus(n)), n
+    for d in (corpus.trefoil(), corpus.figure_eight(), pretzel(3, 3, 3)):
+        assert not _two_arc_cut(d), d
+    trefoil = corpus.trefoil()
+    for d in (corpus.hopf_hopf(), corpus.hopf_trefoil(),
+              trefoil.connected_sum(trefoil)):
+        assert _two_arc_cut(d), d
+
+
+def test_prime_certified_alternating_closures_have_no_gap():
+    # the paper's main theorem extends Thistlethwaite's Theorem 1(iv): a
+    # prime QA link that is not a (2,n) torus link has no gap in V. A
+    # reduced alternating diagram with no two-arc cut is prime (Menasco,
+    # 1984), so on those the battery with prime=True, which exempts the
+    # (2,n) torus links itself, never fires. On 24 of the composites the
+    # gap rule does, so the cut test is what makes prime=True honest
+    counts = collections.Counter()
+    for d in _alternating_closures(200, seed=11):
+        out = certify(d)
+        assert isinstance(out, Certificate), d
+        if not out.tree["nodes"]:
+            continue
+        reduced = parse_pd(out.tree["nodes"][0][0])
+        assert reduced.is_alternating()
+        verdict = obstruct(jones(d), _root_det(out.tree), prime=True)
+        if _two_arc_cut(reduced):
+            counts["composite", verdict.status] += 1
+        else:
+            assert verdict.status == INCONCLUSIVE, (d, verdict.reasons)
+            counts["prime"] += 1
+    assert counts == {"prime": 124, ("composite", INCONCLUSIVE): 52,
+                      ("composite", NOTQA): 24}, counts
 
 
 def test_to_json_is_json_dumps_on_generated_certificates():

@@ -52,6 +52,10 @@ def test_positional_and_keyword_construction(cls, fields):
         cls(*fields.values(), None)
     with pytest.raises(TypeError):
         cls(**fields, extra=None)
+    if cls is not Budget:
+        # only Budget has defaults
+        with pytest.raises(TypeError):
+            cls(*list(fields.values())[:-1])
 
 
 def test_budget_defaults():
@@ -121,6 +125,17 @@ def test_half_laurent_copy_and_pickle():
     for twin in (copy.copy(f), copy.deepcopy(f),
                  pickle.loads(pickle.dumps(f))):
         assert type(twin) is HalfLaurent and twin == f
+
+
+def test_half_laurent_refuses_assignment_and_deletion():
+    f = HalfLaurent({-3: 2, 5: -1})
+    for name in ("_terms", "other"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(f, name, {})
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(f, name)
+    assert f == HalfLaurent({-3: 2, 5: -1})
+    assert f.render() == "2t^(-3/2) - t^(5/2)"
 
 
 def test_signed_planar_graph_validation():
