@@ -282,9 +282,8 @@ _DIAGRAM = ("--pd", "--file")
 _GRAPH = _DIAGRAM + ("--edgelist",)
 _FLAG = {"action": "store_true"}
 _WHITE = ("--white", {**_FLAG, "help": "use the white checkerboard graph"})
-_BUDGET = (("--max-depth", {"type": int}),
-           ("--max-nodes", {"type": int}),
-           ("--simplify-passes", {"type": int}))
+_BUDGET = tuple(("--" + name.replace("_", "-"), {"type": int})
+                for name in Budget.__slots__)
 
 # name, help, handler, one-of inputs (required when any), other arguments
 _COMMANDS = (

@@ -51,12 +51,13 @@ diagram is alternating: each arc the splice fuses runs from the far
 ends of two arcs that met adjacent slots, one even and one odd, of a
 removed crossing, and in an alternating diagram those far ends are one
 odd and one even; so smooth sets the child's alternation. check_planar
-marks a diagram _planar, and every splice keeps the mark. Where the
-parent is marked and its pieces are known, smooth counts the pieces of
-a child of several components from the parent's faces: the r-smoothing
-at c merges the faces at two opposite corners of c, and on a planar
-diagram it splits c's piece exactly when they are one face; a part that
-the untwisting clears of crossings is a free loop, not a piece.
+counts a diagram's faces and marks it _planar; every splice keeps the
+mark, and a marked diagram is not counted again. Where the parent is
+marked and its pieces are known, smooth counts the pieces of a child of
+several components from the parent's faces: the r-smoothing at c merges
+the faces at two opposite corners of c, and on a planar diagram it
+splits c's piece exactly when they are one face; a part that the
+untwisting clears of crossings is a free loop, not a piece.
 
 A diagram that simplify() has seen at its fixpoint, where _move() finds
 no Reidemeister move, carries the mark _fixpoint, and simplify returns
@@ -115,13 +116,12 @@ class NoEmbedding(ValueError):
 class Diagram:
     """Immutable PD-code diagram plus explicit crossing-free circles.
 
-    Beside the port arrays each diagram holds five marks, set where it is
-    built: _walk_numbered, set by _splice, where labels count up along
-    each component's walk and the diagram is its own canonical form;
-    _pieces and _alternating, None until worked out or taken from a
-    parent; _fixpoint, where _move() is known to find nothing; and
-    _planar, set by check_planar and kept by every splice (see the
-    module notes)."""
+    _fill writes every field, for __init__ and _splice alike: the port
+    arrays and five marks. _walk_numbered, set by _splice, means labels
+    count up along each component's walk and the diagram is its own
+    canonical form; _planar is set by check_planar and kept by splices;
+    _pieces and _alternating start None and _fixpoint False, until
+    worked out or taken from a parent (see the module notes)."""
 
     __slots__ = ("crossings", "free_loops", "component_count", "_flat",
                  "_mate", "_fin", "_starts", "_walk_numbered", "_pieces",
@@ -187,15 +187,22 @@ class Diagram:
                 fin[p] = forward
                 fin[p ^ 2] = back
             starts.append(start)
-        self.crossings = tuple(tuples)
+        self._fill(tuple(tuples), free_loops, flat, mate, fin, starts,
+                   False, False)
+
+    def _fill(self, crossings, free_loops, flat, mate, fin, starts,
+              walk_numbered, planar) -> "Diagram":
+        """Write every field, the marks not given unknown; returns self."""
+        self.crossings = crossings
         self.free_loops = free_loops
-        self._flat = flat
-        self._mate = mate
-        self._fin = fin
-        self._starts = starts
         self.component_count = len(starts) + free_loops
-        self._walk_numbered = self._fixpoint = self._planar = False
+        self._flat, self._mate, self._fin = flat, mate, fin
+        self._starts = starts
+        self._walk_numbered = walk_numbered
+        self._planar = planar
+        self._fixpoint = False
         self._pieces = self._alternating = None
+        return self
 
     # basic queries
 
@@ -314,14 +321,15 @@ class Diagram:
         that fixes no planar embedding gives fewer."""
         return len(self._port_faces()[0])
 
-    def check_planar(self, faces: int | None = None):
-        """Raise NoEmbedding unless face_count(), or faces when the caller
-        has counted them, is crossings + 2 * shadow_pieces(). Such a code
+    def check_planar(self):
+        """Mark the diagram _planar, or raise NoEmbedding where
+        face_count() is not crossings + 2 * shadow_pieces(): such a code
         has no checkerboard graphs, and its bracket and Jones polynomial
         are not those of any link. Smoothings and R1/R2 moves keep a
-        planar diagram planar."""
-        if faces is None:
-            faces = self.face_count()
+        planar diagram planar, so a marked diagram returns at once."""
+        if self._planar:
+            return
+        faces = self.face_count()
         planar = len(self.crossings) + 2 * self.shadow_pieces()
         if faces != planar:
             raise NoEmbedding("face count %d is not %d, crossings + 2 per "
@@ -446,13 +454,8 @@ class Diagram:
                 cut.add(e >> 2)
                 joins.append((e | (s + 1) & 3, e | (s + 2) & 3))
         if len(cut) == len(self.crossings):
-            d = Diagram.__new__(Diagram)
-            d.crossings = ()
-            d.free_loops = d.component_count = loops
-            d._flat, d._mate, d._fin, d._starts = [], [], [], []
-            d._walk_numbered, d._pieces, d._alternating = False, None, None
-            d._fixpoint, d._planar = False, self._planar
-            return d
+            return Diagram.__new__(Diagram)._fill(
+                (), loops, [], [], [], [], False, self._planar)
 
         # When labels count up along the walks here, every arc but the
         # lowest of its component meets the arc one label lower at a
@@ -511,18 +514,11 @@ class Diagram:
             d = Diagram(crossings, loops)
             d._planar = self._planar
             return d
-        d = Diagram.__new__(Diagram)
-        d.crossings = crossings
-        d.free_loops = loops
-        d._flat = flat
-        d._mate = [new[other[p]] for p in old]
-        d._fin = [entry[p] for p in old]
         # __init__ starts each walk at the later port of the lowest arc
-        d._starts = [max(new[h], new[other[h]]) for h in firsts]
-        d.component_count = len(firsts) + loops
-        d._walk_numbered, d._pieces, d._alternating = True, None, None
-        d._fixpoint, d._planar = False, self._planar
-        return d
+        return Diagram.__new__(Diagram)._fill(
+            crossings, loops, flat, [new[other[p]] for p in old],
+            [entry[p] for p in old],
+            [max(new[h], new[other[h]]) for h in firsts], True, self._planar)
 
     # operations
 

@@ -70,8 +70,8 @@ def _tait_graphs(d: Diagram, both: bool) -> tuple:
     if not d.crossings:
         unknot = SignedPlanarGraph(1, ())
         return unknot, (unknot if both else None)
+    d.check_planar()
     nfaces, corners, colors = d.face_incidence()
-    d.check_planar(nfaces)
     # the face at the least port is colored 0, so a tie goes to class 1
     black = 0 if 2 * sum(colors) < nfaces else 1
 

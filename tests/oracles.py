@@ -10,6 +10,9 @@ hold the library against:
   deletion-contraction identity for Gamma, the Tutte polynomial and the
   matrix-tree count of a signed graph (tait);
 - |f(zeta_8)|, the evaluation that gives det from Gamma (laurent);
+- Fox's coloring matrix, the Alexander matrix at t = -1, a third route
+  to the determinant beside the bracket and the Goeritz matrix
+  (diagram);
 - the readings that only the tests make: each arc's component and head
   (diagram), and a verdict's rule ids (qa).
 
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from qalt._util import _join, _root
+from qalt._util import _join, _root, bareiss_det
 from qalt.bracket import jones, kauffman_bracket
 from qalt.diagram import Diagram
 from qalt.laurent import (HalfLaurent, SupportNotOnLattice, ZeroPolynomial,
@@ -117,6 +120,35 @@ def arc_head(d: Diagram, lab: int):
     """The port the arc flows into, as (crossing, slot)."""
     p = d._head_port(lab)
     return (p >> 2, p & 3)
+
+
+def coloring_det(d: Diagram) -> int:
+    """|det| of Fox's coloring matrix with its first row and column
+    struck out: the Alexander matrix at t = -1, a route to the
+    determinant that reads no faces. Each crossing gives a row, +2 at
+    its over-arc and -1 at each end of its under-strand; an over-arc is
+    a class of the labels that the crossings' over-strands join. A free
+    loop beside crossings, or a component that never passes under, makes
+    the link split, and the answer 0."""
+    if not d.crossings:
+        return int(d.free_loops == 1)
+    labels = sorted({lab for t in d.crossings for lab in t})
+    index = {lab: i for i, lab in enumerate(labels)}
+    parent = list(range(len(index)))
+    for t in d.crossings:
+        _join(parent, index[t[1]], index[t[3]])
+    arc = {}
+    for i in range(len(parent)):
+        arc.setdefault(_root(parent, i), len(arc))
+    if d.free_loops or len(arc) != len(d.crossings):
+        return 0
+    rows = []
+    for t in d.crossings:
+        row = [0] * len(arc)
+        for slot, entry in ((1, 2), (0, -1), (2, -1)):
+            row[arc[_root(parent, index[t[slot]])]] += entry
+        rows.append(row[1:])
+    return abs(bareiss_det(rows[1:]))
 
 
 # bracket

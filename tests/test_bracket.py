@@ -156,6 +156,7 @@ def test_bracket_of_relabelled_and_split_diagrams():
             == kauffman_bracket(corpus.trefoil()) * delta * delta)
 
 
+@pytest.mark.hashseed
 def test_bracket_logs_frontier(caplog):
     with caplog.at_level(logging.DEBUG, logger="qalt.bracket"):
         kauffman_bracket(corpus.trefoil())
@@ -214,6 +215,7 @@ BRACKET_DIGEST = (
     "dbb2e0cf906425c471041bef495e8a19a99655379371e805b45079d17c7b1d12")
 
 
+@pytest.mark.hashseed
 def test_bracket_golden_digest():
     h = hashlib.sha256()
     for d in _digest_corpus():

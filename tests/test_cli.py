@@ -11,10 +11,11 @@ import qalt.qa
 from conftest import braid_closure
 from qalt import corpus
 from qalt.bracket import jones, kauffman_bracket
-from qalt.cli import main
+from qalt.cli import build_parser, main
 from qalt.diagram import parse_pd
 from qalt.laurent import analyze, parse
-from qalt.qa import Certificate, kanenobu_jones, replay_certificate
+from qalt.qa import (Budget, Certificate, kanenobu_jones,
+                     replay_certificate)
 from qalt.tait import checkerboard, gamma
 
 HOPF = "X[1,4,2,3] X[3,2,4,1]"
@@ -476,6 +477,17 @@ def test_batch_bad_budget_flag_is_exit_1_before_any_line(tmp_path, capsys,
                          "--max-nodes", value)
     assert code == 1 and out == ""
     assert err.endswith(message)
+
+
+@pytest.mark.parametrize("command", ["certify", "batch"])
+def test_budget_flags_are_the_budget_fields(command):
+    # one flag per Budget field, in field order, and no other int flag
+    subs = next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    flags = [(a.option_strings, a.dest)
+             for a in subs.choices[command]._actions if a.type is int]
+    assert flags == [(["--" + name.replace("_", "-")], name)
+                     for name in Budget.__slots__]
 
 
 def test_batch_missing_file(capsys):

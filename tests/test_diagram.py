@@ -338,6 +338,7 @@ KERNEL_DIGEST = (
     "5b2318b808672bd19d3e220747e45a691b6a369e667fdd3fe42a14fce126f744")
 
 
+@pytest.mark.hashseed
 def test_kernel_golden_digest():
     h = hashlib.sha256()
     for d in _kernel_corpus():
@@ -496,6 +497,7 @@ def _assembled(d):
     yield d.canonical()
 
 
+@pytest.mark.hashseed
 def test_assembled_diagrams_equal_their_parse():
     # on the kernel corpus and on grid diagrams, whose splices meet
     # over-only components and free loops far more often
@@ -515,6 +517,7 @@ def test_assembled_diagrams_equal_their_parse():
         assert over and loops
 
 
+@pytest.mark.hashseed
 def test_spliced_over_only_component_equals_its_parse():
     # the smoothing orients its over-only circle as __init__ does
     d = parse_pd("X[9,5,10,1] X[6,7,2,6] X[10,5,9,4] X[3,4,7,8] X[2,1,3,8]")
@@ -569,6 +572,7 @@ def _has_curl(d) -> bool:
     return any(p == q for p, q in enumerate(d._face_step()))
 
 
+@pytest.mark.hashseed
 def test_smooth_untwisted_matches_smooth_then_simplify():
     # the untwisted smoothing, simplified, against the plain smoothing,
     # simplified: the same crossing count, free loops, component count
@@ -612,6 +616,7 @@ def test_smooth_untwisted_undoes_a_twist_region():
         corpus.trefoil().smooth(3, 0, untwist=True)
 
 
+@pytest.mark.hashseed
 def test_untwisted_smoothings_of_reduced_alternating_diagrams_are_reduced():
     # the rule behind the _fixpoint mark (module notes): an alternating
     # diagram has no removable bigon, and the untwisting splice removes
@@ -652,6 +657,7 @@ UNTWIST_DIGEST = (
     "f895f7955c307a71c40a9c58c4309c42a9aabcb4f3654535f94f00dcd0c5b70d")
 
 
+@pytest.mark.hashseed
 def test_untwist_golden_digest():
     h = hashlib.sha256()
     for d in _untwisting_inputs():
@@ -712,3 +718,43 @@ def test_smoothings_of_planar_diagrams_count_their_pieces_by_faces():
     u = d.smooth(0, 0)
     assert u.component_count == 3 and u._pieces is None
     assert u.shadow_pieces() == 1
+
+
+# a code whose one face falls short of the 5 that its 3 crossings in
+# one piece need; its smoothing at crossing 0 is X[2,1,3,1] X[3,4,2,4]
+NO_EMBEDDING = "X[2,1,2,4] X[3,1,5,4] X[5,6,3,6]"
+
+
+def test_check_planar_counts_the_faces_itself():
+    # no caller's count can mark a code planar, so no smoothing of it
+    # reads its pieces off faces that no embedding has
+    d = parse_pd(NO_EMBEDDING)
+    with pytest.raises(TypeError):
+        d.check_planar(5)
+    for _ in range(2):
+        with pytest.raises(NoEmbedding, match="face count 1 is not 5"):
+            d.check_planar()
+    u = d.smooth(0, 0)
+    assert u.render() == "X[2,1,3,1] X[3,4,2,4]"
+    assert u.shadow_pieces() == 1 and u.is_connected()
+
+
+def test_check_planar_counts_no_faces_on_a_marked_diagram(monkeypatch):
+    # a diagram checked before, or spliced from one, is not counted again
+    counted = []
+    port_faces = Diagram._port_faces
+    monkeypatch.setattr(Diagram, "_port_faces",
+                        lambda d: counted.append(d) or port_faces(d))
+    inputs = [Diagram(d.crossings, d.free_loops)
+              for d in _untwisting_inputs()[::4]]
+    for d in inputs:
+        d.check_planar()
+    assert counted == inputs
+    for d in inputs:
+        d.check_planar()
+        d.simplify().canonical().check_planar()
+        for c in range(len(d.crossings)):
+            for r in (0, 1):
+                d.smooth(c, r).check_planar()
+                d.smooth(c, r, untwist=True).check_planar()
+    assert counted == inputs

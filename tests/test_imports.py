@@ -15,7 +15,9 @@ the functions it wraps as strings. Code that only the tests read
 belongs with them, in tests/oracles.py.
 
 A Diagram's port arrays are read in diagram.py, and outside it only
-where its module docstring says: bracket.py reads _mate.
+where its module docstring says: bracket.py reads _mate. Inside it,
+Diagram._fill alone writes the fields, and the marks are set only where
+the module notes say.
 """
 
 import ast
@@ -122,3 +124,31 @@ def test_port_layout_is_read_where_diagram_says():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Attribute) and node.attr in PORT_FIELDS}
     assert reads == {("bracket.py", "_mate")}
+
+
+# the functions of diagram.py that write each of Diagram's fields:
+# _fill writes them all, and the marks are set where the module notes
+# name, or passed from parent to child by canonical, smooth and the
+# splice whose over-only result __init__ builds
+FIELD_WRITERS = {
+    **dict.fromkeys(("crossings", "free_loops", "component_count", "_flat",
+                     "_mate", "_fin", "_starts", "_walk_numbered"),
+                    {"_fill"}),
+    "_fixpoint": {"_fill", "simplify", "canonical", "smooth"},
+    "_pieces": {"_fill", "shadow_pieces", "canonical", "smooth"},
+    "_alternating": {"_fill", "is_alternating", "canonical", "smooth"},
+    "_planar": {"_fill", "check_planar", "_splice"},
+}
+
+
+def test_diagram_fields_have_one_writer():
+    tree = ast.parse((SRC / "diagram.py").read_text())
+    writers = {}
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef):
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Attribute)
+                        and not isinstance(node.ctx, ast.Load)):
+                    writers.setdefault(node.attr, set()).add(func.name)
+    assert set(FIELD_WRITERS) == set(qalt.Diagram.__slots__)
+    assert writers == FIELD_WRITERS

@@ -372,6 +372,7 @@ TREFOIL_CERTIFICATE = """{
 }"""
 
 
+@pytest.mark.hashseed
 def test_trefoil_certificate_is_pinned(capsys):
     # a child's reduced_pd depends on how the untwisted smoothing
     # orients its fused arcs (each takes the direction of its lowest
@@ -408,6 +409,7 @@ def _near_alternating_closures(count, seed):
     return out
 
 
+@pytest.mark.hashseed
 def test_certificates_of_seeded_closures_are_pinned():
     h = hashlib.sha256()
     for d in _near_alternating_closures(60, seed=20261018):
@@ -674,6 +676,7 @@ def test_replay_refuses_the_unknot_as_a_node():
     assert str(err.value) == "node 0: child 0 is not the 0-smoothing"
 
 
+@pytest.mark.hashseed
 def test_replay_refuses_a_split_child():
     # two trefoils joined by a nugatory crossing: one smoothing of that
     # crossing is their split union, and a child names it by the text it
@@ -851,6 +854,7 @@ def _near_shared_closure():
     return braid_closure([3, -3, 3, 2, 2, 2, -3, -3, 2, 3, 3, 3], 4)
 
 
+@pytest.mark.hashseed
 def test_certificate_nodes_are_numbered_parents_first():
     # every child's index exceeds its parents', every node but 0 has a
     # parent, and each distinct reduced diagram is one node. Numbering
@@ -873,6 +877,7 @@ def test_certificate_nodes_are_numbered_parents_first():
     assert found_order_breaks >= 1
 
 
+@pytest.mark.hashseed
 def test_a_certificate_600_levels_deep_round_trips():
     # the table nests to the same depth however deep the tree, so a tree
     # of 599 levels, past the JSON coders' recursion and the default
@@ -1012,6 +1017,7 @@ def _child_error(nodes, i, c, r, kid):
     return None
 
 
+@pytest.mark.hashseed
 def test_replay_rejects_single_edits_of_an_alternating_certificate():
     # every node of an all-alternating tree, one edit at a time: a det
     # that is not the sum of the children's, a crossing whose untwisted

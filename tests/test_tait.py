@@ -14,9 +14,10 @@ from qalt.tait import (SignedPlanarGraph, black_graph, checkerboard, gamma,
 
 from conftest import (braid_closure, grid_diagram, pretzel, pretzel_cases,
                       random_alternating_graph, random_connected_graph)
-from oracles import (LoopOrIsthmus, activity, contract, delete, gamma_skein_check,
-                     gamma_trees, is_isthmus, is_loop, kirchhoff_count,
-                     reorder, spanning_trees, tutte, tutte_check)
+from oracles import (LoopOrIsthmus, activity, coloring_det, contract, delete,
+                     gamma_skein_check, gamma_trees, is_isthmus, is_loop,
+                     kirchhoff_count, reorder, spanning_trees, tutte,
+                     tutte_check)
 
 
 def hl(*pairs):
@@ -372,6 +373,48 @@ def _smoothing_cases():
     return cases
 
 
+def _determinant_cases() -> list:
+    """Braid closures of 8-16 letters on 2-5 strands, 90 of each family:
+    alternating, a random sign per letter, and near-alternating (one or
+    two letters of an alternating word switched); the grid diagrams with
+    crossings among 150 draws of sizes 5-8; and every pretzel case."""
+    rng = random.Random(12)
+    out = []
+    for family in ("alternating", "random", "near"):
+        for _ in range(90):
+            strands = rng.randint(2, 5)
+            word = [rng.randint(1, strands - 1)
+                    for _ in range(rng.randint(8, 16))]
+            if family == "random":
+                word = [g * rng.choice((1, -1)) for g in word]
+            else:
+                word = [g if g % 2 else -g for g in word]
+            if family == "near":
+                for k in rng.sample(range(len(word)), rng.randint(1, 2)):
+                    word[k] = -word[k]
+            out.append(braid_closure(word, strands))
+    rng = random.Random(5)
+    grids = [grid_diagram(rng, rng.randint(5, 8)) for _ in range(150)]
+    out += [d for d in grids if d.crossings]
+    return out + [pretzel(*cols, -q) for cols, q in pretzel_cases()]
+
+
+def test_three_determinant_routes_agree():
+    # Fox's coloring matrix reads no faces, the bracket reads the states
+    # and the Goeritz matrix the face coloring and the edge signs that
+    # every certificate's det rests on
+    split = 0
+    for d in _determinant_cases():
+        det = coloring_det(d)
+        assert det == determinant(d), d
+        if d.is_connected():
+            assert det == goeritz_det(black_graph(d)), d
+        else:
+            split += 1
+            assert det == 0, d
+    assert split >= 10, split
+
+
 def test_smoothing_dets_match_diagram_smoothings():
     loops = isthmi = 0
     for d in _smoothing_cases():
@@ -387,6 +430,7 @@ def test_smoothing_dets_match_diagram_smoothings():
     assert loops and isthmi
 
 
+@pytest.mark.hashseed
 def test_alternating_determinant_adds_over_connected_smoothings():
     # the rule certify and replay use at alternating nodes: the black
     # graph is one-signed, so its determinant is its spanning-tree count
