@@ -21,7 +21,6 @@ from .diagram import (
 )
 from .tait import (
     SignedPlanarGraph,
-    black_graph,
     checkerboard,
     gamma,
     goeritz_det,
@@ -55,7 +54,7 @@ __all__ = [
     "analyze", "monomial_quotient", "parse",
     "Diagram", "DisconnectedDiagram", "EmptyDiagram", "InvalidCrossing",
     "InvalidStrandLabels", "NoEmbedding", "PDSyntaxError", "parse_pd",
-    "SignedPlanarGraph", "black_graph", "checkerboard", "gamma",
+    "SignedPlanarGraph", "checkerboard", "gamma",
     "goeritz_det", "parse_edgelist",
     "BracketResult", "bracket_result", "bracket_state_sum", "determinant",
     "jones", "kauffman_bracket",

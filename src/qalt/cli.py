@@ -24,8 +24,7 @@ from .diagram import NoEmbedding, parse_pd
 from .laurent import _half, analyze
 from .qa import (INCONCLUSIVE, NOTQA, Budget, Unknown, certify, kanenobu_jones,
                  kanenobu_obstruction, obstruct)
-from .tait import (black_graph, checkerboard, gamma, goeritz_det,
-                   parse_edgelist)
+from .tait import checkerboard, gamma, goeritz_det, parse_edgelist
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,7 +80,7 @@ def _read_graph(args):
     --white, the white graph, which an edge list does not carry."""
     if args.edgelist is None:
         d = _read_diagram(args)
-        return checkerboard(d)[1] if args.white else black_graph(d)
+        return checkerboard(d)[args.white]
     g = parse_edgelist(_read(args.edgelist))
     if args.white:
         raise ValueError("graph carries no embedding")

@@ -51,8 +51,8 @@ diagram is alternating: each arc the splice fuses runs from the far
 ends of two arcs that met adjacent slots, one even and one odd, of a
 removed crossing, and in an alternating diagram those far ends are one
 odd and one even; so smooth sets the child's alternation. check_planar
-counts a diagram's faces and marks it _planar; every splice keeps the
-mark, and a marked diagram is not counted again. Where the parent is
+and face_incidence count a diagram's faces and mark it _planar; every
+splice keeps the mark, and check_planar trusts it. Where the parent is
 marked and its pieces are known, smooth counts the pieces of a child of
 several components from the parent's faces: the r-smoothing at c merges
 the faces at two opposite corners of c, and on a planar diagram it
@@ -119,9 +119,9 @@ class Diagram:
     _fill writes every field, for __init__ and _splice alike: the port
     arrays and five marks. _walk_numbered, set by _splice, means labels
     count up along each component's walk and the diagram is its own
-    canonical form; _planar is set by check_planar and kept by splices;
-    _pieces and _alternating start None and _fixpoint False, until
-    worked out or taken from a parent (see the module notes)."""
+    canonical form; _planar is set by _planar_faces and kept by
+    splices; _pieces and _alternating start None and _fixpoint False,
+    until worked out or taken from a parent (see the module notes)."""
 
     __slots__ = ("crossings", "free_loops", "component_count", "_flat",
                  "_mate", "_fin", "_starts", "_walk_numbered", "_pieces",
@@ -314,28 +314,27 @@ class Diagram:
             faces.append(orbit)
         return faces, face_of
 
-    def face_count(self) -> int:
-        """The number of faces() of the shadow. On a planar diagram each
-        piece of the shadow with c crossings bounds c + 2 faces (Euler's
-        formula), so the count is crossings + 2 * shadow_pieces(); a code
-        that fixes no planar embedding gives fewer."""
-        return len(self._port_faces()[0])
-
-    def check_planar(self):
-        """Mark the diagram _planar, or raise NoEmbedding where
-        face_count() is not crossings + 2 * shadow_pieces(): such a code
-        has no checkerboard graphs, and its bracket and Jones polynomial
-        are not those of any link. Smoothings and R1/R2 moves keep a
-        planar diagram planar, so a marked diagram returns at once."""
-        if self._planar:
-            return
-        faces = self.face_count()
+    def _planar_faces(self):
+        """_port_faces(), once it has marked the diagram _planar; raises
+        NoEmbedding unless the faces number crossings + 2 per piece of
+        the shadow (Euler's formula). A code that fixes no planar
+        embedding has fewer, no checkerboard graphs, and a bracket and
+        Jones polynomial that are not those of any link."""
+        faces, face_of = self._port_faces()
         planar = len(self.crossings) + 2 * self.shadow_pieces()
-        if faces != planar:
+        if len(faces) != planar:
             raise NoEmbedding("face count %d is not %d, crossings + 2 per "
                               "piece of the shadow: the PD code is not "
-                              "planar" % (faces, planar))
+                              "planar" % (len(faces), planar))
         self._planar = True
+        return faces, face_of
+
+    def check_planar(self):
+        """Mark the diagram _planar, or raise NoEmbedding (see
+        _planar_faces). Smoothings and R1/R2 moves keep a planar diagram
+        planar, so a marked diagram returns at once."""
+        if not self._planar:
+            self._planar_faces()
 
     def faces(self):
         """Face orbits of the 4-valent shadow, as tuples of entry ports.
@@ -349,16 +348,17 @@ class Diagram:
 
     def face_incidence(self):
         """The faces met by each crossing, numbered by their position in
-        faces(), and their checkerboard coloring.
+        faces(), and their checkerboard coloring, or NoEmbedding (see
+        _planar_faces).
 
         Returns (face count, corners, colors). corners[c][k] is the face
         at corner k of crossing c, the corner between slots k and k+1.
-        colors[f] is 0 or 1 and the first face of each piece of the
-        shadow is colored 0; on a planar diagram the two faces beside an
-        arc differ. Those are the faces entered at its two ports, so one
-        search over the faces colors them.
+        colors[f] is 0 or 1, the first face of each piece of the shadow
+        is colored 0, and the two faces beside an arc differ. Those are
+        the faces entered at its two ports, so one search over the faces
+        colors them.
         """
-        faces, face_of = self._port_faces()
+        faces, face_of = self._planar_faces()
         mate = self._mate
         colors = [-1] * len(faces)
         for root in range(len(faces)):

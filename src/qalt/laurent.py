@@ -291,8 +291,8 @@ def analyze(f: HalfLaurent, step2: int) -> GapReport:
     """
     if f.is_zero():
         raise ZeroPolynomial("cannot analyze the zero polynomial")
-    if step2 <= 0:
-        raise ValueError("step2 must be positive")
+    if type(step2) is not int or step2 <= 0:
+        raise ValueError("step2 must be a positive integer")
     support = f.support2()
     lo = support[0]
     for e2 in support:

@@ -16,15 +16,7 @@ from ._util import _Record
 from .diagram import Diagram, DisconnectedDiagram, parse_pd
 from .bracket import determinant as bracket_determinant
 from .laurent import HalfLaurent, ZeroPolynomial, analyze, monomial_quotient
-from .tait import goeritz_det, smoothing_dets
-# certify and replay build the black graph only at non-alternating
-# nodes. On a connected planar alternating diagram it is one-signed, so
-# both terms of smoothing_dets's identity have the sign of the whole:
-# det = det0 + det1 at each crossing, and a node whose smoothings are
-# both connected takes its determinant from its children. The call
-# keeps the name checkerboard, under which perfbench's
-# tait.checkerboard span counts it
-from .tait import black_graph as checkerboard
+from .tait import checkerboard, goeritz_det, smoothing_dets
 
 NOTQA = "NotQA"
 INCONCLUSIVE = "Inconclusive"
@@ -47,7 +39,7 @@ def torus_2n_jones(n: int) -> HalfLaurent:
     for n >= 2, and 1 for the unknot T(2,1). It solves the skein
     recursion V_n = t^2 V_(n-2) + (t^(3/2) - t^(1/2)) V_(n-1) from
     V_0 = -(t^(1/2) + t^(-1/2)) and V_1 = 1."""
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError("need n >= 1")
     if n == 1:
         return HalfLaurent.one()
@@ -67,11 +59,11 @@ def obstruct(v: HalfLaurent, det: int, prime: bool = False) -> QAVerdict:
     +-t^r V(T(2,det)) nor that of its mirror, so the link is not a (2,n)
     torus link; more than one gap without Hopf-sum structure; small
     breadth with a determinant other than 1, 2, 3; broken sign
-    alternation. A negative det raises ValueError.
+    alternation. A det that is not a non-negative int raises ValueError.
     """
     if v.is_zero():
         raise ZeroPolynomial("the zero polynomial is not a Jones polynomial")
-    if det < 0:
+    if type(det) is not int or det < 0:
         raise ValueError("det must be a non-negative integer")
     rep = analyze(v, step2=2)
     reasons = []
@@ -284,7 +276,7 @@ def certify(d: Diagram, budget: Budget = Budget()):
             return key if memo.get(key) else None
         alternating = s.is_alternating()
         if not alternating:
-            det, pairs = smoothing_dets(checkerboard(s))
+            det, pairs = smoothing_dets(checkerboard(s)[0])
             if det < 2:
                 # a 1-determinant diagram that does not simplify away is
                 # not provably the unknot; additivity needs det >= 2 anyway
@@ -430,7 +422,7 @@ def replay_certificate(cert) -> bool:
             raise ValueError("node %d has no parent" % i)
         _, det, c, *kids = nodes[i]
         if not s.is_alternating():
-            got = goeritz_det(checkerboard(s))
+            got = goeritz_det(checkerboard(s)[0])
             if got != det:
                 raise ValueError("stored det %r != %r" % (det, got))
         for r, k in enumerate(kids):

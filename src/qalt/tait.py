@@ -5,9 +5,8 @@ vertices and every crossing contributes one signed edge. An edge is
 positive when the black regions occupy the corners between slots 1-2
 and 3-0 of its crossing (the pair swept clockwise from the over-strand),
 negative otherwise; the white graph is the planar dual and carries the
-opposite signs. black_graph() builds the black graph, which is all the
-certification search and its replay read; checkerboard() builds both
-from one face coloring.
+opposite signs. checkerboard() builds both from one face coloring; the
+certification search and its replay read the black one.
 
 gamma(G) is Kauffman's subset expansion of the signed graph, the sum
 over edge subsets S of A^(sum of s_e over S - sum over the rest) times
@@ -39,8 +38,8 @@ def _connected(n: int, edges) -> bool:
 class SignedPlanarGraph(_Record):
     """Multigraph with signed edges, edges[i] = (u, v, sign).
 
-    black_graph() and checkerboard() put crossing i's edge at edges[i]
-    in both graphs of a diagram. gamma, goeritz_det and each edge's
+    checkerboard() puts crossing i's edge at edges[i] in both graphs
+    of a diagram. gamma, goeritz_det and each edge's
     pair from smoothing_dets do not depend on the edge order."""
 
     __slots__ = ("vertex_count", "edges")
@@ -62,15 +61,19 @@ class SignedPlanarGraph(_Record):
         return _connected(self.vertex_count, self.edges)
 
 
-def _tait_graphs(d: Diagram, both: bool) -> tuple:
-    """(black graph, white graph) of a connected diagram, the white one
-    None unless both are asked for."""
+def checkerboard(d: Diagram) -> tuple:
+    """(black graph, white graph) of a connected diagram, each the
+    other's planar dual with negated signs, from one face coloring.
+
+    The black class is the larger face class; on a tie, the class not
+    containing the face at the least port. The crossing-free unknot
+    yields a single-vertex graph for both. A code that fixes no planar
+    embedding raises NoEmbedding from Diagram.face_incidence."""
     if not d.is_connected():
         raise DisconnectedDiagram("checkerboard needs a connected diagram")
     if not d.crossings:
         unknot = SignedPlanarGraph(1, ())
-        return unknot, (unknot if both else None)
-    d.check_planar()
+        return unknot, unknot
     nfaces, corners, colors = d.face_incidence()
     # the face at the least port is colored 0, so a tie goes to class 1
     black = 0 if 2 * sum(colors) < nfaces else 1
@@ -90,22 +93,7 @@ def _tait_graphs(d: Diagram, both: bool) -> tuple:
             else (index[c0], index[c2], -1)
             for c0, c1, c2, c3 in corners])
 
-    return graph(black), (graph(1 - black) if both else None)
-
-
-def black_graph(d: Diagram) -> SignedPlanarGraph:
-    """The black graph of a connected diagram.
-
-    The black class is the larger face class; on a tie, the class not
-    containing the face at the least port. The crossing-free unknot
-    yields a single-vertex graph."""
-    return _tait_graphs(d, False)[0]
-
-
-def checkerboard(d: Diagram) -> tuple:
-    """(black graph, white graph) of a connected diagram, each the
-    other's planar dual with negated signs; see black_graph."""
-    return _tait_graphs(d, True)
+    return graph(black), graph(1 - black)
 
 
 def gamma(g: SignedPlanarGraph) -> HalfLaurent:

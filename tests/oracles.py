@@ -11,7 +11,8 @@ hold the library against:
   matrix-tree count of a signed graph (tait);
 - |f(zeta_8)|, the evaluation that gives det from Gamma (laurent);
 - Fox's coloring matrix, the Alexander matrix at t = -1, a third route
-  to the determinant beside the bracket and the Goeritz matrix
+  to the determinant beside the bracket and the Goeritz matrix, and the
+  signature by Gordon and Litherland from either checkerboard graph
   (diagram);
 - the readings that only the tests make: each arc's component and head
   (diagram), and a verdict's rule ids (qa).
@@ -149,6 +150,54 @@ def coloring_det(d: Diagram) -> int:
             row[arc[_root(parent, index[t[slot]])]] += entry
         rows.append(row[1:])
     return abs(bareiss_det(rows[1:]))
+
+
+def _inertia(m) -> int:
+    """Positive less negative eigenvalues of the symmetric matrix m,
+    found exactly over Fraction by congruence (Sylvester's law of
+    inertia): each nonzero diagonal pivot gives its sign and leaves its
+    Schur complement. Where the diagonal is all zero, adding row and
+    column j to row and column i turns a nonzero m[i][j] into the pivot
+    2 m[i][j]; a zero matrix adds nothing more."""
+    m = [[Fraction(x) for x in row] for row in m]
+    inertia = 0
+    while m:
+        k = next((i for i in range(len(m)) if m[i][i]), None)
+        if k is None:
+            pair = next(((i, j) for i, row in enumerate(m)
+                         for j, x in enumerate(row) if x), None)
+            if pair is None:
+                break
+            k, j = pair
+            for row in m:
+                row[k] += row[j]
+            m[k] = [a + b for a, b in zip(m[k], m[j])]
+        pivot = m[k][k]
+        inertia += 1 if pivot > 0 else -1
+        m = [[x - row[k] * m[k][b] / pivot
+              for b, x in enumerate(row) if b != k]
+             for a, row in enumerate(m) if a != k]
+    return inertia
+
+
+def signature(d: Diagram, g: SignedPlanarGraph) -> int:
+    """The signature of d by Gordon and Litherland (Invent. Math. 1978),
+    from g, either graph of checkerboard(d): the inertia of g's signed
+    Goeritz minor, built as tait._goeritz_minor_det builds it, less the
+    sum of s_c over the crossings c whose sign d.sign(c) differs from
+    the sign s_c of their edge in g (the correction term mu of the
+    surface that g spans)."""
+    n = g.vertex_count
+    m = [[0] * n for _ in range(n)]
+    for u, v, s in g.edges:
+        if u != v:
+            m[u][v] -= s
+            m[v][u] -= s
+            m[u][u] += s
+            m[v][v] += s
+    return (_inertia([row[1:] for row in m[1:]])
+            - sum(s for c, (_, _, s) in enumerate(g.edges)
+                  if d.sign(c) != s))
 
 
 # bracket

@@ -23,12 +23,12 @@ from qalt import corpus
 from qalt.bracket import determinant, jones
 from qalt.laurent import HalfLaurent, analyze, monomial_quotient
 from qalt.qa import HOPF_JONES, torus_2n_jones
-from qalt.tait import black_graph
+from qalt.tait import checkerboard
 
 
 def _reduced(d) -> bool:
     """No nugatory crossing: the Tait graph has no loop and no isthmus."""
-    g = black_graph(d)
+    g = checkerboard(d)[0]
     return not any(is_loop(g, i) or is_isthmus(g, i)
                    for i in range(len(g.edges)))
 

@@ -158,6 +158,13 @@ def test_analyze_poly(capsys):
     assert "alternating: True" in out
 
 
+def test_analyze_step_zero_is_exit_1(capsys):
+    code, out, err = run(capsys, "analyze", "--poly", "-t^(-5/2) - t^(-1/2)",
+                         "--step2", "0")
+    assert (code, out, err) == (1, "", "error: step2 must be a positive "
+                                "integer\n")
+
+
 def test_analyze_half_parenthesized_poly_is_exit_1(capsys):
     code, out, err = run(capsys, "analyze", "--poly", "2t^(1/2")
     assert code == 1 and out == ""

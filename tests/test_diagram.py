@@ -19,6 +19,7 @@ from qalt.diagram import (
     PDSyntaxError,
     parse_pd,
 )
+from qalt.tait import checkerboard
 
 
 def test_parse_trefoil():
@@ -412,15 +413,14 @@ def test_is_alternating_matches_a_walk_along_the_components():
 def test_face_count_is_eulers_on_planar_diagrams():
     for d in _kernel_corpus():
         for e in _kernel_family(d):
-            assert e.face_count() == len(e.faces())
             if e.crossings:
-                assert (e.face_count()
+                assert (len(e.faces())
                         == len(e.crossings) + 2 * e.shadow_pieces())
                 assert e.is_connected() == (e.shadow_pieces() == 1
                                             and e.free_loops == 0)
     # codes that fix no planar embedding are still diagrams
-    assert parse_pd("X[1,2,1,2]").face_count() == 1
-    assert parse_pd("X[1,3,2,4] X[2,4,1,3]").face_count() == 2
+    assert len(parse_pd("X[1,2,1,2]").faces()) == 1
+    assert len(parse_pd("X[1,3,2,4] X[2,4,1,3]").faces()) == 2
 
 
 def test_face_incidence_matches_faces():
@@ -737,6 +737,29 @@ def test_check_planar_counts_the_faces_itself():
     u = d.smooth(0, 0)
     assert u.render() == "X[2,1,3,1] X[3,4,2,4]"
     assert u.shadow_pieces() == 1 and u.is_connected()
+
+
+def test_face_incidence_refuses_a_code_with_no_embedding():
+    # face_incidence walks the faces through the check_planar rule, so a
+    # code with no embedding gets no one-face coloring
+    d = parse_pd(NO_EMBEDDING)
+    with pytest.raises(NoEmbedding, match="face count 1 is not 5, "):
+        d.face_incidence()
+    assert not d._planar
+
+
+def test_checkerboard_walks_the_faces_once(monkeypatch):
+    # the walk that colors the faces is the one that checks their count,
+    # and it marks the diagram, so a check_planar after it walks none
+    counted = []
+    port_faces = Diagram._port_faces
+    monkeypatch.setattr(Diagram, "_port_faces",
+                        lambda d: counted.append(d) or port_faces(d))
+    d = parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]")
+    checkerboard(d)
+    assert counted == [d]
+    d.check_planar()
+    assert counted == [d]
 
 
 def test_check_planar_counts_no_faces_on_a_marked_diagram(monkeypatch):

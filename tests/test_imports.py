@@ -137,7 +137,7 @@ FIELD_WRITERS = {
     "_fixpoint": {"_fill", "simplify", "canonical", "smooth"},
     "_pieces": {"_fill", "shadow_pieces", "canonical", "smooth"},
     "_alternating": {"_fill", "is_alternating", "canonical", "smooth"},
-    "_planar": {"_fill", "check_planar", "_splice"},
+    "_planar": {"_fill", "_planar_faces", "_splice"},
 }
 
 

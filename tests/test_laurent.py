@@ -174,6 +174,12 @@ def test_analyze_lattice_validation():
         analyze(HalfLaurent.zero(), 2)
     rep = analyze(hl((0, 1), (8, 1)), 8)
     assert rep.gaps == ()
+    # a float step would report float gap starts, and True would be
+    # read as the step 1
+    for step2 in (2.0, True, False, 0, -2):
+        with pytest.raises(ValueError,
+                           match="step2 must be a positive integer"):
+            analyze(hl((-5, -1), (-1, -1)), step2)
 
 
 def test_analyze_gap_interiority_and_budget():

@@ -10,7 +10,8 @@ import pytest
 import qalt.qa
 import qalt.tait
 from conftest import braid_closure, grid_diagram, pretzel, pretzel_cases
-from oracles import contract, delete, is_isthmus, is_loop, rule_ids
+from oracles import (contract, delete, is_isthmus, is_loop, rule_ids,
+                     signature)
 from qalt import cli, corpus
 from qalt.bracket import determinant, jones
 from qalt.diagram import Diagram, DisconnectedDiagram, NoEmbedding, parse_pd
@@ -148,6 +149,17 @@ def test_obstruct_guards():
         obstruct(HalfLaurent.zero(), 3)
     with pytest.raises(ValueError, match="non-negative"):
         obstruct(HalfLaurent.one(), -1)
+    # a verdict rests on exact arithmetic: a float or a bool is refused,
+    # not read as the number it is close to or stands for
+    v = jones(corpus.hopf())
+    for det in (2.5, 2.0, True, False):
+        for prime in (False, True):
+            with pytest.raises(ValueError,
+                               match="det must be a non-negative integer"):
+                obstruct(v, det, prime=prime)
+    for n in (True, 2.0):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            torus_2n_jones(n)
 
 
 def test_obstruct_det_rule():
@@ -257,7 +269,7 @@ def test_non_planar_alternating_code_is_refused():
     # is not 2. certify and replay check the root, as checkerboard does
     d = parse_pd("X[2,3,4,1] X[1,2,3,4]")
     assert d.is_alternating() and d.is_connected()
-    assert d.face_count() != len(d.crossings) + 2
+    assert len(d.faces()) != len(d.crossings) + 2
     with pytest.raises(NoEmbedding):
         certify(d)
     s = d.simplify().canonical()
@@ -280,7 +292,7 @@ def test_non_planar_code_gives_one_message_everywhere(capsys, pd):
     assert d.is_connected()
     message = ("face count %d is not %d, crossings + 2 per piece of the "
                "shadow: the PD code is not planar"
-               % (d.face_count(), len(d.crossings) + 2))
+               % (len(d.faces()), len(d.crossings) + 2))
     leaf = {"version": 3, "pd": pd, "nodes": []}
     for call, arg in ((checkerboard, d), (certify, d),
                       (replay_certificate, leaf)):
@@ -544,6 +556,11 @@ def test_certified_closures_satisfy_the_papers_bounds():
         verdict = obstruct(v, det)
         assert verdict.status == INCONCLUSIVE, verdict.reasons
         assert analyze(v, step2=2).breadth2 <= 2 * det
+        # a QA link is Khovanov-thin (Manolescu-Ozsvath 2008), so the
+        # sign of V's coefficient at t^(e2/2) is (-1)^((e2 + sigma)/2)
+        sigma = signature(d, checkerboard(d)[0])
+        assert all((c > 0) == ((e2 + sigma) // 2 % 2 == 0)
+                   for e2, c in v.items2()), d
     assert certified >= 110, certified
     assert certified_grids >= 70, certified_grids
 

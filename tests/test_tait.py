@@ -9,15 +9,15 @@ from qalt import corpus
 from qalt.bracket import determinant, kauffman_bracket
 from qalt.diagram import DisconnectedDiagram, parse_pd
 from qalt.laurent import HalfLaurent, analyze, monomial_quotient
-from qalt.tait import (SignedPlanarGraph, black_graph, checkerboard, gamma,
-                       goeritz_det, parse_edgelist, smoothing_dets)
+from qalt.tait import (SignedPlanarGraph, checkerboard, gamma, goeritz_det,
+                       parse_edgelist, smoothing_dets)
 
 from conftest import (braid_closure, grid_diagram, pretzel, pretzel_cases,
                       random_alternating_graph, random_connected_graph)
 from oracles import (LoopOrIsthmus, activity, coloring_det, contract, delete,
                      gamma_skein_check, gamma_trees, is_isthmus, is_loop,
-                     kirchhoff_count, reorder, spanning_trees, tutte,
-                     tutte_check)
+                     kirchhoff_count, reorder, signature, spanning_trees,
+                     tutte, tutte_check)
 
 
 def hl(*pairs):
@@ -184,7 +184,7 @@ def test_gamma_is_the_bracket_up_to_a_monomial_on_braid_closures():
     assert sum(len(d.crossings) >= 24 for d in closures) == 12
     for d in closures:
         assert len(d.crossings) >= 8
-        q = monomial_quotient(gamma(black_graph(d)), kauffman_bracket(d))
+        q = monomial_quotient(gamma(checkerboard(d)[0]), kauffman_bracket(d))
         assert q is not None, d.crossings
 
 
@@ -408,11 +408,35 @@ def test_three_determinant_routes_agree():
         det = coloring_det(d)
         assert det == determinant(d), d
         if d.is_connected():
-            assert det == goeritz_det(black_graph(d)), d
+            assert det == goeritz_det(checkerboard(d)[0]), d
         else:
             split += 1
             assert det == 0, d
     assert split >= 10, split
+
+
+def test_signature_is_one_on_both_graphs_and_flips_on_the_mirror():
+    # Gordon-Litherland reads the signature off either checkerboard
+    # surface, so it checks the face coloring and the edge signs that
+    # every certificate's det rests on. Agreement alone does not fix the
+    # correction term: summing s_c over the crossings whose signs agree
+    # also gives equal values on both graphs, but 1 on the trefoil, so
+    # the corpus values pin the rule
+    known = [(corpus.hopf(), -1), (corpus.trefoil(), -2),
+             (corpus.figure_eight(), 0), (corpus.hopf_hopf(), -2),
+             (corpus.hopf_trefoil(), -3)]
+    known += [(corpus.torus(n), 1 - n) for n in range(2, 9)]
+    for d, sigma in known:
+        assert signature(d, checkerboard(d)[0]) == sigma, d
+    cases = [d for d in _determinant_cases() if d.is_connected()]
+    assert len(cases) >= 500, len(cases)
+    for d in cases + [d for d, _ in known]:
+        black, white = checkerboard(d)
+        sigma = signature(d, black)
+        assert signature(d, white) == sigma, d
+        mirror = d.mirror()
+        assert [signature(mirror, g) for g in checkerboard(mirror)] == [
+            -sigma, -sigma], d
 
 
 def test_smoothing_dets_match_diagram_smoothings():
@@ -450,7 +474,7 @@ def test_alternating_determinant_adds_over_connected_smoothings():
         for _ in range(rng.randint(0, 2)):
             d = d.connected_sum(rng.choice(curls))
         assert d.is_alternating() and d.is_connected()
-        det, pairs = smoothing_dets(black_graph(d))
+        det, pairs = smoothing_dets(checkerboard(d)[0])
         assert det == determinant(d)
         for c, (det0, det1) in enumerate(pairs):
             assert det0 + det1 == det, (d, c)
@@ -511,7 +535,7 @@ def test_black_graph_matches_a_reference_checkerboard():
         g, w = checkerboard(d)
         assert [(g.vertex_count, g.edges),
                 (w.vertex_count, w.edges)] == _reference_checkerboard(d), d
-        assert black_graph(d) == g
+        assert checkerboard(d)[0] == g
 
 
 def _contract_delete_dets(g, e):
@@ -526,7 +550,8 @@ def test_smoothing_dets_match_contract_and_delete():
     graphs = [checkerboard(d)[0] for d in _smoothing_cases()]
     graphs += [random_connected_graph(rng) for _ in range(40)]
     graphs += [random_alternating_graph(rng) for _ in range(40)]
-    graphs += [black_graph(pretzel(*cols, -q)) for cols, q in pretzel_cases()]
+    graphs += [checkerboard(pretzel(*cols, -q))[0]
+               for cols, q in pretzel_cases()]
     loops = isthmi = 0
     for g in graphs:
         for e in range(len(g.edges)):
@@ -626,7 +651,7 @@ def test_edge_indices_are_checked():
     # a negative or too large index names no edge, rather than counting
     # from the end or leaving the graph as it was
     g = SignedPlanarGraph(3, ((0, 1, 1), (1, 2, 1), (0, 1, -1)))
-    black = black_graph(corpus.trefoil())
+    black = checkerboard(corpus.trefoil())[0]
     tree = next(spanning_trees(g))
     for bad in (-1, 3, 9, 1.0, None):
         for call in (lambda i: is_loop(g, i), lambda i: is_isthmus(g, i),
