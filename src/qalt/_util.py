@@ -1,6 +1,6 @@
-"""Exact integer determinants, the integer union-find that the graph
-layer and the bracket's state-sum oracle share, and the base of qalt's
-immutable records."""
+"""Exact integer determinants, the integer union-find that the diagram
+layer's piece count, the graph layer and the bracket's state-sum oracle
+share, and the base of qalt's immutable records."""
 
 from __future__ import annotations
 

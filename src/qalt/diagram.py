@@ -84,6 +84,8 @@ import json
 import re
 from collections import Counter
 
+from ._util import _join
+
 
 # the slot pairs that the r-smoothing of a crossing joins, r = 0 and 1
 _SMOOTHINGS = (((0, 1), (2, 3)), ((0, 3), (1, 2)))
@@ -238,29 +240,18 @@ class Diagram:
         return self._alternating
 
     def shadow_pieces(self) -> int:
-        """Pieces of the shadow that hold crossings: the four arcs of a
-        crossing join it to the crossings at their far ends, and a walk
-        from each crossing not yet reached covers one piece."""
+        """Pieces of the shadow that hold crossings: each arc, named
+        once by the port it flows into, joins the crossings at its two
+        ends."""
         if len(self._starts) == 1:
             # one closed strand runs through every crossing
             return 1
         if self._pieces is None:
             mate = self._mate
-            seen = [False] * len(self.crossings)
-            parts = 0
-            for first in range(len(seen)):
-                if seen[first]:
-                    continue
-                parts += 1
-                seen[first] = True
-                stack = [first]
-                while stack:
-                    c = stack.pop()
-                    for p in mate[4 * c:4 * c + 4]:
-                        p >>= 2
-                        if not seen[p]:
-                            seen[p] = True
-                            stack.append(p)
+            parent = list(range(len(self.crossings)))
+            parts = len(parent)
+            for p in itertools.compress(range(len(mate)), self._fin):
+                parts -= _join(parent, p >> 2, mate[p] >> 2)
             self._pieces = parts
         return self._pieces
 
@@ -655,7 +646,7 @@ class Diagram:
 
 
 _PD_TOKEN = re.compile(
-    r"X\s*\[\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\]")
+    r"X\s*\[\s*([0-9]+)\s*,\s*([0-9]+)\s*,\s*([0-9]+)\s*,\s*([0-9]+)\s*\]")
 
 
 def parse_pd(text: str) -> Diagram:

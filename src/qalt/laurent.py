@@ -159,10 +159,6 @@ class HalfLaurent(_Record):
     def abs_at_minus_one(self) -> int:
         """|f(-1)| as an exact nonnegative integer."""
         a, b = self.eval_at_minus_one()
-        if b == 0:
-            return abs(a)
-        if a == 0:
-            return abs(b)
         n = a * a + b * b
         r = isqrt(n)
         if r * r != n:
@@ -200,12 +196,12 @@ def _exp_str(e2: int) -> str:
 
 
 _CHUNK = re.compile(
-    r"^(?:(\d+)\s*\*?\s*)?"          # optional coefficient
+    r"^(?:([0-9]+)\s*\*?\s*)?"       # optional coefficient
     r"(?:(?P<var>[A-Za-z_]\w*)"      # optional variable
     r"(?:\^(?P<exp>.+))?)?$"         # optional exponent
 )
 # an exponent has both parentheses or neither
-_EXP = re.compile(r"^(\()?\s*(-?\d+)\s*(?:/\s*(\d+)\s*)?(?(1)\))$")
+_EXP = re.compile(r"^(\()?\s*(-?[0-9]+)\s*(?:/\s*([0-9]+)\s*)?(?(1)\))$")
 
 
 def parse(text: str, var: str = "t") -> HalfLaurent:
@@ -293,26 +289,27 @@ def analyze(f: HalfLaurent, step2: int) -> GapReport:
         raise ZeroPolynomial("cannot analyze the zero polynomial")
     if type(step2) is not int or step2 <= 0:
         raise ValueError("step2 must be a positive integer")
-    support = f.support2()
-    lo = support[0]
-    for e2 in support:
-        if (e2 - lo) % step2:
-            raise SupportNotOnLattice(
-                "support %r does not lie on a step-%s lattice"
-                % (support, _half(step2)))
-    # one pass over the terms: a gap is a run of missing positions
-    # between neighbours, and the signs alternate when every term gives
-    # one answer to "positive exactly on an even lattice index?"
+    # one pass over the terms: each lies a whole number of steps past
+    # its neighbour, a gap is a run of missing positions between
+    # neighbours, and the signs alternate when every term gives one
+    # answer to "positive exactly on an even lattice index?"
+    items = f.items2()
+    lo = items[0][0]
     gaps = []
     answers = set()
     prev = lo - step2
-    for e2, c in f.items2():
-        if e2 - prev > step2:
-            gaps.append((prev + step2, (e2 - prev) // step2 - 1))
+    for e2, c in items:
+        steps, off = divmod(e2 - prev, step2)
+        if off:
+            raise SupportNotOnLattice(
+                "support %r does not lie on a step-%s lattice"
+                % (f.support2(), _half(step2)))
+        if steps > 1:
+            gaps.append((prev + step2, steps - 1))
         answers.add((c > 0) == ((e2 - lo) // step2 % 2 == 0))
         prev = e2
     return GapReport(
-        breadth2=support[-1] - lo,
+        breadth2=prev - lo,
         step2=step2,
         gaps=tuple(gaps),
         alternating=len(answers) == 1,

@@ -10,10 +10,11 @@ hold the library against:
   deletion-contraction identity for Gamma, the Tutte polynomial and the
   matrix-tree count of a signed graph (tait);
 - |f(zeta_8)|, the evaluation that gives det from Gamma (laurent);
-- Fox's coloring matrix, the Alexander matrix at t = -1, a third route
-  to the determinant beside the bracket and the Goeritz matrix, and the
-  signature by Gordon and Litherland from either checkerboard graph
-  (diagram);
+- Fox's Alexander matrix: the Alexander polynomial from one exact
+  determinant at t = 2^W, and at t = -1 the coloring matrix, a third
+  route to the determinant beside the bracket and the Goeritz matrix;
+  and the signature by Gordon and Litherland from either checkerboard
+  graph (diagram);
 - the readings that only the tests make: each arc's component and head
   (diagram), and a verdict's rule ids (qa).
 
@@ -123,33 +124,67 @@ def arc_head(d: Diagram, lab: int):
     return (p >> 2, p & 3)
 
 
-def coloring_det(d: Diagram) -> int:
-    """|det| of Fox's coloring matrix with its first row and column
-    struck out: the Alexander matrix at t = -1, a route to the
-    determinant that reads no faces. Each crossing gives a row, +2 at
-    its over-arc and -1 at each end of its under-strand; an over-arc is
-    a class of the labels that the crossings' over-strands join. A free
-    loop beside crossings, or a component that never passes under, makes
-    the link split, and the answer 0."""
+def _fox_minor_det(d: Diagram, t: int) -> int:
+    """det of Fox's Alexander matrix of d at the integer t, with its
+    first row and column struck out: Delta(t) up to a unit +-t^k, read
+    off no faces. Each crossing gives a row, 1 - t at its over-arc, and
+    t and -1 at the ends of its under-strand: Fox's derivatives of the
+    Wirtinger relation x_j = x_k x_i x_k^-1 put t at the incoming end
+    i, and those of x_j = x_k^-1 x_i x_k, the other sign, at the
+    outgoing end j. An over-arc is a class of the labels that the
+    crossings' over-strands join. A free loop beside crossings, or a
+    component that never passes under, makes the link split, and the
+    answer 0."""
     if not d.crossings:
         return int(d.free_loops == 1)
-    labels = sorted({lab for t in d.crossings for lab in t})
+    labels = sorted({lab for x in d.crossings for lab in x})
     index = {lab: i for i, lab in enumerate(labels)}
     parent = list(range(len(index)))
-    for t in d.crossings:
-        _join(parent, index[t[1]], index[t[3]])
+    for x in d.crossings:
+        _join(parent, index[x[1]], index[x[3]])
     arc = {}
     for i in range(len(parent)):
         arc.setdefault(_root(parent, i), len(arc))
     if d.free_loops or len(arc) != len(d.crossings):
         return 0
     rows = []
-    for t in d.crossings:
+    for c, x in enumerate(d.crossings):
         row = [0] * len(arc)
-        for slot, entry in ((1, 2), (0, -1), (2, -1)):
-            row[arc[_root(parent, index[t[slot]])]] += entry
+        into, out = (t, -1) if d.sign(c) > 0 else (-1, t)
+        for slot, entry in ((1, 1 - t), (0, into), (2, out)):
+            row[arc[_root(parent, index[x[slot]])]] += entry
         rows.append(row[1:])
-    return abs(bareiss_det(rows[1:]))
+    return bareiss_det(rows[1:])
+
+
+def coloring_det(d: Diagram) -> int:
+    """|det| of Fox's coloring matrix with its first row and column
+    struck out: the Alexander matrix at t = -1, +2 at each over-arc and
+    -1 at each end of an under-strand, a route to the determinant that
+    reads no faces."""
+    return abs(_fox_minor_det(d, -1))
+
+
+def alexander(d: Diagram) -> HalfLaurent:
+    """The Alexander polynomial Delta(t) of d, up to a unit +-t^k, with
+    doubled exponents as HalfLaurent keeps them; 0 for a split link.
+    One Bareiss call evaluates the Fox minor at t = 2^W, W = 2n + 4,
+    and the digits of the result in balanced base 2^W are the
+    coefficients: a row of the minor has entries of coefficient sum 4 at
+    most, so those of the minor's determinant sum to at most 4^(n-1),
+    below half the base."""
+    w = 2 * len(d.crossings) + 4
+    value = _fox_minor_det(d, 1 << w)
+    terms = {}
+    e2 = 0
+    while value:
+        digit = value & ((1 << w) - 1)
+        if digit >> (w - 1):
+            digit -= 1 << w
+        terms[e2] = digit
+        value = (value - digit) >> w
+        e2 += 2
+    return HalfLaurent(terms)
 
 
 def _inertia(m) -> int:

@@ -463,6 +463,49 @@ def test_batch_certify_flag(tmp_path, capsys):
     assert replay_certificate(Certificate(entry["certificate"]))
 
 
+def _three_lines(tmp_path):
+    path = tmp_path / "links.txt"
+    path.write_text("%s  # hopf\njunk  # broken\n%s  # trefoil\n"
+                    % (HOPF, TREFOIL))
+    return path
+
+
+def test_batch_text_prints_an_error_row_and_counts_it(tmp_path, capsys):
+    code, out, _ = run(capsys, "batch", str(_three_lines(tmp_path)))
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 4
+    assert lines[1].split() == ["broken", "ERROR", "PDSyntaxError:",
+                                "unexpected", "text", "'junk'"]
+    assert lines[0].split()[:2] == ["hopf", "det=2"]
+    assert lines[2].split()[:2] == ["trefoil", "det=3"]
+    assert lines[3] == "entries=3 errors=1 notqa=0 inconclusive=2"
+
+
+def test_batch_certify_text_rows_end_in_the_status(tmp_path, capsys):
+    code, out, _ = run(capsys, "batch", str(_three_lines(tmp_path)),
+                       "--certify")
+    assert code == 0
+    hopf, broken, trefoil, summary = out.splitlines()
+    assert hopf.endswith(" verdict=Inconclusive certify=Certified")
+    assert trefoil.endswith(" verdict=Inconclusive certify=Certified")
+    assert "certify=" not in broken + summary
+
+
+def test_batch_certify_out_of_budget_records_unknown(tmp_path, capsys):
+    code, out, _ = run(capsys, "batch", str(_three_lines(tmp_path)),
+                       "--certify", "--max-nodes", "0", "--json")
+    assert code == 0
+    data = json.loads(out)
+    hopf, broken, trefoil = data["entries"]
+    for entry in (hopf, trefoil):
+        assert entry["certificate"] is None
+        assert entry["certify_status"] == "Unknown:budget"
+    assert "certify_status" not in broken and "error" in broken
+    assert data["summary"] == {"entries": 3, "errors": 1, "notqa": 0,
+                               "inconclusive": 2}
+
+
 def test_batch_budget_without_certify_is_exit_1(tmp_path, capsys):
     path = tmp_path / "links.txt"
     path.write_text(HOPF + "\n")
@@ -527,6 +570,25 @@ def test_pd_json_nested_too_deeply_is_exit_1(capsys):
     code, out, err = run(capsys, "jones", "--pd", "[" * 2000)
     assert code == 1 and out == ""
     assert err.startswith("error: bad PD JSON: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("pd", [
+    "X[\u0661,\u0664,\u0662,\u0665] X[\u0663,\u0666,\u0664,\u0661] "
+    "X[\u0665,\u0662,\u0666,\u0663]",
+    "X[\uff11,\uff14,\uff12,\uff15] X[\uff13,\uff16,\uff14,\uff11] "
+    "X[\uff15,\uff12,\uff16,\uff13]",
+], ids=["arabic-indic", "fullwidth"])
+def test_pd_in_non_ascii_digits_is_exit_1(capsys, pd):
+    code, out, err = run(capsys, "jones", "--pd", pd)
+    assert code == 1 and out == ""
+    assert err == "error: unexpected text %r\n" % pd
+
+
+def test_poly_in_non_ascii_digits_is_exit_1(capsys):
+    code, out, err = run(capsys, "analyze", "--poly",
+                         "\u0663t^\u0662 - t")
+    assert code == 1 and out == ""
+    assert err == "error: cannot parse term '\u0663t^\u0662'\n"
 
 
 def test_bad_pd_is_exit_1(capsys):

@@ -60,6 +60,25 @@ def test_parse_rejects_garbage():
         parse_pd("X[1,1,1,2] X[2,3,3,4]")
 
 
+# the trefoil X[1,4,2,5] X[3,6,4,1] X[5,2,6,3] in Arabic-Indic and in
+# fullwidth digits
+NON_ASCII_TREFOILS = [
+    "X[\u0661,\u0664,\u0662,\u0665] X[\u0663,\u0666,\u0664,\u0661] "
+    "X[\u0665,\u0662,\u0666,\u0663]",
+    "X[\uff11,\uff14,\uff12,\uff15] X[\uff13,\uff16,\uff14,\uff11] "
+    "X[\uff15,\uff12,\uff16,\uff13]",
+]
+
+
+@pytest.mark.parametrize("text", NON_ASCII_TREFOILS,
+                         ids=["arabic-indic", "fullwidth"])
+def test_parse_takes_ascii_digits_only(text):
+    # int() reads any decimal digit; a label is written in 0-9, as in
+    # edge lists and PD JSON
+    with pytest.raises(PDSyntaxError, match="^unexpected text "):
+        parse_pd(text)
+
+
 def test_render_round_trip():
     for entry in corpus.entries():
         d = entry.diagram
@@ -718,6 +737,24 @@ def test_smoothings_of_planar_diagrams_count_their_pieces_by_faces():
     u = d.smooth(0, 0)
     assert u.component_count == 3 and u._pieces is None
     assert u.shadow_pieces() == 1
+
+
+def test_shadow_pieces_of_disjoint_unions():
+    # k copies side by side, each with its labels shifted past the last,
+    # make a shadow of k pieces, whatever the first piece's strands
+    hopf = ((1, 4, 2, 3), (3, 2, 4, 1))
+    second = [tuple(x + 4 for x in t) for t in hopf]
+    assert Diagram(hopf + tuple(second)).shadow_pieces() == 2
+    for e in corpus.entries():
+        if not e.diagram.crossings:
+            continue
+        for k in range(1, 5):
+            shift = max(map(max, e.diagram.crossings))
+            crossings = [tuple(x + j * shift for x in t)
+                         for j in range(k) for t in e.diagram.crossings]
+            d = Diagram(crossings)
+            assert d.shadow_pieces() == k, (e.name, k)
+            assert d.is_connected() == (k == 1)
 
 
 # a code whose one face falls short of the 5 that its 3 crossings in

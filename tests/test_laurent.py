@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -98,6 +99,16 @@ def test_evaluate_hopf_at_minus_one():
     assert HOPF_JONES.abs_at_minus_one() == 2
 
 
+def test_abs_at_minus_one_is_the_exact_root_of_a2_plus_b2():
+    # 3 + 4i: one exact square root, whichever parts are zero
+    assert HalfLaurent({0: 3, 1: 4}).abs_at_minus_one() == 5
+    assert hl((0, -3)).abs_at_minus_one() == 3
+    assert hl((1, -3)).abs_at_minus_one() == 3
+    assert HalfLaurent.zero().abs_at_minus_one() == 0
+    with pytest.raises(ValueError, match=r"^\|f\(-1\)\| is not an integer$"):
+        HalfLaurent({0: 1, 1: 1}).abs_at_minus_one()
+
+
 def test_evaluate_matches_exact_gaussian():
     rng = random.Random(7)
     for _ in range(40):
@@ -180,6 +191,21 @@ def test_analyze_lattice_validation():
         with pytest.raises(ValueError,
                            match="step2 must be a positive integer"):
             analyze(hl((-5, -1), (-1, -1)), step2)
+
+
+@pytest.mark.parametrize("terms", [
+    ((-3, 1), (0, 1), (2, -1), (4, 1)),   # the first term is off
+    ((0, 1), (2, -1), (3, 1), (4, 1)),    # an inner one
+    ((0, 1), (2, -1), (4, 1), (7, 1)),    # the last one
+], ids=["first", "inner", "last"])
+def test_analyze_names_the_whole_support_wherever_it_leaves_the_lattice(
+        terms):
+    f = hl(*terms)
+    support = tuple(e2 for e2, _ in terms)
+    message = "support %r does not lie on a step-1 lattice" % (support,)
+    with pytest.raises(SupportNotOnLattice) as info:
+        analyze(f, 2)
+    assert str(info.value) == message
 
 
 def test_analyze_gap_interiority_and_budget():
@@ -292,6 +318,18 @@ def test_parse_tolerant_forms():
     # a variable starts with a letter, so a stray number is a bad term
     with pytest.raises(ValueError, match="cannot parse term '3 4'"):
         parse("3 4")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("\u0663t^\u0662 - t", "cannot parse term '\u0663t^\u0662'"),
+    ("\uff13t - t", "cannot parse term '\uff13t'"),
+    ("t^\u0662", "cannot parse exponent '\u0662'"),
+    ("t^(\u0661/2)", "cannot parse exponent '(\u0661/2)'"),
+], ids=["arabic-indic", "fullwidth", "exponent", "half-exponent"])
+def test_parse_takes_ascii_digits_only(text, message):
+    # int() reads any decimal digit; the patterns admit only 0-9
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        parse(text)
 
 
 def test_monomial_quotient():

@@ -14,10 +14,10 @@ from qalt.tait import (SignedPlanarGraph, checkerboard, gamma, goeritz_det,
 
 from conftest import (braid_closure, grid_diagram, pretzel, pretzel_cases,
                       random_alternating_graph, random_connected_graph)
-from oracles import (LoopOrIsthmus, activity, coloring_det, contract, delete,
-                     gamma_skein_check, gamma_trees, is_isthmus, is_loop,
-                     kirchhoff_count, reorder, signature, spanning_trees,
-                     tutte, tutte_check)
+from oracles import (LoopOrIsthmus, activity, alexander, coloring_det,
+                     contract, delete, gamma_skein_check, gamma_trees,
+                     is_isthmus, is_loop, kirchhoff_count, reorder,
+                     signature, spanning_trees, tutte, tutte_check)
 
 
 def hl(*pairs):
@@ -413,6 +413,41 @@ def test_three_determinant_routes_agree():
             split += 1
             assert det == 0, d
     assert split >= 10, split
+
+
+def test_alexander_polynomial_is_symmetric_and_gives_the_determinant():
+    # Delta(t) up to a unit +-t^k, from one Fox minor at t = 2^W: its
+    # value at -1 is the determinant of the other two routes, it is
+    # symmetric under t -> 1/t, and Delta(1) is +-1 on a knot and 0 on a
+    # link of several components; Delta is 0 on a split link, and may
+    # be 0 on a connected diagram of det 0
+    known = [(corpus.trefoil(), ((0, 1), (1, -1), (2, 1))),
+             (corpus.figure_eight(), ((0, 1), (1, -3), (2, 1))),
+             (corpus.hopf(), ((0, 1), (1, -1))),
+             (corpus.hopf_hopf(), ((0, 1), (1, -2), (2, 1))),
+             (corpus.hopf_trefoil(), ((0, 1), (1, -2), (2, 2), (3, -1)))]
+    known += [(corpus.torus(n), tuple((k, (-1) ** k) for k in range(n)))
+              for n in range(2, 9)]
+    for d, terms in known:
+        assert monomial_quotient(alexander(d), hl(*terms)) is not None, d
+    split = symmetric = knots = 0
+    for d in _determinant_cases() + [d for d, _ in known]:
+        delta = alexander(d)
+        det = delta.abs_at_minus_one()
+        assert det == coloring_det(d) == determinant(d), d
+        if not d.is_connected():
+            split += 1
+            assert delta.is_zero(), d
+        if delta.is_zero():
+            continue
+        mirrored = HalfLaurent({-e2: c for e2, c in delta.items2()})
+        assert monomial_quotient(mirrored, delta) is not None, d
+        symmetric += 1
+        at_one = abs(sum(c for _, c in delta.items2()))
+        assert at_one == (d.component_count == 1), d
+        knots += at_one
+    assert split >= 10 and symmetric >= 450 and knots >= 150, (
+        split, symmetric, knots)
 
 
 def test_signature_is_one_on_both_graphs_and_flips_on_the_mirror():
