@@ -6,17 +6,20 @@ union-find. The Jones polynomial is the bracket times (-A)^(-3w) under
 the substitution t^(1/2) = A^(-2), and the determinant is |V(-1)|
 evaluated exactly at t^(1/2) = i.
 
-The sweep takes one crossing per step. A label is open once one of its
-two ends has been processed, and each open label holds a slot, so one
-numbering of the slots serves every state of a step. A state is the
-tuple over the slots of each slot's partner: the smoothed part joins
-the open label in a slot by a path to the label in its partner slot,
-and a free slot is its own partner. Each state carries its partial sum
-as one packed integer: digit j, in balanced base 2^W, is the
-coefficient of A^(base + 2j), with base shared by the step's states.
-Packing is evaluation at A^2 = 2^W, so the integers are exact at any
-W, and W only has to hold the bracket's coefficients when the sum is
-unpacked. It does with W = 3n + 2 for n crossings: a step multiplies
+The sweep takes one crossing per step and reads the diagram through
+its ports alone (Diagram._mate): crossing c has ports 4c to 4c + 3, and
+each arc joins a port to its mate. An arc is open once one of its two
+ends has been processed, and each open arc holds a slot, so one
+numbering of the slots serves every state of a step; the sweep keys
+the slot by the port at the arc's far end, where it meets the arc
+next. A state is the tuple over the slots of each slot's partner: the
+smoothed part joins the open arc in a slot by a path to the arc in its
+partner slot, and a free slot is its own partner. Each state carries
+its partial sum as one packed integer: digit j, in balanced base 2^W,
+is the coefficient of A^(base + 2j), with base shared by the step's
+states. Packing is evaluation at A^2 = 2^W, so the integers are exact
+at any W, and W only has to hold the bracket's coefficients when the
+sum is unpacked. It does with W = 3n + 2 for n crossings: a step multiplies
 each of the 2^n smoothing paths by A^(+1 or -1) and delta^k, k <= 2,
 whose coefficients sum in absolute value to 2^k, so no coefficient
 exceeds 2^n * 4^n < 2^(W-1). _sweep tightens the bound to the loops
@@ -26,8 +29,10 @@ each step can close, which is about 1.6 n bits on braid closures.
 from __future__ import annotations
 
 import functools
+import math
 import sys
 from collections import Counter
+from operator import itemgetter
 
 from ._util import _Record, _join
 from .diagram import _SMOOTHINGS, Diagram, EmptyDiagram
@@ -45,27 +50,34 @@ def _delta_power(k: int) -> HalfLaurent:
     return _DELTA_POWERS[k]
 
 
-# each smoothing's two arcs, as the slot pairs they join
+# each smoothing's two arcs, as the slot pairs they join, and the
+# getters that read them off a step's slots
 _ARCS = tuple(i + k for i, k in _SMOOTHINGS)
-# by the set of a crossing's slots whose labels are path ends when its
-# arcs join them (bit i for slot i), the most loops each smoothing can
-# close: an arc closes one only when both its labels are ends
+_ARC_SLOTS = tuple(itemgetter(*arcs) for arcs in _ARCS)
+# by the set of a crossing's slots whose arcs are path ends when its
+# smoothing joins them (bit i for slot i), the most loops each smoothing
+# can close: a join closes one only when both its arcs are ends; and
+# the growth of the coefficient bound at such a step (see _sweep)
 _KMAX = [tuple((mask >> i & mask >> j & 1) + (mask >> k & mask >> m & 1)
                for i, j, k, m in _ARCS) for mask in range(16)]
+_GROWTH = [(1 << k0) + (1 << k1) for k0, k1 in _KMAX]
 
 
 def _sweep(d: Diagram):
     """The sweep: per step, its crossing's slots and their ends mask
     (see _KMAX); then the number of slots, the frontier width (the most
-    labels open at once), and a bound on the bracket's coefficients.
+    arcs open at once), and a bound on the bracket's coefficients. It
+    reads the diagram's ports only, through _mate.
 
-    Each step takes the crossing with the most labels already open,
-    lowest index first among ties. score[c] counts the slots of crossing
-    c whose label is open: taking a crossing bumps the crossing at the
-    far end of each of its four arcs, which matters only while that one
-    is left. An open label holds a slot from its first end to its
-    second, and a slot is reused once its label has closed. A slot's
-    label is a path end once it is open or met twice at this crossing.
+    Each step takes the crossing with the most arcs already open,
+    lowest index first among ties. rank[c] is n times the number of
+    crossing c's open arcs, less c, so the largest rank names that
+    crossing; taking a crossing sets its rank to -inf, below every
+    other, and bumps the crossing at the far end of each of its four
+    arcs by n. An open arc holds a slot from its first end to its
+    second, kept in slot_at under the port at its far end; a slot is
+    reused once its arc has closed. A slot's arc is a path end once it
+    is open or met twice at this crossing.
 
     The bound: a step multiplies each partial sum by A^(+1 or -1) and
     delta^k, k at most kmax of its smoothing, and delta^k's
@@ -73,25 +85,28 @@ def _sweep(d: Diagram):
     coefficients of all states together grow at most
     2^kmax_0 + 2^kmax_1 times per step, and the last step, whose loops
     include the circle <O> = 1, half that."""
-    crossings, mate = d.crossings, d._mate
-    score = [0] * len(crossings)
-    left = list(range(len(crossings)))
-    slot_of = {}
+    mate = d._mate
+    n = len(mate) >> 2
+    rank = [-c for c in range(n)]
+    # the slot of each open arc, under the port at its far end
+    slot_at = [None] * len(mate)
     free = []
-    size = width = 0
+    size = width = arcs = 0
     bound = 1
     steps = []
-    while left:
-        ci = max(left, key=score.__getitem__)
-        left.remove(ci)
+    for _ in range(n):
+        ci = rank.index(max(rank))
+        rank[ci] = -math.inf
         slots = []
         done = []
         mask = 0
-        for bit, lab, p in zip((1, 2, 4, 8), crossings[ci],
-                               mate[4 * ci:4 * ci + 4]):
-            score[p >> 2] += 1
-            if lab in slot_of:
-                s = slot_of.pop(lab)
+        bit = 1
+        for p in range(4 * ci, 4 * ci + 4):
+            q = mate[p]
+            c = q >> 2
+            rank[c] += n
+            s = slot_at[p]
+            if s is not None:
                 done.append(s)
                 mask |= bit
             else:
@@ -100,14 +115,16 @@ def _sweep(d: Diagram):
                 else:
                     s = size
                     size += 1
-                slot_of[lab] = s
-                if p >> 2 == ci:
+                slot_at[q] = s
+                if c == ci:
                     mask |= bit
             slots.append(s)
+            bit <<= 1
         free += done
-        width = max(width, len(slot_of))
-        k0, k1 = _KMAX[mask]
-        bound *= (1 << k0) + (1 << k1)
+        arcs += 4 - 2 * len(done)
+        if arcs > width:
+            width = arcs
+        bound *= _GROWTH[mask]
         steps.append((slots, mask))
     return steps, size, width, bound >> 1
 
@@ -136,12 +153,12 @@ def kauffman_bracket(d: Diagram) -> HalfLaurent:
     A state (see the module docstring) maps to its partial sum: the
     smoothings leading to it contribute it, every loop they closed
     already a factor delta. Each crossing splits every state in two by
-    its smoothings. A smoothing's two arcs join the crossing's labels,
-    and joining an arc to the pairing either extends a path or closes a
+    its smoothings. A smoothing joins the crossing's four slots in two
+    pairs (_ARCS), and each join either extends a path or closes a
     loop. The partial sum is multiplied by A^(+1 or -1) and by
     delta^loops. The last crossing closes every path; one of its loops
     is the circle <O> = 1, with no delta. Equal pairings merge, so the
-    cost is set by the number of open labels.
+    cost is set by the number of open arcs.
 
     A partial sum is one integer, digit j the coefficient of
     A^(base + 2j) in balanced base 2^w (the module docstring gives w):
@@ -149,24 +166,23 @@ def kauffman_bracket(d: Diagram) -> HalfLaurent:
     add, and the sum is unpacked once."""
     if d.component_count == 0:
         raise EmptyDiagram("the empty diagram has no bracket")
-    crossings = d.crossings
-    if not crossings:
+    if not d._mate:
         return _delta_power(d.free_loops - 1)
     steps, size, width, bound = _sweep(d)
     w = bound.bit_length() + 1
     states = {tuple(range(size)): 1}
     base = peak = 0
     last = len(steps) - 1
+    arcs0, arcs1 = _ARC_SLOTS
     for t, (slots, mask) in enumerate(steps):
-        drop, rows = _multipliers(w, mask, t == last)
+        drop, (mults0, mults1) = _multipliers(w, mask, t == last)
         base -= drop
         # the 0-smoothing has weight A, the 1-smoothing A^-1
-        smoothings = [(slots[i], slots[j], slots[k], slots[m], row)
-                      for (i, j, k, m), row in zip(_ARCS, rows)]
+        smoothings = ((arcs0(slots), mults0), (arcs1(slots), mults1))
         nxt = {}
         get = nxt.get
         for state, q in states.items():
-            for a, b, c, e, mults in smoothings:
+            for (a, b, c, e), mults in smoothings:
                 end = list(state)
                 pa = end[a]
                 end[a] = a
@@ -197,7 +213,7 @@ def kauffman_bracket(d: Diagram) -> HalfLaurent:
     if logging is not None:
         logging.getLogger(__name__).debug(
             "kauffman_bracket: %d crossings, frontier width %d, "
-            "peak states %d", len(crossings), width, peak)
+            "peak states %d", len(d._mate) >> 2, width, peak)
     (q,) = states.values()
     terms = {}
     digit = (1 << w) - 1
@@ -266,17 +282,23 @@ class BracketResult(_Record):
 def bracket_result(d: Diagram) -> BracketResult:
     """The bracket, the writhe w, and from them the Jones polynomial,
     (-A)^(-3w) times the bracket rewritten in t^(1/2) = A^(-2), and its
-    determinant."""
+    determinant. A code that fixes no planar embedding raises
+    NoEmbedding (Diagram.check_planar): its bracket is that of no
+    link."""
     if d.component_count == 0:
         raise EmptyDiagram("the empty diagram has no Jones polynomial")
+    d.check_planar()
     b = kauffman_bracket(d)
     w = d.writhe()
+    shift2 = -6 * w
+    sign = -1 if w % 2 else 1
     terms = {}
-    for e2, c in b.shift2(-6 * w).items2():
+    for e2, c in b._terms.items():
+        e2 += shift2
         if e2 % 4:
             raise SupportNotOnLattice(
                 "bracket exponent %s/2 not divisible by 2" % e2)
-        terms[-e2 // 4] = -c if w % 2 else c
+        terms[-e2 // 4] = sign * c
     v = HalfLaurent(terms)
     return BracketResult(bracket=b, jones=v, writhe=w,
                          determinant=v.abs_at_minus_one())

@@ -87,21 +87,20 @@ def _read_graph(args):
     return g
 
 
-def _jones_payload(d):
-    r = bracket_result(d)
-    rep = analyze(r.jones, step2=2)
-    payload = {
+def _jones_payload(r, rep) -> dict:
+    """The fields of a BracketResult and the GapReport of its V."""
+    return {
         "jones": r.jones.render("t"),
         "det": r.determinant,
         "writhe": r.writhe,
         "breadth": _half(rep.breadth2),
         **_gap_fields(rep),
     }
-    return payload, r.jones
 
 
 def _cmd_jones(args):
-    p, _ = _jones_payload(_read_diagram(args))
+    r = bracket_result(_read_diagram(args))
+    p = _jones_payload(r, analyze(r.jones, step2=2))
     return p, ["jones: %s" % p["jones"], "det: %d" % p["det"],
                "breadth: %s" % p["breadth"], _gaps_line(p)]
 
@@ -216,9 +215,10 @@ def _batch_line(idx, line, args, budget):
     record = {"name": name}
     try:
         d = _diagram(text)
-        payload, poly = _jones_payload(d)
-        record.update(payload)
-        v = obstruct(poly, record["det"], prime=args.prime)
+        r = bracket_result(d)
+        # the verdict carries the gap report its rules read
+        v = obstruct(r.jones, r.determinant, prime=args.prime)
+        record.update(_jones_payload(r, v.report))
         record["verdict"] = v.status
         if v.status == NOTQA:
             record["reasons"] = [{"rule": rid, "statement": stmt}

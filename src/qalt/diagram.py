@@ -143,7 +143,7 @@ class Diagram:
                 if not all(type(x) is int and x > 0 for x in t):
                     raise PDSyntaxError(
                         "strand labels must be positive integers: %r" % (t,))
-        if not isinstance(free_loops, int) or free_loops < 0:
+        if type(free_loops) is not int or free_loops < 0:
             raise ValueError("free_loops must be a nonnegative integer")
 
         # pair each port with the other port of its arc: sorted by label,
@@ -268,7 +268,7 @@ class Diagram:
         return 2 * sum(self._fin[3::4]) - len(self.crossings)
 
     def _check_crossing(self, c: int):
-        if not isinstance(c, int) or not 0 <= c < len(self.crossings):
+        if type(c) is not int or not 0 <= c < len(self.crossings):
             raise InvalidCrossing("no crossing %r" % (c,))
 
     # faces
@@ -533,7 +533,7 @@ class Diagram:
         its piece count from self (see the module notes).
         """
         self._check_crossing(c)
-        if r not in (0, 1):
+        if type(r) is not int or r not in (0, 1):
             raise InvalidCrossing("smoothing selector must be 0 or 1, got %r" % (r,))
         c *= 4
         (s1, s2), (s3, s4) = _SMOOTHINGS[r]

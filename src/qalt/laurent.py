@@ -36,7 +36,7 @@ class HalfLaurent(_Record):
         clean = {}
         if terms:
             for e2, c in dict(terms).items():
-                if not isinstance(e2, int) or not isinstance(c, int):
+                if type(e2) is not int or type(c) is not int:
                     raise TypeError("doubled exponents and coefficients must be int")
                 if c != 0:
                     clean[e2] = c
@@ -114,7 +114,7 @@ class HalfLaurent(_Record):
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
         result = HalfLaurent.one()
         base = self

@@ -27,7 +27,11 @@ HOPF_JONES = HalfLaurent({-5: -1, -1: -1})
 
 
 class QAVerdict(_Record):
-    __slots__ = ("status", "reasons", "assumptions")
+    """obstruct's answer: its status, the rules that fired as (rule,
+    statement, witness) triples, the assumptions it was given, and the
+    GapReport of V at step 1 in t that its rules read."""
+
+    __slots__ = ("status", "reasons", "assumptions", "report")
 
 
 def torus_2n_jones(n: int) -> HalfLaurent:
@@ -60,6 +64,8 @@ def obstruct(v: HalfLaurent, det: int, prime: bool = False) -> QAVerdict:
     torus link; more than one gap without Hopf-sum structure; small
     breadth with a determinant other than 1, 2, 3; broken sign
     alternation. A det that is not a non-negative int raises ValueError.
+    The verdict carries the gap report the rules read, analyze(v,
+    step2=2), so a caller needs no second analyze.
     """
     if v.is_zero():
         raise ZeroPolynomial("the zero polynomial is not a Jones polynomial")
@@ -114,7 +120,7 @@ def obstruct(v: HalfLaurent, det: int, prime: bool = False) -> QAVerdict:
                         {"support2": v.support2()}))
     status = NOTQA if reasons else INCONCLUSIVE
     return QAVerdict(status=status, reasons=tuple(reasons),
-                     assumptions={"prime": prime})
+                     assumptions={"prime": prime}, report=rep)
 
 
 # certification search

@@ -45,13 +45,20 @@ class SignedPlanarGraph(_Record):
     __slots__ = ("vertex_count", "edges")
 
     def __init__(self, vertex_count: int, edges):
+        # a bool or a float is refused where an int is meant
+        if type(vertex_count) is not int:
+            raise ValueError("vertex count must be an int: %r"
+                             % (vertex_count,))
         if vertex_count < 1:
             raise ValueError("need at least one vertex")
         clean = []
         for u, v, s in edges:
+            if type(u) is not int or type(v) is not int:
+                raise ValueError("edge endpoints must be ints: %r"
+                                 % ((u, v, s),))
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise ValueError("edge endpoint out of range: %r" % ((u, v, s),))
-            if s not in (1, -1):
+            if type(s) is not int or s not in (1, -1):
                 raise ValueError("edge sign must be +1 or -1")
             clean.append((u, v, s))
         object.__setattr__(self, "vertex_count", vertex_count)

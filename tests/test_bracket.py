@@ -3,7 +3,7 @@ import logging
 import random
 
 import pytest
-from conftest import braid_closure, grid_diagram
+from conftest import braid_closure, grid_diagram, pretzel, pretzel_cases
 from oracles import (SameComponent, bracket_gap_check, component_map,
                      skein_check)
 
@@ -11,7 +11,8 @@ import qalt.bracket
 from qalt import corpus
 from qalt.bracket import (BracketResult, bracket_result, bracket_state_sum,
                           determinant, jones, kauffman_bracket)
-from qalt.diagram import Diagram, EmptyDiagram, InvalidCrossing, parse_pd
+from qalt.diagram import (Diagram, EmptyDiagram, InvalidCrossing, NoEmbedding,
+                          parse_pd)
 from qalt.laurent import HalfLaurent, analyze
 from qalt.tait import checkerboard, gamma, goeritz_det
 
@@ -223,6 +224,45 @@ def test_bracket_golden_digest():
     assert h.hexdigest() == BRACKET_DIGEST
 
 
+# golden digest of the sweep's plan, not its outputs: per step the
+# slots of the crossing taken and their ends mask, then the slot count,
+# the frontier width and the coefficient bound that sets W. The order
+# of the crossings shows through the slots and masks of each step, so
+# a rewrite of the sweep that moves the frontier or W fails here
+
+SWEEP_DIGEST = (
+    "840328b10dfbe49aa405ae9116f8ff589bdf825fc7bb7078e979a8b13d83bf13")
+
+
+def _sweep_corpus() -> list:
+    # the closures, unions and curls of the bracket digest, grid
+    # diagrams, the pretzels, and random port pairings, most of them
+    # not planar
+    rng = random.Random(20261020)
+    grids = [grid_diagram(rng, rng.randint(5, 9)) for _ in range(40)]
+    pretzels = [pretzel(*columns, -q) for columns, q in pretzel_cases()]
+    codes = []
+    while len(codes) < 60:
+        n = rng.randint(1, 9)
+        labels = [k // 2 + 1 for k in range(4 * n)]
+        rng.shuffle(labels)
+        try:
+            codes.append(Diagram([labels[4 * c:4 * c + 4]
+                                  for c in range(n)]))
+        except ValueError:
+            continue
+    return _digest_corpus() + grids + pretzels + codes
+
+
+def test_sweep_plan_golden_digest():
+    h = hashlib.sha256()
+    for d in _sweep_corpus():
+        steps, size, width, bound = qalt.bracket._sweep(d)
+        plan = [[list(slots), mask] for slots, mask in steps]
+        h.update(repr((plan, size, width, bound)).encode() + b"\n")
+    assert h.hexdigest() == SWEEP_DIGEST
+
+
 def test_state_sum_cap():
     with pytest.raises(ValueError):
         bracket_state_sum(corpus.torus(17))
@@ -367,6 +407,35 @@ def test_bracket_result_fields(monkeypatch):
     assert bracket_result(corpus.figure_eight()).jones == FIG8_JONES
     with pytest.raises(EmptyDiagram, match="no Jones polynomial"):
         bracket_result(Diagram((), 0))
+
+
+def test_jones_of_a_code_with_no_planar_embedding_raises():
+    # such a code has a bracket, but no link has its Jones polynomial:
+    # most give an |f(-1)| that is no integer, the rest a polynomial of
+    # no link
+    d = parse_pd("X[2,3,4,1] X[4,1,3,2]")
+    for f in (jones, determinant, bracket_result):
+        with pytest.raises(NoEmbedding, match="not planar"):
+            f(d)
+    rng = random.Random(20261020)
+    refused = 0
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        labels = [k // 2 + 1 for k in range(4 * n)]
+        rng.shuffle(labels)
+        try:
+            d = Diagram([labels[4 * c:4 * c + 4] for c in range(n)])
+        except ValueError:
+            continue
+        try:
+            Diagram(d.crossings).check_planar()
+        except NoEmbedding:
+            refused += 1
+            with pytest.raises(NoEmbedding):
+                jones(d)
+        else:
+            assert determinant(d) == jones(d).abs_at_minus_one()
+    assert refused > 50
 
 
 def test_bracket_gap_check_hopf_is_seven():

@@ -1,5 +1,7 @@
 import argparse
+import hashlib
 import json
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -7,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+import qalt.cli
 import qalt.qa
 from conftest import braid_closure
 from qalt import corpus
@@ -551,6 +554,51 @@ def test_batch_has_no_workers_flag(tmp_path, capsys):
     code, out, err = run(capsys, "batch", "--workers", "2", str(path))
     assert code == 1 and out == ""
     assert "unrecognized arguments" in err
+
+
+def _closure_lines(count: int) -> list:
+    # random-sign braid closures of 8-16 crossings on 3-5 strands
+    rng = random.Random(20261020)
+    lines = []
+    for k in range(count):
+        strands = rng.randint(3, 5)
+        word = [rng.randint(1, strands - 1) * rng.choice((1, -1))
+                for _ in range(rng.randint(8, 16))]
+        lines.append("%s  # closure-%d"
+                     % (braid_closure(word, strands).render(), k))
+    return lines
+
+
+# sha256 over the batch --json output of 60 seeded closures, with each
+# record's ms dropped: the record bytes and their key order
+BATCH_DIGEST = (
+    "13ab863e0b8fea1328f01a633d11a690c59e09caa4c452e280f1ae78ed9f6259")
+
+
+def test_batch_records_golden_digest(tmp_path, capsys):
+    path = tmp_path / "links.txt"
+    path.write_text("\n".join(_closure_lines(60)) + "\n")
+    data = _json(capsys, "batch", str(path))
+    for record in data["entries"]:
+        del record["ms"]
+    text = json.dumps(data, indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == BATCH_DIGEST
+
+
+def test_batch_line_analyzes_each_link_once(tmp_path, capsys, monkeypatch):
+    # the verdict carries the gap report that the record's breadth and
+    # gaps come from
+    calls = []
+    for module in (qalt.cli, qalt.qa):
+        def counted(f, step2, inner=module.analyze):
+            calls.append(f)
+            return inner(f, step2)
+        monkeypatch.setattr(module, "analyze", counted)
+    path = tmp_path / "links.txt"
+    path.write_text("\n".join(_closure_lines(7)) + "\n")
+    entries = _json(capsys, "batch", str(path))["entries"]
+    assert len(entries) == 7 and not any("error" in e for e in entries)
+    assert len(calls) == 7
 
 
 # JSON true is not the integer 1

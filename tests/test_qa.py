@@ -180,6 +180,24 @@ def test_obstruct_det_rule():
     assert obstruct(v, 2).status == INCONCLUSIVE
 
 
+def test_obstruct_carries_its_gap_report():
+    # the report the rules read is analyze's at step 1 in t, whatever
+    # the verdict, on the corpus and on closures of both verdicts
+    rng = random.Random(20261020)
+    diagrams = [e.diagram for e in corpus.entries()] + [
+        braid_closure([rng.choice((1, -1, 2, -2, 3, -3))
+                       for _ in range(rng.randint(8, 14))], 4)
+        for _ in range(40)]
+    statuses = set()
+    for d in diagrams:
+        v = jones(d)
+        for prime in (False, True):
+            out = obstruct(v, determinant(d), prime=prime)
+            assert out.report == analyze(v, step2=2), d
+            statuses.add(out.status)
+    assert statuses == {NOTQA, INCONCLUSIVE}
+
+
 def test_obstruct_collects_multiple_reasons():
     v = hl((0, 1), (1, 1), (3, 1))
     out = obstruct(v, 1, prime=True)

@@ -14,13 +14,16 @@ from qalt import (Budget, BracketResult, Certificate, GapReport, HalfLaurent,
                   KanenobuVerdict, QAVerdict, SignedPlanarGraph, Unknown,
                   corpus)
 from qalt.corpus import Entry
+from qalt.diagram import Diagram, InvalidCrossing
 from qalt.laurent import _half
 
 # each record with its fields, in constructor order, and sample values
 RECORDS = [
     (QAVerdict, {"status": "NotQA",
                  "reasons": (("det", "why", {"det": 0}),),
-                 "assumptions": {"prime": True}}),
+                 "assumptions": {"prime": True},
+                 "report": GapReport(breadth2=0, step2=2, gaps=(),
+                                     alternating=True)}),
     (Budget, {"max_depth": 3, "max_nodes": 40, "simplify_passes": 5}),
     (Certificate, {"tree": {"version": 3, "pd": "", "nodes": []}}),
     (Unknown, {"reason": "budget"}),
@@ -153,6 +156,33 @@ def test_signed_planar_graph_validation():
     g = SignedPlanarGraph(3, ([u, u + 1, -1] for u in range(2)))
     assert g.edges == ((0, 1, -1), (1, 2, -1))
     assert g == SignedPlanarGraph(3, ((0, 1, -1), (1, 2, -1)))
+
+
+# where an int is meant, a bool or a float is refused with the error
+# each constructor or method raises for other bad values, not read as
+# the number it stands for
+TREFOIL = corpus.trefoil()
+
+
+@pytest.mark.parametrize("make, error", [
+    (lambda: HalfLaurent({0: True}), TypeError),
+    (lambda: HalfLaurent({True: 1}), TypeError),
+    (lambda: HalfLaurent.one() ** True, ValueError),
+    (lambda: Diagram((), True), ValueError),
+    (lambda: TREFOIL.smooth(True, 0), InvalidCrossing),
+    (lambda: TREFOIL.smooth(0, True), InvalidCrossing),
+    (lambda: TREFOIL.sign(False), InvalidCrossing),
+    (lambda: SignedPlanarGraph(2, [(0, 1, True)]), ValueError),
+    (lambda: SignedPlanarGraph(2.0, [(0, 1, 1)]), ValueError),
+    (lambda: SignedPlanarGraph(2, [(0.0, 1, 1)]), ValueError),
+    (lambda: SignedPlanarGraph(2, [(0, True, 1)]), ValueError),
+], ids=["coefficient-bool", "exponent-bool", "power-bool", "free-loops-bool",
+        "smooth-crossing-bool", "smooth-selector-bool", "sign-crossing-bool",
+        "edge-sign-bool", "vertex-count-float", "endpoint-float",
+        "endpoint-bool"])
+def test_values_that_are_not_plain_ints_are_refused(make, error):
+    with pytest.raises(error):
+        make()
 
 
 def test_half_formatter_matches_fraction():
